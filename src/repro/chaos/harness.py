@@ -25,12 +25,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..harness.backend import PointTask, make_backend, plan_tasks
-from ..harness.cache import result_key
+from ..harness.backend import make_backend
 from ..harness.checkpoint import SweepCheckpoint, default_checkpoint_path
 from ..harness.executor import ExecutionPolicy
 from ..harness.runner import SweepRunner
-from ..machine.config import smoke_configuration_space
+from ..harness.sweep import grid_tasks, run_sweep
 from ..telemetry.collector import Collector, MetricsCollector, NULL_COLLECTOR
 from ..telemetry.logging import get_logger
 from ..workloads.base import clear_prepared_cache
@@ -46,6 +45,9 @@ CHAOS_TIMEOUT_S = 5.0
 #: The chaos policy grants retries to injected timeouts and watchdog
 #: hangs -- under a fault plan those are recoverable, not systematic.
 CHAOS_RETRY_KINDS = ("timeout", "hang")
+
+#: The grid both arms run (the smoke plans' hit indices assume it).
+CHAOS_GRID = "smoke"
 
 
 @dataclass
@@ -107,49 +109,30 @@ def _walk_files(root: str) -> List[str]:
     return out
 
 
-def _grid(limit: Optional[int]) -> List[Any]:
-    configs = list(smoke_configuration_space())
-    if limit is not None:
-        configs = configs[:limit]
-    return configs
-
-
 # ----------------------------------------------------------------------
 def _run_sweep_arm(workdir: str, benchmarks: Tuple[str, ...], scale: int,
                    limit: Optional[int], collector: Collector) -> _ArmResult:
-    """Two sweep passes (cold, then warm) over the smoke grid."""
-    configs = _grid(limit)
+    """Two sweep passes (cold, then warm) over the chaos grid."""
+    tasks = grid_tasks(CHAOS_GRID, benchmarks, scale, limit)
     arm = _ArmResult()
     for _pass in ("cold", "warm"):
         clear_prepared_cache()
         runner = SweepRunner(benchmarks=list(benchmarks), scale=scale,
                              collector=collector)
         backend = make_backend(runner, _chaos_policy(), jobs=1)
-        total = len(configs) * len(benchmarks)
         checkpoint = SweepCheckpoint(
             default_checkpoint_path(), benchmarks=list(benchmarks),
-            scale=scale, total=total, save_interval=10,
+            scale=scale, total=len(tasks), save_interval=10,
         )
+
+        def mark(outcome, _tally) -> None:
+            if outcome.ok:
+                checkpoint.mark_done(outcome.task.key)
+            else:
+                checkpoint.mark_failed(outcome.task.key, outcome.failure)
+
         try:
-            tasks = plan_tasks(
-                configs, list(benchmarks),
-                lambda name, config: result_key(name, config, scale),
-                benchmark_major=True,
-            )
-            for benchmark, config, key in tasks:
-                for outcome in backend.submit(
-                    PointTask(benchmark, config, key)
-                ):
-                    if outcome.ok:
-                        checkpoint.mark_done(outcome.task.key)
-                    else:
-                        checkpoint.mark_failed(outcome.task.key,
-                                               outcome.failure)
-            for outcome in backend.finish():
-                if outcome.ok:
-                    checkpoint.mark_done(outcome.task.key)
-                else:
-                    checkpoint.mark_failed(outcome.task.key, outcome.failure)
+            run_sweep(runner, backend, tasks, mark)
         finally:
             backend.close()
             try:
@@ -178,7 +161,8 @@ def _run_service_arm(workdir: str, benchmarks: Tuple[str, ...], scale: int,
     import random
 
     journal_path = os.path.join(workdir, "service.journal.jsonl")
-    spec: Dict[str, Any] = {"benchmarks": list(benchmarks), "grid": "smoke"}
+    spec: Dict[str, Any] = {"benchmarks": list(benchmarks),
+                            "grid": CHAOS_GRID}
     if limit is not None:
         spec["limit"] = limit
     arm = _ArmResult()

@@ -7,13 +7,13 @@ Subcommands:
 * ``figure``   -- print the data for one of the paper's figures (2-6)
 * ``report``   -- write the full EXPERIMENTS.md (runs missing simulations)
 * ``dump``     -- print a benchmark's translated assembly (or DOT CFG)
+* ``schedule`` -- per-block list-vs-optimal schedule study
 * ``compile``  -- compile and run a user Mini-C source file
-* ``sweep``    -- run the paper's full 560-point space (resumable)
+* ``sweep``    -- run a configuration grid (resumable; ``--jobs N``
+  runs points in worker processes)
 * ``validate`` -- run the validation oracle over a grid (invariants,
   dominance orders, golden-baseline regression gating; see the
   "Validation & regression gating" section of DESIGN.md)
-* ``bench``    -- time the serial and process backends
-  (``--mode service`` benches the daemon: cold vs warm submits)
 * ``profile``  -- profile a sweep under cProfile plus a sampling
   timer; writes ``BENCH_profile.json`` (hot-function table, cycle
   attribution, telemetry overhead) and a flamegraph-ready
@@ -22,7 +22,12 @@ Subcommands:
 * ``serve``    -- run the long-lived simulation service daemon
 * ``submit``   -- submit a grid job to a running daemon (``--wait``
   streams progress until it finishes)
+* ``chaos``    -- fault-injection drill (fault-free vs faulted runs
+  must converge)
 * ``list``     -- list benchmarks and configuration axes
+
+Performance is measured by ``python3 perfbench/run.py`` (see
+``perfbench/README.md``), not by a verb of this tool.
 
 ``sweep`` and ``report`` accept ``--telemetry`` (live progress plus
 counters/timers) and ``--metrics-out FILE`` (write the aggregated
@@ -30,9 +35,9 @@ counters/timers) and ``--metrics-out FILE`` (write the aggregated
 The global ``--log-json`` flag (or ``REPRO_LOG_JSON=1``) switches every
 diagnostic line to one structured JSON object per line.
 
-Exit codes: 0 success, 1 fatal harness error, 3 some sweep points
-failed (structured ``PointFailure`` records) or a submitted job
-finished ``failed``, 4 the validation oracle found gating
+Exit codes: 0 success, 1 fatal harness error, 3 some sweep or
+validate points failed (structured ``PointFailure`` records) or a
+submitted job finished ``failed``, 4 the validation oracle found gating
 (``error``-severity) findings, 5 the service rejected a job at
 admission (typed 429-style response; retry later).
 """
@@ -56,6 +61,7 @@ from .harness.runner import SweepRunner
 from .machine.config import (
     BranchMode,
     Discipline,
+    GRIDS,
     ISSUE_MODELS,
     MEMORY_CONFIGS,
     MachineConfig,
@@ -113,12 +119,13 @@ def _config_from_args(args: argparse.Namespace) -> MachineConfig:
 
 
 def _add_grid_arguments(command: argparse.ArgumentParser,
-                        default_benchmarks: Optional[str] = None) -> None:
-    """The grid-spec axes shared by sweep/validate/bench/submit.
+                        default_benchmarks: Optional[str] = None,
+                        default_grid: Optional[str] = None) -> None:
+    """The grid-spec axes shared by every grid verb.
 
     One definition instead of a per-subcommand copy, so every grid verb
-    spells its selection flags identically (and ``submit`` did not have
-    to grow a third copy).
+    spells its selection flags identically.  ``default_grid`` adds
+    ``--grid``, whose choices are the names in the grid table.
     """
     command.add_argument("--benchmarks", default=default_benchmarks,
                          help="comma-separated subset"
@@ -127,6 +134,15 @@ def _add_grid_arguments(command: argparse.ArgumentParser,
                                  else f" (default: {default_benchmarks})"))
     command.add_argument("--scale", type=int, default=None,
                          help="input scale (default: REPRO_BENCH_SCALE or 1)")
+    if default_grid is not None:
+        command.add_argument(
+            "--grid", choices=tuple(GRIDS), default=default_grid,
+            help="configuration grid (default: %(default)s): the paper's"
+                 " 560-point space (full), the 40-point validation slice"
+                 " (smoke), the per-workload cache-geometry ladder (cache;"
+                 " honours each workload's cache_memories), the 68-point"
+                 " value/branch speculation grid (spec), or the 24-point"
+                 " list-vs-optimal static scheduling grid (sched)")
 
 
 def _benchmarks_from_args(args: argparse.Namespace) -> Optional[List[str]]:
@@ -225,35 +241,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="run the paper's full 560-point configuration space "
-             "(fault-tolerant and resumable; results land in the on-disk "
-             "cache, failures in sweep.state.json)",
+        help="run a configuration grid, by default the paper's full"
+             " 560-point space (fault-tolerant and resumable; results"
+             " land in the on-disk cache, failures in sweep.state.json)",
     )
-    _add_grid_arguments(sweep)
-    sweep.add_argument("--grid",
-                       choices=("full", "smoke", "cache", "spec", "sched"),
-                       default="full",
-                       help="configuration grid: the paper's 560-point"
-                            " space (full), the 40-point validation slice"
-                            " (smoke), the per-workload cache-geometry"
-                            " ladder (cache; honours each workload's"
-                            " cache_memories), the 68-point value/"
-                            "branch speculation grid (spec), or the"
-                            " 24-point list-vs-optimal static scheduling"
-                            " grid (sched)")
+    _add_grid_arguments(sweep, default_grid="full")
     sweep.add_argument("--limit", type=int, default=None,
-                       help="stop after N uncached points (for budgeting)")
+                       help="stop after N uncached points, counted in"
+                            " benchmark-major order (for budgeting)")
     _add_telemetry_arguments(sweep)
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="run points across N worker processes (prepare"
-                            " happens once per benchmark; workers load"
-                            " artifacts from the store and results merge"
-                            " back to the single-writer cache)")
-    sweep.add_argument("--isolate", action="store_true",
-                       help="run each point in a subprocess worker that is"
-                            " terminated on timeout or crash (serial"
-                            " backend only; --jobs N already isolates"
-                            " points in worker processes)")
+                       help="run points across N worker processes, so a"
+                            " crashing or wedged point cannot take the"
+                            " sweep down (prepare happens once per"
+                            " benchmark; workers load artifacts from the"
+                            " store and results merge back to the"
+                            " single-writer cache)")
     sweep.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="wall-clock budget per point attempt")
@@ -289,17 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
              " per-result invariants, the paper's dominance orders, and"
              " golden-baseline regression gating (--record / --check)",
     )
-    _add_grid_arguments(validate)
-    validate.add_argument("--grid", choices=("full", "smoke", "spec", "sched"),
-                          default=None,
-                          help="configuration grid to validate (default:"
-                               " full; spec is the value/branch"
-                               " speculation grid, sched the"
-                               " list-vs-optimal scheduling grid)")
-    validate.add_argument("--smoke", action="store_true",
-                          help="validate the 40-config smoke grid instead"
-                               " of the full 560-config space (same as"
-                               " --grid smoke)")
+    _add_grid_arguments(validate, default_grid="full")
     validate.add_argument("--record", action="store_true",
                           help="write the grid's golden baseline (refused"
                                " when the oracle itself finds errors)")
@@ -313,32 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="relative tolerance for dominance"
                                " comparisons (default 0.02)")
     _add_telemetry_arguments(validate)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time a small fixed sweep grid on the serial and process"
-             " backends (--mode backends, writes BENCH_sweep.json) or"
-             " cold/warm submits against an in-process service daemon"
-             " (--mode service, writes BENCH_service.json)",
-    )
-    bench.add_argument("--mode", choices=("backends", "service"),
-                       default="backends",
-                       help="what to bench: execution backends (default)"
-                            " or the service daemon's cold/warm path")
-    _add_grid_arguments(bench, default_benchmarks="grep")
-    bench.add_argument("--points", type=int, default=24,
-                       help="grid points to time per backend (default 24;"
-                            " backends mode only -- service mode always"
-                            " submits the smoke grid)")
-    bench.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="process-backend worker count (default: host"
-                            " CPU count; backends mode only)")
-    bench.add_argument("--status-requests", type=int, default=200,
-                       help="status requests timed for the requests/s"
-                            " figure (service mode; default 200)")
-    bench.add_argument("-o", "--output", default=None,
-                       help="output path (default: BENCH_sweep.json or"
-                            " BENCH_service.json by mode)")
 
     profile = sub.add_parser(
         "profile",
@@ -413,15 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit one grid job to a running service daemon",
     )
-    _add_grid_arguments(submit)
-    submit.add_argument("--grid",
-                        choices=("smoke", "full", "cache", "spec", "sched"),
-                        default="smoke",
-                        help="configuration grid to fan out (default:"
-                             " smoke, 40 configs; cache is the"
-                             " per-workload cache-geometry ladder; spec"
-                             " is the value/branch speculation grid;"
-                             " sched the list-vs-optimal scheduling grid)")
+    _add_grid_arguments(submit, default_grid="smoke")
     submit.add_argument("--limit", type=int, default=None,
                         help="submit only the first N points of the grid")
     submit.add_argument("--url", default="http://127.0.0.1:8737",
@@ -738,27 +697,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep completed but some points failed (structured ``PointFailure``
     records; summary on stderr), and 1 on a fatal harness error.
     """
-    from .harness.backend import make_backend, plan_tasks, PointTask
-    from .harness.cache import result_key
+    from .harness.backend import make_backend
     from .harness.checkpoint import SweepCheckpoint, default_checkpoint_path
     from .harness.executor import ExecutionPolicy
     from .harness.runner import reset_zero_ipc_warning
-    from .machine.config import (
-        cache_configuration_space,
-        full_configuration_space,
-        sched_configuration_space,
-        smoke_configuration_space,
-        spec_configuration_space,
-    )
+    from .harness.sweep import grid_tasks, run_sweep
     from .telemetry import MetricsCollector, ProgressLine
 
     if args.jobs < 1:
         print("fatal: --jobs must be >= 1", file=sys.stderr)
-        return 1
-    if args.jobs > 1 and args.isolate:
-        print("fatal: --isolate applies to the serial backend; --jobs N"
-              " already isolates points in worker processes",
-              file=sys.stderr)
         return 1
 
     reset_zero_ipc_warning()
@@ -772,29 +719,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     policy = ExecutionPolicy(
         timeout_s=args.timeout,
         retries=args.retries,
-        isolate=args.isolate,
         max_cycles=args.max_cycles,
     )
     backend = make_backend(runner, policy, jobs=args.jobs)
-    grid = getattr(args, "grid", "full")
-    if grid == "cache":
-        # The cache-geometry ladder differs per benchmark (workloads may
-        # pin their own memory letters), so tasks are planned name-major
-        # here instead of through the shared-config plan_tasks() path.
-        task_list = [
-            (name, config, result_key(name, config, runner.scale))
-            for name in runner.benchmarks
-            for config in cache_configuration_space(name)
-        ]
-        total = len(task_list)
-    else:
-        space = {
-            "smoke": smoke_configuration_space,
-            "spec": spec_configuration_space,
-            "sched": sched_configuration_space,
-        }.get(grid, full_configuration_space)
-        configs = list(space())
-        total = len(configs) * len(runner.benchmarks)
+    tasks = grid_tasks(args.grid, runner.benchmarks, runner.scale)
+    total = len(tasks)
 
     checkpoint_path = default_checkpoint_path()
     checkpoint = None
@@ -809,6 +738,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if args.retry_failed:
                 checkpoint.failures.clear()
             else:
+                # Known-failed on a previous run: carry the failures
+                # forward instead of burning time on deterministic
+                # re-failures (--retry-failed opts out).
                 carried = dict(checkpoint.failures)
         else:
             print("resume: no compatible sweep.state.json; starting fresh",
@@ -822,18 +754,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         checkpoint.backend = backend.name
 
     progress = ProgressLine(total) if telemetry else None
-    done = 0
-    fresh = 0
-    failed = 0
-    limited = False
 
-    def handle(outcome) -> None:
-        """Merge one backend outcome: checkpoint + progress accounting."""
-        nonlocal done, failed
-        done += 1
+    def handle(outcome, tally) -> None:
+        """Checkpoint and progress accounting for one settled point."""
+        done = tally.resolved
         task = outcome.task
+        if outcome.source == "carried":
+            if progress is not None:
+                progress.update(done, f"skip {task.benchmark} {task.config}")
+            return
         if outcome.failure is not None:
-            failed += 1
             checkpoint.mark_failed(task.key, outcome.failure)
             line = f"FAILED({outcome.failure.kind}) {task.benchmark} {task.config}"
             if progress is not None:
@@ -844,49 +774,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         checkpoint.mark_done(task.key)
         if progress is not None:
             progress.update(done, f"{task.benchmark} {task.config}")
-        elif done % 50 == 0 or done == total:
+        elif outcome.source == "fresh" and (done % 50 == 0 or done == total):
             print(f"[{done}/{total}] {outcome.result.summary()}",
                   file=sys.stderr)
 
-    if grid == "cache":
-        tasks = iter(task_list)
-    else:
-        tasks = plan_tasks(
-            configs, runner.benchmarks,
-            lambda name, config: result_key(name, config, runner.scale),
-            benchmark_major=args.jobs > 1,
-        )
     try:
         try:
-            for name, config, key in tasks:
-                prior = carried.get(key)
-                if prior is not None:
-                    # Known-failed on a previous run: carry the failure
-                    # forward instead of burning time on a deterministic
-                    # re-failure (--retry-failed opts out).
-                    runner.failures.append(prior)
-                    failed += 1
-                    done += 1
-                    if collector is not None:
-                        collector.count("sweep.point.skipped_failed")
-                    if progress is not None:
-                        progress.update(done, f"skip {name} {config}")
-                    continue
-                hit = runner.cache_lookup(name, config)
-                if hit is not None:
-                    done += 1
-                    checkpoint.mark_done(key)
-                    if progress is not None:
-                        progress.update(done, f"{name} {config}")
-                    continue
-                if args.limit is not None and fresh >= args.limit:
-                    limited = True
-                    break
-                fresh += 1
-                for outcome in backend.submit(PointTask(name, config, key)):
-                    handle(outcome)
-            for outcome in backend.finish():
-                handle(outcome)
+            tally = run_sweep(runner, backend, tasks, handle,
+                              limit=args.limit, carried=carried)
         finally:
             # A killed or crashing sweep must still leave a resumable
             # manifest behind, and pool workers must not outlive it.
@@ -907,11 +802,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"fatal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    if limited:
-        print(f"limit reached: {done}/{total} points in cache")
+    if tally.limited:
+        print(f"limit reached: {tally.resolved}/{total} points in cache")
     else:
-        print(f"sweep complete: {total} points ({fresh} newly simulated,"
-              f" {failed} failed)")
+        print(f"sweep complete: {total} points ({tally.dispatched} newly"
+              f" simulated, {tally.failed} failed)")
     report = None
     if validating:
         from .validate import run_oracle
@@ -930,18 +825,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             validation=report.to_dict() if report is not None else None,
         )
     if runner.failures:
-        kinds = sorted({failure.kind for failure in runner.failures})
-        print(
-            f"sweep: {len(runner.failures)} point(s) failed"
-            f" ({', '.join(kinds)}); details in {checkpoint_path}",
-            file=sys.stderr,
-        )
+        _report_failures("sweep", runner.failures,
+                         f"details in {checkpoint_path}")
         return 3
-    if not limited:
+    if not tally.limited:
         checkpoint.remove()
     if report is not None and not report.ok:
         return 4
     return 0
+
+
+def _report_failures(verb: str, failures, detail: str) -> None:
+    """The one-line stderr summary behind exit code 3."""
+    kinds = sorted({failure.kind for failure in failures})
+    print(f"{verb}: {len(failures)} point(s) failed ({', '.join(kinds)});"
+          f" {detail}", file=sys.stderr)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -951,47 +849,37 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     then runs all applicable oracle layers: per-result invariants and
     cross-configuration dominance always, golden-baseline drift under
     ``--check``.  ``--record`` snapshots the grid's metrics as the new
-    golden baseline -- refused when the oracle itself found errors, so a
-    broken simulator cannot be enshrined as truth.
+    golden baseline -- refused when the oracle itself found errors or a
+    point failed, so a broken simulator cannot be enshrined as truth.
 
-    Exit codes: 0 clean (warnings allowed), 4 gating findings, 1 fatal.
+    Exit codes: 0 clean (warnings allowed), 3 some points failed
+    (structured ``PointFailure`` records, as in ``sweep``), 4 gating
+    findings, 1 fatal.
     """
-    from .machine.config import (
-        full_configuration_space,
-        sched_configuration_space,
-        smoke_configuration_space,
-        spec_configuration_space,
-    )
+    from .harness.backend import make_backend
+    from .harness.sweep import grid_tasks, run_sweep
     from .telemetry import MetricsCollector, ProgressLine
     from .validate import default_baseline_path, record_baseline, run_oracle
 
-    grid = args.grid or ("smoke" if args.smoke else "full")
-    if args.smoke and args.grid not in (None, "smoke"):
-        print("fatal: --smoke conflicts with --grid", file=sys.stderr)
-        return 1
     benchmarks = _benchmarks_from_args(args)
     telemetry = args.telemetry or bool(args.metrics_out)
     collector = MetricsCollector() if telemetry else None
     runner = SweepRunner(benchmarks=benchmarks, scale=args.scale,
                          collector=collector, validate=True)
-    space = {
-        "smoke": smoke_configuration_space,
-        "spec": spec_configuration_space,
-        "sched": sched_configuration_space,
-    }.get(grid, full_configuration_space)
-    configs = list(space())
-    total = len(configs) * len(runner.benchmarks)
-    progress = ProgressLine(total) if telemetry else None
-    done = 0
+    backend = make_backend(runner)
+    tasks = grid_tasks(args.grid, runner.benchmarks, runner.scale)
+    progress = ProgressLine(len(tasks)) if telemetry else None
+
+    def show(outcome, tally) -> None:
+        if progress is not None:
+            progress.update(tally.resolved, f"{outcome.task.benchmark}"
+                                            f" {outcome.task.config}")
+
     try:
         try:
-            for config in configs:
-                for name in runner.benchmarks:
-                    runner.run_point(name, config)
-                    done += 1
-                    if progress is not None:
-                        progress.update(done, f"{name} {config}")
+            run_sweep(runner, backend, tasks, show)
         finally:
+            backend.close()
             if progress is not None:
                 progress.finish()
     except Exception as exc:  # noqa: BLE001 - deterministic exit code 1
@@ -999,7 +887,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return 1
 
     baseline = args.baseline or default_baseline_path(
-        runner.benchmarks, grid=grid
+        runner.benchmarks, grid=args.grid
     )
     report = run_oracle(
         runner.results,
@@ -1011,327 +899,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for line in report.summary_lines():
         print(line)
     if args.record:
-        if report.ok:
+        if report.ok and not runner.failures:
             record_baseline(runner.results, runner.scale, baseline)
             print(f"recorded golden baseline: {baseline}"
                   f" ({len(runner.results)} points)")
         else:
             print("refusing to record a golden baseline from a run the"
-                  " oracle rejected", file=sys.stderr)
+                  " oracle rejected or with failed points", file=sys.stderr)
     if args.metrics_out:
         _write_metrics(
             collector, args.metrics_out,
-            context={"grid": grid},
+            context={"grid": args.grid},
             validation=report.to_dict(),
         )
+    if runner.failures:
+        for failure in runner.failures:
+            print(failure.summary(), file=sys.stderr)
+        _report_failures("validate", runner.failures, "listed above")
+        return 3
     return 0 if report.ok else 4
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.mode == "service":
-        return _bench_service(args)
-    return _bench_backends(args)
-
-
-def _bench_backends(args: argparse.Namespace) -> int:
-    """Time one fixed grid on the serial and process backends.
-
-    Artifacts are materialized once up front and each backend runs
-    against a throwaway result cache, so the timings compare dispatch +
-    simulation throughput (what ``--jobs`` parallelizes), not compile or
-    cache state.  Writes ``BENCH_sweep.json`` and prints a summary; the
-    document records the host CPU count because the achievable speedup
-    is bounded by it.
-    """
-    import json
-    import os
-    import tempfile
-    import time
-
-    from .harness.artifacts import default_artifact_root
-    from .harness.backend import PointTask, make_backend, plan_tasks
-    from .harness.cache import result_key
-    from .harness.executor import ExecutionPolicy
-    from .machine.config import full_configuration_space
-    from .workloads.base import clear_prepared_cache
-
-    benchmarks = _benchmarks_from_args(args) or ["grep"]
-    cpu_count = os.cpu_count() or 1
-    jobs = args.jobs if args.jobs is not None else max(2, cpu_count)
-    probe = SweepRunner(benchmarks=benchmarks, scale=args.scale,
-                        use_cache=False)
-    scale = probe.scale
-    configs = list(full_configuration_space())
-    tasks = list(plan_tasks(
-        configs, benchmarks,
-        lambda name, config: result_key(name, config, scale),
-        benchmark_major=True,
-    ))[: args.points]
-
-    # Pin the artifact root before swapping REPRO_CACHE_DIR (its default
-    # lives under the cache dir), then materialize artifacts once so
-    # both backends load the same on-disk workloads.
-    os.environ["REPRO_ARTIFACT_DIR"] = default_artifact_root()
-    for name in benchmarks:
-        probe.prepare_artifacts(name)
-
-    def timed(jobs_n: int, task_list=None) -> tuple:
-        task_list = tasks if task_list is None else task_list
-        clear_prepared_cache()
-        with tempfile.TemporaryDirectory() as cache_dir:
-            previous = os.environ.get("REPRO_CACHE_DIR")
-            os.environ["REPRO_CACHE_DIR"] = cache_dir
-            try:
-                runner = SweepRunner(benchmarks=benchmarks, scale=scale)
-                backend = make_backend(runner, ExecutionPolicy(),
-                                       jobs=jobs_n)
-                failures = 0
-                results = []
-                start = time.perf_counter()
-                try:
-                    for name, config, key in task_list:
-                        for outcome in backend.submit(
-                            PointTask(name, config, key)
-                        ):
-                            failures += 0 if outcome.ok else 1
-                            if outcome.result is not None:
-                                results.append(outcome.result)
-                    for outcome in backend.finish():
-                        failures += 0 if outcome.ok else 1
-                        if outcome.result is not None:
-                            results.append(outcome.result)
-                finally:
-                    backend.close()
-                wall_s = time.perf_counter() - start
-            finally:
-                if previous is None:
-                    os.environ.pop("REPRO_CACHE_DIR", None)
-                else:
-                    os.environ["REPRO_CACHE_DIR"] = previous
-        return {
-            "backend": backend.name,
-            "jobs": jobs_n,
-            "wall_s": round(wall_s, 3),
-            "points_per_s": (
-                round(len(task_list) / wall_s, 3) if wall_s else 0.0
-            ),
-            "failures": failures,
-        }, results
-
-    print(f"bench: {len(tasks)} points x {{serial, process x{jobs}}}"
-          f" on {','.join(benchmarks)} (host: {cpu_count} CPU(s))",
-          file=sys.stderr)
-    serial, serial_results = timed(1)
-    print(f"  serial      : {serial['wall_s']:.2f}s"
-          f" ({serial['points_per_s']:.2f} points/s)", file=sys.stderr)
-    process, _ = timed(jobs)
-    print(f"  process x{jobs}  : {process['wall_s']:.2f}s"
-          f" ({process['points_per_s']:.2f} points/s)", file=sys.stderr)
-    speedup = (
-        serial["wall_s"] / process["wall_s"] if process["wall_s"] else 0.0
-    )
-    # Time the full oracle (invariants + dominance) over the serial
-    # results: what `sweep --validate` would add on top of simulation.
-    from .validate import run_oracle
-
-    validate_start = time.perf_counter()
-    validation = run_oracle(serial_results, scale=scale)
-    validate_s = time.perf_counter() - validate_start
-    validate_overhead_pct = (
-        100.0 * validate_s / serial["wall_s"] if serial["wall_s"] else 0.0
-    )
-    print(f"  validate    : {validate_s:.3f}s"
-          f" ({validate_overhead_pct:.2f}% of serial wall,"
-          f" {len(validation.findings)} finding(s))", file=sys.stderr)
-    # Time value speculation's simulation cost: the same dynamic
-    # configurations with and without a stride predictor, so the delta
-    # isolates the speculation machinery (predictor tables, verify,
-    # squash/replay bookkeeping) from everything else.
-    import dataclasses
-
-    dynamic_tasks = [
-        (name, config, key) for name, config, key in plan_tasks(
-            [c for c in configs
-             if c.discipline is not Discipline.STATIC],
-            benchmarks,
-            lambda name, config: result_key(name, config, scale),
-            benchmark_major=True,
-        )
-    ][: args.points]
-    stride_tasks = []
-    for name, config, _ in dynamic_tasks:
-        config = dataclasses.replace(config, value_predictor="stride")
-        stride_tasks.append(
-            (name, config, result_key(name, config, scale))
-        )
-    plain, _ = timed(1, dynamic_tasks)
-    value_spec, _ = timed(1, stride_tasks)
-    value_spec_overhead_pct = (
-        100.0 * (value_spec["wall_s"] - plain["wall_s"])
-        / plain["wall_s"] if plain["wall_s"] else 0.0
-    )
-    print(f"  value spec  : {value_spec['wall_s']:.2f}s stride vs"
-          f" {plain['wall_s']:.2f}s none"
-          f" ({value_spec_overhead_pct:+.2f}% over"
-          f" {len(stride_tasks)} dynamic points)", file=sys.stderr)
-    from .telemetry.perfscope import host_block
-
-    document = {
-        "schema": "repro.bench/1",
-        "host": host_block(),
-        "grid": {
-            "benchmarks": benchmarks,
-            "points": len(tasks),
-            "scale": scale,
-        },
-        "backends": {"serial": serial, "process": process},
-        "speedup": round(speedup, 3),
-        "validate": {
-            "wall_s": round(validate_s, 4),
-            "checked_results": validation.checked_results,
-            "findings": len(validation.findings),
-        },
-        "validate_overhead_pct": round(validate_overhead_pct, 3),
-        "value_spec": {
-            "predictor": "stride",
-            "dynamic_points": len(stride_tasks),
-            "wall_none_s": plain["wall_s"],
-            "wall_stride_s": value_spec["wall_s"],
-            "failures": value_spec["failures"],
-        },
-        "value_spec_overhead_pct": round(value_spec_overhead_pct, 3),
-    }
-    output = args.output or "BENCH_sweep.json"
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    print(f"speedup: {speedup:.2f}x; wrote {output}")
-    return 1 if (serial["failures"] or process["failures"]) else 0
-
-
-def _bench_service(args: argparse.Namespace) -> int:
-    """Bench the daemon's headline win: cold vs warm identical submits.
-
-    Spins up an in-process daemon (scheduler + HTTP server on an
-    ephemeral port) over throwaway cache/artifact directories, submits
-    the smoke grid twice through the real HTTP client, and times both:
-    the cold submit pays prepare + simulate, the warm one must be served
-    entirely from the resident result cache.  A status-endpoint hammer
-    then measures request throughput.  Writes ``BENCH_service.json``.
-    """
-    import json
-    import os
-    import tempfile
-    import threading
-    import time
-
-    from .service import JobScheduler, ServiceClient, make_server
-    from .telemetry import MetricsCollector
-    from .workloads.base import clear_prepared_cache
-
-    benchmarks = _benchmarks_from_args(args) or ["grep"]
-    spec = {"benchmarks": benchmarks, "grid": "smoke"}
-
-    clear_prepared_cache()
-    with tempfile.TemporaryDirectory() as tmp:
-        saved = {
-            name: os.environ.get(name)
-            for name in ("REPRO_CACHE_DIR", "REPRO_ARTIFACT_DIR")
-        }
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        os.environ["REPRO_ARTIFACT_DIR"] = os.path.join(tmp, "workloads")
-        try:
-            runner = SweepRunner(scale=args.scale,
-                                 collector=MetricsCollector())
-            scheduler = JobScheduler(
-                runner, journal_path=os.path.join(tmp, "journal.jsonl")
-            )
-            scheduler.start()
-            server = make_server(scheduler, port=0, quiet=True)
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            thread.start()
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
-            try:
-                client.wait_ready()
-
-                def submit_and_wait() -> tuple:
-                    start = time.perf_counter()
-                    job = client.submit(spec)
-                    final = client.wait(job["job_id"])
-                    return time.perf_counter() - start, final
-
-                total = len(benchmarks) * 40  # smoke grid: 40 configs
-                print(f"bench service: {total}-point smoke grid on"
-                      f" {','.join(benchmarks)}, cold then warm",
-                      file=sys.stderr)
-                cold_s, cold_job = submit_and_wait()
-                print(f"  cold submit : {cold_s:.2f}s"
-                      f" ({cold_job['points']['fresh']} simulated)",
-                      file=sys.stderr)
-                warm_s, warm_job = submit_and_wait()
-                print(f"  warm submit : {warm_s:.3f}s"
-                      f" ({warm_job['points']['cached']} cache hits)",
-                      file=sys.stderr)
-
-                requests = max(1, args.status_requests)
-                start = time.perf_counter()
-                for _ in range(requests):
-                    client.job(warm_job["job_id"], include_results=False)
-                status_wall = time.perf_counter() - start
-                requests_per_s = requests / status_wall if status_wall else 0.0
-                print(f"  status      : {requests} requests in"
-                      f" {status_wall:.2f}s ({requests_per_s:.0f} req/s)",
-                      file=sys.stderr)
-            finally:
-                server.shutdown()
-                server.server_close()
-                scheduler.stop()
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-            clear_prepared_cache()
-
-    from .telemetry.perfscope import host_block
-
-    document = {
-        "schema": "repro.bench.service/1",
-        "host": host_block(),
-        "grid": {
-            "benchmarks": benchmarks,
-            "grid": "smoke",
-            "points": total,
-            "scale": runner.scale,
-        },
-        "cold": {
-            "wall_s": round(cold_s, 3),
-            "points": cold_job["points"],
-        },
-        "warm": {
-            "wall_s": round(warm_s, 4),
-            "points": warm_job["points"],
-            "counters": warm_job.get("counters", {}),
-        },
-        "warm_speedup": round(cold_s / warm_s, 1) if warm_s else 0.0,
-        "status_requests_per_s": round(requests_per_s, 1),
-    }
-    output = args.output or "BENCH_service.json"
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    print(f"warm speedup: {document['warm_speedup']:.1f}x; wrote {output}")
-    failed = cold_job["points"]["failed"] + warm_job["points"]["failed"]
-    warm_misses = warm_job["points"]["fresh"]
-    if warm_misses:
-        print(f"bench service: warm submit re-simulated {warm_misses}"
-              " point(s); the resident cache is not working", file=sys.stderr)
-    return 1 if (failed or warm_misses) else 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -1699,7 +1285,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "compile": _cmd_compile,
         "sweep": _cmd_sweep,
         "validate": _cmd_validate,
-        "bench": _cmd_bench,
         "profile": _cmd_profile,
         "serve": _cmd_serve,
         "submit": _cmd_submit,

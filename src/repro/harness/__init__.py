@@ -10,7 +10,8 @@ through an :class:`ExecutionBackend` -- :class:`SerialBackend` in
 process, or :class:`ProcessPoolBackend` under ``--jobs N``, which loads
 prepared workloads from the versioned :class:`ArtifactStore` and mails
 results back to the parent, the single writer of cache, checkpoint and
-telemetry.
+telemetry.  Every grid run drives the one loop in
+:func:`run_sweep` over :func:`grid_tasks`.
 """
 
 from .artifacts import ArtifactStore, default_artifact_root, workload_digest
@@ -21,7 +22,6 @@ from .backend import (
     ProcessPoolBackend,
     SerialBackend,
     make_backend,
-    plan_tasks,
 )
 from .cache import ResultCache, atomic_write_json
 from .checkpoint import SweepCheckpoint, default_checkpoint_path
@@ -34,7 +34,6 @@ from .errors import (
     PointTimeout,
     SimulationHang,
     TransientSimulationError,
-    WorkerCrashed,
     WorkloadPrepareError,
     classify_error,
     is_transient,
@@ -54,6 +53,7 @@ from .figures import (
 from .plot import ascii_chart
 from .report import generate_report
 from .runner import SweepRunner, default_benchmarks, default_scale, geometric_mean
+from .sweep import SweepTally, grid_tasks, run_sweep
 
 __all__ = [
     "ArtifactStore",
@@ -75,8 +75,8 @@ __all__ = [
     "SimulationHang",
     "SweepCheckpoint",
     "SweepRunner",
+    "SweepTally",
     "TransientSimulationError",
-    "WorkerCrashed",
     "WorkloadPrepareError",
     "atomic_write_json",
     "classify_error",
@@ -85,8 +85,9 @@ __all__ = [
     "is_transient",
     "default_benchmarks",
     "default_scale",
+    "grid_tasks",
     "make_backend",
-    "plan_tasks",
+    "run_sweep",
     "workload_digest",
     "discipline_lines",
     "figure2_data",

@@ -6,8 +6,8 @@ half of the paper's flow; every timing point only *replays* the
 resulting artifacts.  This store materializes those artifacts once --
 programs as assembly text, traces in the binary format of
 :mod:`repro.interp.trace_io` -- so any number of processes (the serial
-runner, ``--jobs N`` pool workers, the bench harness) can load them
-instead of re-compiling and re-tracing per point.
+runner, ``--jobs N`` pool workers, the repository benchmark) can load
+them instead of re-compiling and re-tracing per point.
 
 Layout, under ``REPRO_ARTIFACT_DIR`` (default:
 ``$REPRO_CACHE_DIR/workloads``)::

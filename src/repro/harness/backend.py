@@ -1,6 +1,6 @@
 """Pluggable sweep execution backends: serial, or a process pool.
 
-The sweep loop (``repro-sim sweep``, the bench harness) is written
+The sweep loop (:func:`repro.harness.sweep.run_sweep`) is written
 against one small surface, :class:`ExecutionBackend`:
 
 * :meth:`~ExecutionBackend.submit` hands the backend one uncached
@@ -47,7 +47,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..chaos.inject import current as chaos_current
 from ..machine.config import MachineConfig
@@ -83,6 +83,10 @@ class PointOutcome:
     task: PointTask
     result: Optional[SimResult] = None
     failure: Optional[PointFailure] = None
+    #: how the sweep loop settled the point: ``fresh`` (run by a
+    #: backend), ``cached`` (a result-cache hit) or ``carried`` (a
+    #: failure recorded by an earlier run and not re-attempted).
+    source: str = "fresh"
 
     @property
     def ok(self) -> bool:
@@ -164,7 +168,7 @@ def _pool_point(job: _WorkerJob) -> Tuple[object, Optional[dict]]:
     )
     executor = PointExecutor(runner, ExecutionPolicy(
         timeout_s=job.timeout_s, retries=job.retries,
-        backoff_s=job.backoff_s, isolate=False, max_cycles=job.max_cycles,
+        backoff_s=job.backoff_s, max_cycles=job.max_cycles,
         retry_kinds=job.retry_kinds,
     ))
     outcome = executor.execute(job.benchmark, job.config)
@@ -438,22 +442,3 @@ def make_backend(runner: SweepRunner,
         return SerialBackend(runner, policy)
     return ProcessPoolBackend(runner, policy, jobs=jobs)
 
-
-def plan_tasks(configs: List[MachineConfig], benchmarks: List[str],
-               key_fn, benchmark_major: bool = False,
-               ) -> Iterator[Tuple[str, MachineConfig, str]]:
-    """The sweep's task order: ``(benchmark, config, cache key)`` triples.
-
-    Serial sweeps keep the historical config-major order (bit-identical
-    progress output); parallel sweeps go benchmark-major so each
-    benchmark's prepare happens once, right before its points dispatch,
-    and workers churn one benchmark's artifacts at a time.
-    """
-    if benchmark_major:
-        for name in benchmarks:
-            for config in configs:
-                yield name, config, key_fn(name, config)
-    else:
-        for config in configs:
-            for name in benchmarks:
-                yield name, config, key_fn(name, config)

@@ -15,7 +15,7 @@ kind                      raised when
 ``cache``                 the result cache raised while reading or writing
 ``transient``             an explicitly retryable failure (I/O glitches, the
                           test suite's injected flakes)
-``worker-crash``          an isolated subprocess died without reporting
+``worker-crash``          a pool worker process died without reporting
 ``unexpected``            anything else -- degraded, recorded, not fatal
 ========================  =====================================================
 
@@ -80,32 +80,6 @@ class TransientSimulationError(HarnessError):
     """A retryable failure: the executor backs off and tries again."""
 
 
-class WorkerCrashed(HarnessError):
-    """An isolated worker process exited without reporting a result."""
-
-    def __init__(self, benchmark: str, config: str, exitcode: Any):
-        self.benchmark = benchmark
-        self.config = config
-        self.exitcode = exitcode
-        super().__init__(
-            f"{benchmark} on {config}: worker process died "
-            f"(exit code {exitcode})"
-        )
-
-
-class RemoteFailure(HarnessError):
-    """A failure marshalled back from an isolated worker process.
-
-    Carries the worker-side classification so retry and reporting treat
-    it exactly like the original exception would have been treated.
-    """
-
-    def __init__(self, kind: str, transient: bool, message: str):
-        self.kind = kind
-        self.transient = transient
-        super().__init__(message)
-
-
 #: error kind -> exception classes, checked in order (first match wins).
 _KIND_TABLE = (
     ("hang", (SimulationHang,)),
@@ -114,7 +88,7 @@ _KIND_TABLE = (
     ("prepare", (WorkloadPrepareError, WorkloadMismatch)),
     ("cache", (CacheCorruption,)),
     ("transient", (TransientSimulationError,)),
-    ("worker-crash", (WorkerCrashed, ChaosCrash)),
+    ("worker-crash", (ChaosCrash,)),
 )
 
 #: the closed vocabulary of failure kinds (plus the fallback).
@@ -123,8 +97,6 @@ FAILURE_KINDS = tuple(kind for kind, _ in _KIND_TABLE) + ("unexpected",)
 
 def classify_error(exc: BaseException) -> str:
     """The stable ``kind`` string for one failure."""
-    if isinstance(exc, RemoteFailure):
-        return exc.kind
     for kind, classes in _KIND_TABLE:
         if isinstance(exc, classes):
             return kind
@@ -138,8 +110,6 @@ def is_transient(exc: BaseException) -> bool:
     retry; hangs, timeouts and semantic errors (divergence, prepare
     bugs) deterministically recur, so retrying them only burns time.
     """
-    if isinstance(exc, RemoteFailure):
-        return exc.transient
     if isinstance(exc, WorkloadPrepareError):
         # The wrapper hides the cause's class; an I/O flake during
         # preparation is just as retryable as one during simulation.

@@ -1,19 +1,15 @@
 """Fault-tolerant execution of sweep points.
 
-:class:`PointExecutor` runs each (benchmark, configuration) point
-through an isolation boundary with a wall-clock timeout and bounded
-retry, turning every failure into a structured :class:`PointFailure`
-record instead of aborting the sweep:
-
-* **In-process** (the default): the point runs on a worker thread so the
-  wall-clock timeout can fire; a timed-out thread is abandoned (Python
-  threads cannot be killed) and the engine-level ``max_cycles`` watchdog
-  remains the backstop that actually unwinds a runaway simulation.
-* **Subprocess** (``isolate=True``): the point runs in a forked worker
-  that is terminated outright on timeout, so a wedged or crashing point
-  cannot take the sweep down with it.  Results cross the process
-  boundary by pickling; the parent performs the cache write, so worker
-  crashes can never corrupt the result cache.
+:class:`PointExecutor` runs each (benchmark, configuration) point with a
+wall-clock timeout and bounded retry, turning every failure into a
+structured :class:`PointFailure` record instead of aborting the sweep.
+With a timeout the point runs on a worker thread so the timeout can
+fire; a timed-out thread is abandoned (Python threads cannot be killed)
+and the engine-level ``max_cycles`` watchdog remains the backstop that
+actually unwinds a runaway simulation.  Process isolation -- a crashing
+or wedged point that cannot take the sweep down with it -- is the
+process-pool backend's job (``--jobs N``; see
+:mod:`repro.harness.backend`).
 
 Transient failures (see :func:`repro.harness.errors.is_transient`) are
 retried with exponential backoff up to ``retries`` times.  Telemetry:
@@ -23,7 +19,6 @@ counters, plus a per-point record flagged ``failed=True``.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 from dataclasses import dataclass
@@ -32,14 +27,7 @@ from typing import List, Optional, Tuple, Union
 from ..chaos.inject import current as chaos_current
 from ..machine.config import MachineConfig
 from ..stats.results import SimResult
-from .errors import (
-    PointFailure,
-    PointTimeout,
-    RemoteFailure,
-    WorkerCrashed,
-    classify_error,
-    is_transient,
-)
+from .errors import PointFailure, PointTimeout, classify_error, is_transient
 from ..telemetry.logging import get_logger
 from .runner import SweepRunner
 
@@ -48,7 +36,7 @@ _LOG = get_logger("executor")
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How hard to try, how long to wait, and where to run each point."""
+    """How hard to try and how long to wait for each point."""
 
     #: wall-clock budget per attempt in seconds (None: unbounded).
     timeout_s: Optional[float] = None
@@ -56,31 +44,12 @@ class ExecutionPolicy:
     retries: int = 2
     #: first backoff delay; doubles per retry.
     backoff_s: float = 0.05
-    #: run each point in a terminate-on-timeout subprocess.
-    isolate: bool = False
     #: engine watchdog override (None: REPRO_MAX_CYCLES or the default).
     max_cycles: Optional[int] = None
     #: failure kinds (classify_error names) granted retries on top of the
     #: transient set -- e.g. ("timeout", "hang") under the chaos harness,
     #: where those are injected and recoverable rather than systematic.
     retry_kinds: Tuple[str, ...] = ()
-
-
-def _isolated_worker(conn, benchmark: str, config: MachineConfig,
-                     scale: int, max_cycles: Optional[int]) -> None:
-    """Subprocess entry: simulate one point, report through the pipe."""
-    try:
-        runner = SweepRunner(
-            benchmarks=[benchmark], scale=scale, use_cache=False,
-            max_cycles=max_cycles,
-        )
-        result = runner.simulate_point(benchmark, config)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
-        conn.send(("err", classify_error(exc), is_transient(exc),
-                   f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
 
 
 def _call_with_timeout(fn, timeout_s: float, benchmark: str,
@@ -112,7 +81,7 @@ def _call_with_timeout(fn, timeout_s: float, benchmark: str,
 
 
 class PointExecutor:
-    """Runs sweep points with isolation, timeout, retry and degradation."""
+    """Runs sweep points with timeout, retry and degradation."""
 
     def __init__(self, runner: SweepRunner,
                  policy: Optional[ExecutionPolicy] = None):
@@ -127,12 +96,12 @@ class PointExecutor:
     # ------------------------------------------------------------------
     def execute(self, benchmark: str,
                 config: MachineConfig) -> Union[SimResult, PointFailure]:
-        """One point: cache probe, guarded simulation, structured failure."""
-        runner = self.runner
-        hit = runner.cache_lookup(benchmark, config)
-        if hit is not None:
-            return hit
+        """One uncached point: guarded simulation, or a structured failure.
 
+        The sweep loop probes the result cache before dispatching, so
+        every point reaching the executor is a miss.
+        """
+        runner = self.runner
         policy = self.policy
         collector = self.collector
         start = time.perf_counter()
@@ -140,9 +109,7 @@ class PointExecutor:
         while True:
             attempts += 1
             try:
-                if policy.isolate:
-                    result = self._run_isolated(benchmark, config)
-                elif policy.timeout_s is not None:
+                if policy.timeout_s is not None:
                     result = _call_with_timeout(
                         lambda: runner.simulate_point(benchmark, config),
                         policy.timeout_s, benchmark, str(config),
@@ -176,62 +143,6 @@ class PointExecutor:
             return result
 
     # ------------------------------------------------------------------
-    def _run_isolated(self, benchmark: str,
-                      config: MachineConfig) -> SimResult:
-        """One attempt in a dedicated worker process."""
-        runner = self.runner
-        policy = self.policy
-        ctx = multiprocessing.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_isolated_worker,
-            args=(child_conn, benchmark, config, runner.scale,
-                  runner.max_cycles),
-            daemon=True,
-        )
-        start = time.perf_counter()
-        process.start()
-        child_conn.close()
-        try:
-            if not parent_conn.poll(policy.timeout_s):
-                process.terminate()
-                process.join()
-                raise PointTimeout(
-                    benchmark, str(config), policy.timeout_s or 0.0
-                )
-            try:
-                payload = parent_conn.recv()
-            except EOFError:
-                process.join()
-                raise WorkerCrashed(
-                    benchmark, str(config), process.exitcode
-                ) from None
-        finally:
-            parent_conn.close()
-            if process.is_alive():
-                process.join(5)
-        if payload[0] == "ok":
-            result: SimResult = payload[1]
-            collector = self.collector
-            if collector.enabled:
-                wall = time.perf_counter() - start
-                collector.count("sweep.cache.miss")
-                collector.observe("sweep.point.wall_s", wall)
-                # The child's collector is not mailed back on the
-                # isolated path, so the whole attempt lands as one
-                # parent-side simulate-phase span.
-                collector.add_span("phase.simulate", wall,
-                                   benchmark=benchmark, config=str(config),
-                                   isolated=True)
-                collector.record_point(
-                    benchmark=benchmark, config=str(config), cached=False,
-                    isolated=True, wall_s=wall,
-                    ipc=result.retired_per_cycle,
-                )
-            return result
-        _, kind, transient, message = payload
-        raise RemoteFailure(kind, transient, message)
-
     def _record_failure(self, benchmark: str, config: MachineConfig,
                         exc: BaseException, attempts: int,
                         elapsed: float) -> PointFailure:

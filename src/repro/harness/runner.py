@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..chaos.inject import current as chaos_current
 from ..machine.config import MachineConfig
@@ -132,9 +132,9 @@ class SweepRunner:
             return
         key = result_key(result.benchmark, result.config, self.scale)
         if key in self._observed_keys:
-            # A point can reach the parent twice (e.g. a cache probe in
-            # both the sweep loop and the executor); one grid point
-            # contributes one result to the oracle.
+            # A point can reach the parent twice (e.g. a benchmark
+            # listed twice); one grid point contributes one result to
+            # the oracle.
             return
         self._observed_keys.add(key)
         self.results.append(result)
@@ -177,13 +177,18 @@ class SweepRunner:
         if eng is not None:
             eng.act("point.simulate", ("crash", "hang", "delay"))
         collector = self.collector
+        start = time.perf_counter()
+        workload = self.workload(benchmark)
+        prepared_at = time.perf_counter()
+        max_cycles = self.max_cycles
+        if eng is not None:
+            rule = eng.act("engine.budget", ("budget",))
+            if rule is not None:
+                max_cycles = rule.budget
         if collector.enabled:
             point = str(config)
-            start = time.perf_counter()
-            workload = self.workload(benchmark)
-            prepared_at = time.perf_counter()
             result = simulate(workload, config, collector=collector,
-                              max_cycles=self.max_cycles)
+                              max_cycles=max_cycles)
             end = time.perf_counter()
             collector.count("sweep.cache.miss")
             collector.observe("sweep.point.prepare_s", prepared_at - start)
@@ -200,8 +205,7 @@ class SweepRunner:
                 ipc=result.retired_per_cycle,
             )
         else:
-            result = simulate(self.workload(benchmark), config,
-                              max_cycles=self.max_cycles)
+            result = simulate(workload, config, max_cycles=max_cycles)
         if self.verbose:
             _LOG.info("point", benchmark=benchmark, config=str(config),
                       ipc=round(result.retired_per_cycle, 4),
@@ -233,17 +237,6 @@ class SweepRunner:
         self.cache_store(result)
         self.observe_result(result)
         return result
-
-    def run_configs(self, configs: Iterable[MachineConfig],
-                    benchmarks: Optional[Sequence[str]] = None,
-                    ) -> List[SimResult]:
-        """Cartesian sweep of configs x benchmarks."""
-        names = list(benchmarks) if benchmarks else self.benchmarks
-        results = []
-        for config in configs:
-            for name in names:
-                results.append(self.run_point(name, config))
-        return results
 
     # ------------------------------------------------------------------
     def mean_ipc(self, config: MachineConfig,

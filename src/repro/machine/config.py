@@ -4,7 +4,8 @@ The simulation study varies scheduling discipline, issue model, memory
 configuration and branch handling; with the 100% prediction runs limited
 to dynamic windows of 4 and 256 this yields the paper's 560 data points
 per benchmark (10 discipline/branch lines x 8 issue models x 7 memory
-configurations).
+configurations).  That grid and its smaller siblings are declared once,
+in :data:`GRIDS`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 
 class Discipline(enum.Enum):
@@ -225,7 +227,11 @@ class MachineConfig:
         return base
 
 
-def scheduling_disciplines() -> Tuple[Tuple[Discipline, int, BranchMode], ...]:
+#: One discipline/branch-handling line: (discipline, window, branch mode).
+Line = Tuple[Discipline, int, BranchMode]
+
+
+def scheduling_disciplines() -> Tuple[Line, ...]:
     """The paper's ten discipline/branch-handling lines."""
     lines = []
     for mode in (BranchMode.SINGLE, BranchMode.ENLARGED):
@@ -237,20 +243,6 @@ def scheduling_disciplines() -> Tuple[Tuple[Discipline, int, BranchMode], ...]:
     return tuple(lines)
 
 
-def full_configuration_space() -> Iterator[MachineConfig]:
-    """All 560 configurations of the paper's study."""
-    for (discipline, window, mode), issue, memory in itertools.product(
-        scheduling_disciplines(), PAPER_ISSUE_MODELS, PAPER_MEMORIES
-    ):
-        yield MachineConfig(
-            discipline=discipline,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=mode,
-            window_blocks=window,
-        )
-
-
 #: Issue models kept by the validation smoke grid: the narrowest
 #: non-sequential model and the paper's widest.
 SMOKE_ISSUE_MODELS = (2, 8)
@@ -258,29 +250,6 @@ SMOKE_ISSUE_MODELS = (2, 8)
 #: Memory configurations kept by the smoke grid: the fastest and
 #: slowest perfect memories (the ends of the A >= B >= C chain).
 SMOKE_MEMORIES = ("A", "C")
-
-
-def smoke_configuration_space() -> Iterator[MachineConfig]:
-    """A 40-point slice of the space that still exercises every ordering.
-
-    All ten discipline/branch-handling lines are kept (so the window,
-    branch-handling and discipline comparisons all have their points)
-    crossed with two issue models and two perfect memories -- small
-    enough for CI to simulate in seconds, rich enough that every
-    dominance rule in :mod:`repro.validate.dominance` has pairs to
-    compare.
-    """
-    for (discipline, window, mode), issue, memory in itertools.product(
-        scheduling_disciplines(), SMOKE_ISSUE_MODELS, SMOKE_MEMORIES
-    ):
-        yield MachineConfig(
-            discipline=discipline,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=mode,
-            window_blocks=window,
-        )
-
 
 #: Default cache-capacity ladder for the per-workload geometry sweeps:
 #: every 1-cycle-hit cached memory, smallest first.
@@ -297,37 +266,6 @@ CACHE_SWEEP_LINES = (
     (Discipline.DYNAMIC, 4, BranchMode.ENLARGED),
     (Discipline.DYNAMIC, 256, BranchMode.ENLARGED),
 )
-
-
-def cache_configuration_space(
-    benchmark: Optional[str] = None,
-) -> Iterator[MachineConfig]:
-    """The cache-geometry grid: capacity ladder x width x discipline.
-
-    With ``benchmark`` given, a workload registered with its own
-    ``cache_memories`` restricts the capacity ladder to those letters;
-    otherwise (and for ``None``) the full :data:`CACHE_SWEEP_MEMORIES`
-    ladder is used.  At most 24 points per benchmark -- sized for CI.
-    """
-    letters: Tuple[str, ...] = CACHE_SWEEP_MEMORIES
-    if benchmark is not None:
-        # Imported lazily: the workload registry imports this module.
-        from ..workloads import WORKLOADS
-
-        workload = WORKLOADS.get(benchmark)
-        if workload is not None and workload.cache_memories:
-            letters = workload.cache_memories
-    for (discipline, window, mode), issue, memory in itertools.product(
-        CACHE_SWEEP_LINES, CACHE_SWEEP_ISSUE_MODELS, letters
-    ):
-        yield MachineConfig(
-            discipline=discipline,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=mode,
-            window_blocks=window,
-        )
-
 
 #: Discipline/branch lines kept by the speculation grid: the small and
 #: large enlarged windows (where data speculation competes with branch
@@ -356,45 +294,6 @@ SPEC_VALUE_PREDICTORS = ("none", "last", "stride", "context", "perfect")
 #: carries each at value_predictor=none on the large enlarged window.
 SPEC_BRANCH_PREDICTORS = ("gshare", "perceptron")
 
-
-def spec_configuration_space(
-    benchmark: Optional[str] = None,
-) -> Iterator[MachineConfig]:
-    """The speculation grid: the value-predictor chain x the harness axes.
-
-    68 points per benchmark: every :data:`SPEC_SWEEP_LINES` line crossed
-    with two issue models, two memories and the five-kind value-predictor
-    chain (60 points), plus the promoted branch-predictor family
-    (gshare, perceptron) on the large enlarged window at
-    ``value_predictor="none"`` (8 points).  ``benchmark`` is accepted for
-    signature parity with the per-benchmark ``cache`` grid and ignored.
-    """
-    del benchmark  # shared grid: same points for every workload
-    for (discipline, window, mode), issue, memory, kind in itertools.product(
-        SPEC_SWEEP_LINES, SPEC_ISSUE_MODELS, SPEC_MEMORIES,
-        SPEC_VALUE_PREDICTORS,
-    ):
-        yield MachineConfig(
-            discipline=discipline,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=mode,
-            window_blocks=window,
-            value_predictor=kind,
-        )
-    for predictor, issue, memory in itertools.product(
-        SPEC_BRANCH_PREDICTORS, SPEC_ISSUE_MODELS, SPEC_MEMORIES
-    ):
-        yield MachineConfig(
-            discipline=Discipline.DYNAMIC,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=BranchMode.ENLARGED,
-            window_blocks=256,
-            predictor=predictor,
-        )
-
-
 #: Static lines kept by the scheduling grid (the only lines with
 #: compile-time word packing to optimise).
 SCHED_SWEEP_LINES = (
@@ -413,28 +312,101 @@ SCHED_ISSUE_MODELS = (2, 5, 8)
 #: state and blur the list-vs-optimal comparison.
 SCHED_MEMORIES = ("A", "C")
 
+#: Memory-axis marker for the cache grid: the workload's own
+#: ``cache_memories`` ladder, or :data:`CACHE_SWEEP_MEMORIES` when it
+#: sets none (or no workload is named).
+WORKLOAD_LADDER = None
 
-def sched_configuration_space(
-    benchmark: Optional[str] = None,
-) -> Iterator[MachineConfig]:
-    """The scheduling grid: list vs exact schedules on static machines.
+#: One axis product: ``(field, values)`` pairs crossed in order, first
+#: axis outermost.  ``line`` sets the discipline, window and branch mode
+#: together; every other field is a :class:`MachineConfig` field.
+Axes = Tuple[Tuple[str, Optional[Tuple[Any, ...]]], ...]
 
-    24 points per benchmark: both static lines crossed with three issue
-    models and two perfect memories, each at ``optimal_schedule`` off
-    and on -- every on/off pair feeds the ``dominance.sched`` rule.
-    ``benchmark`` is accepted for signature parity with the
-    per-benchmark ``cache`` grid and ignored.
+#: The configuration grids: each an ordered list of axis products.
+#: Every grid verb, the service's job specs and the fault-injection
+#: drill read their grid names and points from this one table.
+GRIDS: Dict[str, Tuple[Axes, ...]] = {
+    # The paper's 560 points per program.
+    "full": (
+        (("line", scheduling_disciplines()),
+         ("issue_model", PAPER_ISSUE_MODELS),
+         ("memory", PAPER_MEMORIES)),
+    ),
+    # 40 points that still exercise every ordering: all ten lines (so
+    # the window, branch-handling and discipline comparisons all have
+    # their points) crossed with two issue models and two perfect
+    # memories -- small enough for CI, rich enough that every dominance
+    # rule in repro.validate.dominance has pairs to compare.
+    "smoke": (
+        (("line", scheduling_disciplines()),
+         ("issue_model", SMOKE_ISSUE_MODELS),
+         ("memory", SMOKE_MEMORIES)),
+    ),
+    # The capacity ladder x width x discipline, at most 24 points per
+    # program.
+    "cache": (
+        (("line", CACHE_SWEEP_LINES),
+         ("issue_model", CACHE_SWEEP_ISSUE_MODELS),
+         ("memory", WORKLOAD_LADDER)),
+    ),
+    # 68 points: the value-predictor chain on every speculation line
+    # (60), plus the promoted branch predictors on the large enlarged
+    # window at value_predictor=none (8).
+    "spec": (
+        (("line", SPEC_SWEEP_LINES),
+         ("issue_model", SPEC_ISSUE_MODELS),
+         ("memory", SPEC_MEMORIES),
+         ("value_predictor", SPEC_VALUE_PREDICTORS)),
+        (("predictor", SPEC_BRANCH_PREDICTORS),
+         ("line", ((Discipline.DYNAMIC, 256, BranchMode.ENLARGED),)),
+         ("issue_model", SPEC_ISSUE_MODELS),
+         ("memory", SPEC_MEMORIES)),
+    ),
+    # 24 points: list vs exact schedules on static machines; every
+    # on/off pair feeds the dominance.sched rule.
+    "sched": (
+        (("line", SCHED_SWEEP_LINES),
+         ("issue_model", SCHED_ISSUE_MODELS),
+         ("memory", SCHED_MEMORIES),
+         ("optimal_schedule", (False, True))),
+    ),
+}
+
+
+def _cache_ladder(benchmark: Optional[str]) -> Tuple[str, ...]:
+    if benchmark is not None:
+        # Imported lazily: the workload registry imports this module.
+        from ..workloads import WORKLOADS
+
+        workload = WORKLOADS.get(benchmark)
+        if workload is not None and workload.cache_memories:
+            return workload.cache_memories
+    return CACHE_SWEEP_MEMORIES
+
+
+def grid_configs(grid: str,
+                 benchmark: Optional[str] = None) -> Iterator[MachineConfig]:
+    """The configurations of one :data:`GRIDS` grid, in table order.
+
+    ``benchmark`` only matters to grids with a workload-chosen memory
+    ladder (``cache``); the other grids yield the same points for every
+    workload.
     """
-    del benchmark  # shared grid: same points for every workload
-    for (discipline, window, mode), issue, memory, optimal in itertools.product(
-        SCHED_SWEEP_LINES, SCHED_ISSUE_MODELS, SCHED_MEMORIES,
-        (False, True),
-    ):
-        yield MachineConfig(
-            discipline=discipline,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=mode,
-            window_blocks=window,
-            optimal_schedule=optimal,
-        )
+    for axes in GRIDS[grid]:
+        names = [name for name, _ in axes]
+        values = [_cache_ladder(benchmark) if axis is WORKLOAD_LADDER
+                  else axis for _, axis in axes]
+        for combo in itertools.product(*values):
+            fields = dict(zip(names, combo))
+            discipline, window, mode = fields.pop("line")
+            yield MachineConfig(discipline=discipline, window_blocks=window,
+                                branch_mode=mode, **fields)
+
+
+#: The per-grid spellings, each :func:`grid_configs` bound to one grid
+#: (``cache_configuration_space(name)`` takes the workload's ladder).
+full_configuration_space = partial(grid_configs, "full")
+smoke_configuration_space = partial(grid_configs, "smoke")
+cache_configuration_space = partial(grid_configs, "cache")
+spec_configuration_space = partial(grid_configs, "spec")
+sched_configuration_space = partial(grid_configs, "sched")

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional
 
-from ..chaos.inject import current as chaos_current
 from ..interp.trace import TAKEN, Trace
 from ..isa.ops import NodeKind
 from ..stats.results import SimResult
@@ -207,11 +206,6 @@ class DynamicEngine:
         exec_times: List[int] = []
 
         watchdog_limit = self.max_cycles
-        chaos_engine = chaos_current()
-        if chaos_engine is not None:
-            chaos_rule = chaos_engine.act("engine.budget", ("budget",))
-            if chaos_rule is not None:
-                watchdog_limit = chaos_rule.budget
 
         for position in range(len(block_ids)):
             tmpl = tmpl_of[block_ids[position]]

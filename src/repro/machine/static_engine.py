@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..chaos.inject import current as chaos_current
 from ..interp.trace import TAKEN, Trace
 from ..stats.results import SimResult
 from ..telemetry.collector import (
@@ -98,11 +97,6 @@ class StaticEngine:
         issued_slots = 0
 
         watchdog_limit = self.max_cycles
-        chaos_engine = chaos_current()
-        if chaos_engine is not None:
-            chaos_rule = chaos_engine.act("engine.budget", ("budget",))
-            if chaos_rule is not None:
-                watchdog_limit = chaos_rule.budget
 
         for position in range(len(block_ids)):
             # Watchdog: bounds any runaway issue loop at block granularity.

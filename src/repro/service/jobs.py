@@ -28,15 +28,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..chaos.inject import current as chaos_current
-from ..harness.cache import result_key
-from ..machine.config import (
-    MachineConfig,
-    cache_configuration_space,
-    full_configuration_space,
-    sched_configuration_space,
-    smoke_configuration_space,
-    spec_configuration_space,
-)
+from ..harness.backend import PointTask
+from ..harness.sweep import grid_tasks
+from ..machine.config import GRIDS
 from ..telemetry.collector import Collector, NULL_COLLECTOR
 from ..telemetry.logging import get_logger
 
@@ -58,17 +52,6 @@ JOB_CANCELLED = "cancelled"
 JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 TERMINAL_STATES = frozenset({JOB_DONE, JOB_FAILED, JOB_CANCELLED})
 
-#: The configuration grids a job may ask for.  The ``cache`` grid is
-#: per-benchmark (workloads may pin their own memory letters), so its
-#: space function takes the benchmark name; the shared grids ignore it.
-GRIDS = {
-    "smoke": lambda benchmark=None: smoke_configuration_space(),
-    "full": lambda benchmark=None: full_configuration_space(),
-    "cache": cache_configuration_space,
-    "spec": spec_configuration_space,
-    "sched": sched_configuration_space,
-}
-
 
 class SpecError(ValueError):
     """A malformed or unsatisfiable grid spec (the client's fault: 400)."""
@@ -77,16 +60,6 @@ class SpecError(ValueError):
 def default_journal_path() -> str:
     root = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
     return os.path.join(root, JOURNAL_BASENAME)
-
-
-@dataclass(frozen=True)
-class PointJob:
-    """One (benchmark, configuration) point of a job's fan-out."""
-
-    benchmark: str
-    config: MachineConfig
-    #: result-cache key; also the scheduler's deduplication key.
-    key: str
 
 
 @dataclass(frozen=True)
@@ -147,23 +120,9 @@ class GridSpec:
         return document
 
     # ------------------------------------------------------------------
-    def points(self, scale: int) -> List[PointJob]:
-        """The job's fan-out, benchmark-major (prepare once per benchmark).
-
-        Benchmark-major order matters for the same reason it does in a
-        parallel sweep: a benchmark's expensive prepare happens on its
-        first point, so grouping keeps at most one prepare in flight and
-        every later point of that benchmark rides the warm workload.
-        """
-        space = GRIDS[self.grid]
-        out: List[PointJob] = []
-        for name in self.benchmarks:
-            for config in space(name):
-                out.append(PointJob(name, config,
-                                    result_key(name, config, scale)))
-        if self.limit is not None:
-            out = out[: self.limit]
-        return out
+    def points(self, scale: int) -> List[PointTask]:
+        """The job's fan-out, in the sweep loop's benchmark-major order."""
+        return grid_tasks(self.grid, self.benchmarks, scale, self.limit)
 
     def digest(self, scale: int) -> str:
         """Deterministic identity of this grid query at this scale.

@@ -6,15 +6,15 @@ execution backend), preserving the single-writer discipline of batch
 sweeps exactly: HTTP threads only parse specs, take the admission lock
 and read snapshots -- they never touch the cache or the collector.
 
-Execution of one job mirrors the batch sweep loop point for point:
-cache probe first (hits route through ``observe_result`` just like
-``sweep`` does), then dispatch onto the shared
-:class:`~repro.harness.backend.ExecutionBackend`, whose serial and pool
-variants already own the cache-store/observe/merge discipline.  Because
-the runner, the in-process prepared-workload cache and the pool survive
-between jobs, the first job pays preparation once and every later job
-that touches the same benchmarks starts warm -- the service's whole
-reason to exist.
+Execution of one job is the batch sweep loop itself
+(:func:`~repro.harness.sweep.run_sweep`): cache probe first, then
+dispatch onto the shared :class:`~repro.harness.backend.ExecutionBackend`,
+whose serial and pool variants own the cache-store/observe/merge
+discipline; this module adds only job bookkeeping, deduplication and
+cancellation through the loop's hooks.  Because the runner, the
+in-process prepared-workload cache and the pool survive between jobs,
+the first job pays preparation once and every later job that touches
+the same benchmarks starts warm -- the service's whole reason to exist.
 
 Admission control is typed: :class:`AdmissionError` carries a machine
 -readable reason (``queue-full``, ``job-too-large``, ``scale-mismatch``,
@@ -36,9 +36,15 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..chaos.inject import current as chaos_current
-from ..harness.backend import ExecutionBackend, PointTask, make_backend
+from ..harness.backend import (
+    ExecutionBackend,
+    PointOutcome,
+    PointTask,
+    make_backend,
+)
 from ..harness.executor import ExecutionPolicy
 from ..harness.runner import SweepRunner
+from ..harness.sweep import SweepTally, run_sweep
 from ..stats.results import SimResult
 from ..telemetry import prometheus
 from ..telemetry.logging import get_logger
@@ -50,7 +56,6 @@ from .jobs import (
     JOB_QUEUED,
     JOB_RUNNING,
     JobJournal,
-    PointJob,
     SpecError,
     SweepJob,
     TERMINAL_STATES,
@@ -523,16 +528,21 @@ class JobScheduler:
         snap0 = dict(collector.counters) if collector.enabled else {}
         spans0 = len(collector.spans) if collector.enabled else 0
         run_start = time.perf_counter()
+
+        def settle(outcome: PointOutcome, _tally: SweepTally) -> None:
+            if outcome.source == "cached":
+                self._resolve(job, outcome.task.benchmark,
+                              str(outcome.task.config), "cached",
+                              outcome.result)
+            else:
+                self._deliver(outcome)
+
         try:
-            for point in job.spec.points(job.scale):
-                if job.cancel_requested:
-                    break
-                self._step(job, point)
-            if not job.cancel_requested:
-                # Drain everything outstanding -- this job's dispatches
-                # plus any leftovers it subscribed to.
-                for outcome in self.backend.finish():
-                    self._deliver(outcome)
+            # Unless cancelled, the loop drains everything outstanding:
+            # this job's dispatches plus any leftovers it subscribed to.
+            run_sweep(self.runner, self.backend, job.spec.points(job.scale),
+                      settle, claim=lambda task: self._claim(job, task),
+                      stop=lambda: job.cancel_requested)
         except Exception as exc:  # noqa: BLE001 - a job must not kill the loop
             log.error("job_crashed", error=f"{type(exc).__name__}: {exc}")
             with self._cond:
@@ -616,28 +626,19 @@ class JobScheduler:
         except OSError:
             self.runner.collector.count("sweep.cache.store_error")
 
-    def _step(self, job: SweepJob, point: PointJob) -> None:
-        """One point: dedup subscription, cache probe, or dispatch."""
+    def _claim(self, job: SweepJob, task: PointTask) -> bool:
+        """Daemon-wide dedup: join an in-flight twin, or own the dispatch."""
         with self._cond:
-            waiters = self._inflight.get(point.key)
+            waiters = self._inflight.get(task.key)
             if waiters is not None:
                 waiters.append(job.job_id)
                 job.points_deduped += 1
                 self.stats["points.deduped"] += 1
-                return
-        hit = self.runner.cache_lookup(point.benchmark, point.config)
-        if hit is not None:
-            self._resolve(job, point.benchmark, str(point.config),
-                          "cached", hit)
-            return
-        with self._cond:
-            self._inflight[point.key] = [job.job_id]
-        for outcome in self.backend.submit(
-            PointTask(point.benchmark, point.config, point.key)
-        ):
-            self._deliver(outcome)
+                return False
+            self._inflight[task.key] = [job.job_id]
+            return True
 
-    def _deliver(self, outcome) -> None:
+    def _deliver(self, outcome: PointOutcome) -> None:
         """Route one backend outcome to every job subscribed to its key.
 
         The backend already performed the cache store and

@@ -45,16 +45,9 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 }
 
 
-def default_baseline_path(benchmarks: Sequence[str], smoke: bool = False,
-                          grid: Optional[str] = None) -> str:
-    """The conventional on-disk location for one grid's baseline.
-
-    ``grid`` names the grid directly (``smoke``, ``full``, ``spec``,
-    ...); the older boolean ``smoke`` flag is kept for callers predating
-    the named-grid family.
-    """
-    if grid is None:
-        grid = "smoke" if smoke else "full"
+def default_baseline_path(benchmarks: Sequence[str],
+                          grid: str = "full") -> str:
+    """The conventional on-disk location for one grid's baseline."""
     return os.path.join(
         BASELINE_DIR, f"{grid}-{'-'.join(benchmarks)}.json"
     )

@@ -1,11 +1,15 @@
 """Machine configuration space tests."""
 
+import argparse
+import hashlib
+
 import pytest
 
 from repro.machine.config import (
     BranchMode,
     Discipline,
     FIGURE4_MEMORY_ORDER,
+    GRIDS,
     ISSUE_MODELS,
     MEMORY_CONFIGS,
     MachineConfig,
@@ -13,7 +17,11 @@ from repro.machine.config import (
     PAPER_MEMORIES,
     cache_configuration_space,
     full_configuration_space,
+    grid_configs,
+    sched_configuration_space,
     scheduling_disciplines,
+    smoke_configuration_space,
+    spec_configuration_space,
 )
 
 
@@ -125,3 +133,72 @@ class TestConfigurationSpace:
         # Unknown benchmarks fall back to the default ladder.
         assert {p.memory for p in cache_configuration_space("nosuch")} == \
             {"D", "H", "E", "I"}
+
+
+def _digest(configs):
+    names = [str(config) for config in configs]
+    return len(names), hashlib.sha256("\n".join(names).encode()).hexdigest()
+
+
+class TestGridTable:
+    """Each grid's ordered points, pinned to the values recorded before
+    the grids became one table (count, sha256 of the joined names)."""
+
+    PINNED = {
+        "full": (560, "5b2d16b5a67fb6a64c43a213a98ec9a4"
+                      "4f4cf119e33ca89befdc5519c226fb2d"),
+        "smoke": (40, "63b7a7d137622aa43da71f3345c24c9a"
+                      "53d8b143fa14f966dda4b67a2cd72331"),
+        "spec": (68, "7a3f38c8aa469950060b6401ecdc11b9"
+                     "b075c68d5e0dc1b19a5e474c25f906cb"),
+        "sched": (24, "765e6007f9c162a93cb7c753e743e16a"
+                      "3744348646f4156398b911e3b53bc0b3"),
+    }
+    #: the cache grid on the default D/H/E/I ladder ...
+    CACHE_DEFAULT = (24, "3dac39f95b994dd5ccf8fbcc0291ad53"
+                         "da780895d6fe7cf438673e38675626aa")
+    #: ... and on the workloads that choose their own.
+    CACHE_PINNED = {
+        "crc32": (18, "28d5205e0d65ec40339fb4746529907c"
+                      "242513dd4a817879ec69c51e2ea11a38"),
+    }
+
+    def test_every_grid_is_pinned(self):
+        assert set(GRIDS) == set(self.PINNED) | {"cache"}
+
+    def test_shared_grids_keep_their_order(self):
+        spaces = {
+            "full": full_configuration_space,
+            "smoke": smoke_configuration_space,
+            "spec": spec_configuration_space,
+            "sched": sched_configuration_space,
+        }
+        for grid, pinned in self.PINNED.items():
+            assert _digest(grid_configs(grid)) == pinned, grid
+            assert _digest(spaces[grid]()) == pinned, grid
+            # A workload never changes a shared grid.
+            assert _digest(grid_configs(grid, "crc32")) == pinned, grid
+
+    def test_cache_grid_keeps_its_order_per_workload(self):
+        from repro.workloads import WORKLOADS
+
+        for name in sorted(WORKLOADS) + ["nosuch", None]:
+            pinned = self.CACHE_PINNED.get(name, self.CACHE_DEFAULT)
+            assert _digest(cache_configuration_space(name)) == pinned, name
+            assert _digest(grid_configs("cache", name)) == pinned, name
+
+    def test_grid_verbs_and_specs_accept_exactly_the_table(self):
+        from repro.cli import _build_parser
+        from repro.service.jobs import GridSpec, SpecError
+
+        (verbs,) = [action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+        for verb in ("sweep", "validate", "submit"):
+            (grid,) = [action for action in verbs.choices[verb]._actions
+                       if action.dest == "grid"]
+            assert tuple(grid.choices) == tuple(GRIDS), verb
+        for name in GRIDS:
+            spec = GridSpec.from_dict({"benchmarks": ["grep"], "grid": name})
+            assert spec.grid == name
+        with pytest.raises(SpecError):
+            GridSpec.from_dict({"benchmarks": ["grep"], "grid": "bogus"})

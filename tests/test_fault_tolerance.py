@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.harness.cache import atomic_write_json
+from repro.harness.backend import PointTask, ProcessPoolBackend
+from repro.harness.cache import atomic_write_json, result_key
 from repro.harness.checkpoint import SweepCheckpoint
 from repro.harness.errors import (
     PointFailure,
@@ -251,61 +252,67 @@ class TestExecutorTimeout:
     reason="isolation tests patch the worker via fork inheritance",
 )
 class TestIsolatedExecution:
-    def test_isolated_success_round_trips_result(self, monkeypatch, tmp_path):
-        config = make_config()
+    """Points in pool workers (``--jobs N``) cannot take the parent down."""
+
+    def _run_in_pool(self, monkeypatch, runner, simulate_stub,
+                     timeout_s=30):
+        monkeypatch.setattr(SweepRunner, "workload", lambda self, name: None)
+        monkeypatch.setattr(SweepRunner, "prepare_artifacts",
+                            lambda self, name: None)
         monkeypatch.setattr(
-            SweepRunner, "simulate_point",
-            lambda self, benchmark, cfg: fake_result(cfg),
+            "repro.harness.runner.simulate",
+            lambda workload, config, collector=None, max_cycles=None,
+            **kwargs: simulate_stub(config),
         )
+        config = make_config()
+        task = PointTask("grep", config, result_key("grep", config, 1))
+        backend = ProcessPoolBackend(
+            runner, ExecutionPolicy(timeout_s=timeout_s), jobs=2
+        )
+        try:
+            outcomes = list(backend.submit(task)) + list(backend.finish())
+        finally:
+            backend.close()
+        assert len(outcomes) == 1
+        return outcomes[0]
+
+    def test_isolated_success_round_trips_result(self, monkeypatch, tmp_path):
         collector = MetricsCollector()
-        runner = SweepRunner(benchmarks=["grep"], collector=collector)
+        runner = SweepRunner(benchmarks=["grep"], scale=1,
+                             collector=collector)
         runner.cache.path = str(tmp_path / "results.json")
-        executor = PointExecutor(
-            runner, ExecutionPolicy(isolate=True, timeout_s=30)
-        )
-        outcome = executor.execute("grep", config)
-        assert isinstance(outcome, SimResult)
-        assert outcome.cycles == 1000
+        outcome = self._run_in_pool(monkeypatch, runner, fake_result)
+        assert outcome.ok
+        assert outcome.result.cycles == 1000
         # The parent performed the cache write.
-        assert runner.cache.get("grep", config, runner.scale) is not None
+        assert runner.cache.get("grep", make_config(), 1) is not None
+        # ... and merged the worker's telemetry.
         assert collector.counters["sweep.cache.miss"] == 1
 
     def test_isolated_timeout_terminates_worker(self, monkeypatch):
-        config = make_config()
-        monkeypatch.setattr(
-            SweepRunner, "simulate_point",
-            lambda self, benchmark, cfg: time.sleep(60),
-        )
         runner = SweepRunner(
-            benchmarks=["grep"], collector=MetricsCollector(),
+            benchmarks=["grep"], scale=1, collector=MetricsCollector(),
             use_cache=False,
-        )
-        executor = PointExecutor(
-            runner, ExecutionPolicy(isolate=True, timeout_s=0.2)
         )
         start = time.perf_counter()
-        outcome = executor.execute("grep", config)
+        outcome = self._run_in_pool(
+            monkeypatch, runner, lambda cfg: time.sleep(60), timeout_s=0.2
+        )
         assert time.perf_counter() - start < 10
-        assert isinstance(outcome, PointFailure)
-        assert outcome.kind == "timeout"
+        assert isinstance(outcome.failure, PointFailure)
+        assert outcome.failure.kind == "timeout"
 
     def test_isolated_error_keeps_classification(self, monkeypatch):
-        config = make_config()
-
-        def hangs(self, benchmark, cfg):
+        def hangs(cfg):
             raise SimulationHang("grep", str(cfg), 11, 10)
 
-        monkeypatch.setattr(SweepRunner, "simulate_point", hangs)
         runner = SweepRunner(
-            benchmarks=["grep"], collector=MetricsCollector(),
+            benchmarks=["grep"], scale=1, collector=MetricsCollector(),
             use_cache=False,
         )
-        executor = PointExecutor(
-            runner, ExecutionPolicy(isolate=True, timeout_s=30)
-        )
-        outcome = executor.execute("grep", config)
-        assert isinstance(outcome, PointFailure)
-        assert outcome.kind == "hang"
+        outcome = self._run_in_pool(monkeypatch, runner, hangs)
+        assert isinstance(outcome.failure, PointFailure)
+        assert outcome.failure.kind == "hang"
 
 
 # ----------------------------------------------------------------------

@@ -28,11 +28,15 @@ from repro.harness.backend import (
     ProcessPoolBackend,
     SerialBackend,
     make_backend,
-    plan_tasks,
 )
+from repro.harness.cache import result_key
 from repro.harness.errors import WorkloadPrepareError
 from repro.harness.runner import SweepRunner
-from repro.machine.config import full_configuration_space
+from repro.harness.sweep import grid_tasks
+from repro.machine.config import (
+    full_configuration_space,
+    smoke_configuration_space,
+)
 from repro.stats.results import SimResult
 from repro.telemetry import MetricsCollector
 
@@ -119,27 +123,18 @@ class TestSnapshotMerge:
 
 
 class TestPlanTasks:
-    def test_config_major_matches_historical_order(self):
-        configs = list(full_configuration_space())[:3]
-        names = ["grep", "sort"]
-        tasks = list(plan_tasks(configs, names,
-                                lambda n, c: f"{n}|{c}"))
-        assert [(t[0], t[1]) for t in tasks[:4]] == [
-            ("grep", configs[0]), ("sort", configs[0]),
-            ("grep", configs[1]), ("sort", configs[1]),
-        ]
-
     def test_benchmark_major_groups_each_benchmark(self):
-        configs = list(full_configuration_space())[:3]
+        configs = list(smoke_configuration_space())
         names = ["grep", "sort"]
-        tasks = list(plan_tasks(configs, names, lambda n, c: f"{n}|{c}",
-                                benchmark_major=True))
-        assert [t[0] for t in tasks] == ["grep"] * 3 + ["sort"] * 3
-        # Same task set either way, only the order differs.
-        assert sorted(t[2] for t in tasks) == sorted(
-            t[2] for t in plan_tasks(configs, names,
-                                     lambda n, c: f"{n}|{c}")
-        )
+        tasks = grid_tasks("smoke", names, scale=1)
+        assert [t.benchmark for t in tasks] == ["grep"] * 40 + ["sort"] * 40
+        assert [t.config for t in tasks] == configs * 2
+        assert [t.key for t in tasks[:2]] == [
+            result_key("grep", configs[0], 1),
+            result_key("grep", configs[1], 1),
+        ]
+        # A limit keeps the first N points of that same order.
+        assert grid_tasks("smoke", names, 1, limit=3) == tasks[:3]
 
 
 class TestMakeBackend:
@@ -153,10 +148,6 @@ class TestMakeBackend:
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.jobs == 4
         backend.close()
-
-    def test_isolate_with_jobs_is_rejected(self, capsys):
-        assert main(["sweep", "--jobs", "2", "--isolate"]) == 1
-        assert "serial backend" in capsys.readouterr().err
 
     def test_jobs_zero_is_rejected(self, capsys):
         assert main(["sweep", "--jobs", "0"]) == 1
@@ -336,35 +327,3 @@ class TestProcessBackendFailurePaths:
             for entry in state["failures"]
         )
         assert not (tmp_path / "results.json").exists()
-
-
-# ----------------------------------------------------------------------
-@fork_only
-class TestBenchCommand:
-    def test_bench_writes_schema_document(self, tmp_path, monkeypatch,
-                                          capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "arts"))
-        _install_stub_simulation(monkeypatch, fake_result)
-        output = tmp_path / "BENCH_sweep.json"
-        code = main(["bench", "--benchmarks", "grep", "--points", "4",
-                     "--jobs", "2", "-o", str(output)])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "speedup" in captured.out
-
-        document = json.loads(output.read_text())
-        assert document["schema"] == "repro.bench/1"
-        assert document["host"]["cpu_count"] >= 1
-        assert document["grid"] == {
-            "benchmarks": ["grep"], "points": 4, "scale": 1,
-        }
-        serial = document["backends"]["serial"]
-        process = document["backends"]["process"]
-        assert serial["backend"] == "serial" and serial["jobs"] == 1
-        assert process["backend"] == "process" and process["jobs"] == 2
-        for timing in (serial, process):
-            assert timing["wall_s"] > 0
-            assert timing["points_per_s"] > 0
-            assert timing["failures"] == 0
-        assert document["speedup"] > 0

@@ -29,6 +29,7 @@ from repro.machine.config import (
     MachineConfig,
     smoke_configuration_space,
 )
+from repro.machine.errors import SimulationHang
 from repro.stats.results import SimResult
 from repro.validate import (
     DEFAULT_REL_TOL,
@@ -336,10 +337,10 @@ class TestDominance:
 # ----------------------------------------------------------------------
 class TestBaseline:
     def test_default_path_names_grid_and_benchmarks(self):
-        assert default_baseline_path(["grep"], smoke=True) == (
+        assert default_baseline_path(["grep"], grid="smoke") == (
             "baselines/smoke-grep.json"
         )
-        assert default_baseline_path(["grep", "sort"], smoke=False) == (
+        assert default_baseline_path(["grep", "sort"], grid="full") == (
             "baselines/full-grep-sort.json"
         )
 
@@ -482,7 +483,7 @@ class TestValidateCommand:
         baseline = str(tmp_path / "base.json")
         metrics = tmp_path / "telemetry.json"
         code = main([
-            "validate", "--benchmarks", "grep", "--smoke", "--record",
+            "validate", "--benchmarks", "grep", "--grid", "smoke", "--record",
             "--baseline", baseline, "--metrics-out", str(metrics),
         ])
         out = capsys.readouterr().out
@@ -492,7 +493,7 @@ class TestValidateCommand:
         assert document["validation"]["checked_results"] == 40
         assert document["validation"]["findings"] == []
 
-        code = main(["validate", "--benchmarks", "grep", "--smoke",
+        code = main(["validate", "--benchmarks", "grep", "--grid", "smoke",
                      "--check", "--baseline", baseline])
         assert code == 0
         assert "clean" in capsys.readouterr().out
@@ -511,7 +512,7 @@ class TestValidateCommand:
 
         _install_stub_simulation(monkeypatch, slowed)
         metrics = tmp_path / "telemetry.json"
-        code = main(["validate", "--benchmarks", "grep", "--smoke",
+        code = main(["validate", "--benchmarks", "grep", "--grid", "smoke",
                      "--metrics-out", str(metrics)])
         out = capsys.readouterr().out
         assert code == 4
@@ -530,18 +531,39 @@ class TestValidateCommand:
 
         _install_stub_simulation(monkeypatch, broken)
         baseline = tmp_path / "base.json"
-        code = main(["validate", "--benchmarks", "grep", "--smoke",
+        code = main(["validate", "--benchmarks", "grep", "--grid", "smoke",
                      "--record", "--baseline", str(baseline)])
         captured = capsys.readouterr()
         assert code == 4
         assert "refusing to record" in captured.err
         assert not baseline.exists()
 
+    def test_failed_point_exits_3_and_is_not_recorded(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        wedged = next(iter(smoke_configuration_space()))
+
+        def hangs_once(cfg):
+            if cfg == wedged:
+                raise SimulationHang("grep", str(cfg), 11, 10)
+            return graded_result(cfg)
+
+        _install_stub_simulation(monkeypatch, hangs_once)
+        baseline = tmp_path / "base.json"
+        code = main(["validate", "--benchmarks", "grep", "--grid", "smoke",
+                     "--record", "--baseline", str(baseline)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "validate: 1 point(s) failed (hang)" in err
+        assert str(wedged) in err
+        assert "refusing to record" in err
+        assert not baseline.exists()
+
     def test_baseline_drift_gates(self, tmp_path, monkeypatch, capsys):
         baseline = str(tmp_path / "base.json")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
         _install_stub_simulation(monkeypatch, graded_result)
-        assert main(["validate", "--benchmarks", "grep", "--smoke",
+        assert main(["validate", "--benchmarks", "grep", "--grid", "smoke",
                      "--record", "--baseline", baseline]) == 0
         capsys.readouterr()
 
@@ -553,7 +575,7 @@ class TestValidateCommand:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
         _install_stub_simulation(monkeypatch, drifted)
         metrics = tmp_path / "telemetry.json"
-        code = main(["validate", "--benchmarks", "grep", "--smoke",
+        code = main(["validate", "--benchmarks", "grep", "--grid", "smoke",
                      "--check", "--baseline", baseline,
                      "--metrics-out", str(metrics)])
         out = capsys.readouterr().out
@@ -662,14 +684,14 @@ class TestRealSmokeRoundtrip:
         )
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         baseline = str(tmp_path / "smoke-grep.json")
-        code = main(["validate", "--benchmarks", "grep", "--smoke",
+        code = main(["validate", "--benchmarks", "grep", "--grid", "smoke",
                      "--record", "--baseline", baseline,
                      "--rel-tol", "0"])
         out = capsys.readouterr().out
         assert code == 0
         assert "clean" in out
         # Cache is warm now; the check replays from it.
-        code = main(["validate", "--benchmarks", "grep", "--smoke",
+        code = main(["validate", "--benchmarks", "grep", "--grid", "smoke",
                      "--check", "--baseline", baseline])
         assert code == 0
         assert "clean" in capsys.readouterr().out
