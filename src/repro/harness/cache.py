@@ -12,8 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-from typing import Any, Dict, Optional
+import secrets
+from typing import Any, Dict, Optional, Tuple
 
 from ..chaos.inject import current as chaos_current
 from ..machine.config import MachineConfig
@@ -25,6 +25,24 @@ from ..telemetry.logging import get_logger
 CACHE_VERSION = 7
 
 _LOG = get_logger("cache")
+
+
+def _create_temp(directory: str, basename: str) -> Tuple[int, str]:
+    """Create a new, uniquely named temp file beside ``basename``.
+
+    Unlike ``tempfile.mkstemp`` (always mode 0600) the file is created
+    with mode 0666 less the umask, like any file ``open`` creates, so the
+    ``os.replace`` that publishes it leaves it readable to whoever the
+    umask allows -- a result cache shared between accounts stays shared.
+    """
+    while True:
+        tmp_path = os.path.join(
+            directory, f"{basename}.{secrets.token_hex(6)}.tmp")
+        try:
+            return os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                           0o666), tmp_path
+        except FileExistsError:
+            continue
 
 
 def atomic_write_json(path: str, payload: Any,
@@ -46,9 +64,7 @@ def atomic_write_json(path: str, payload: Any,
     """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
+    fd, tmp_path = _create_temp(directory, os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=indent, sort_keys=sort_keys)

@@ -9,6 +9,14 @@ bounded in *active basic blocks*, in-order block retirement, speculative
 fetch past predicted branches, and full squash on mispredictions and
 enlarged-block faults.
 
+The engine keeps only the state its timing model needs.  Everything
+that depends on the trace but not on the issue model or the window is
+read from the trace's streams (:mod:`.streams`): each memory node's
+hit, write-buffer hit or miss; which branches mispredict and the chain
+of blocks each wrong path fetches; each load's value-prediction
+outcome; and each block's issue-word offsets.  Function-unit slots are
+bytearrays indexed by cycle.
+
 Modelling notes (documented deltas from real hardware, see DESIGN.md):
 
 * cache probes happen in issue order rather than execution order;
@@ -25,7 +33,6 @@ from collections import deque
 from typing import Dict, List, Optional
 
 from ..interp.trace import TAKEN, Trace
-from ..isa.ops import NodeKind
 from ..stats.results import SimResult
 from ..telemetry.collector import (
     Collector,
@@ -34,29 +41,23 @@ from ..telemetry.collector import (
     TID_MEM,
     finalize_attribution,
 )
-from ..predict import make_value_predictor
-from .cache import MemorySystem
 from .config import BranchMode, MachineConfig
 from .errors import EngineDivergence, SimulationHang, resolve_max_cycles
-from .predictor import BranchPredictor, make_predictor
-from .templates import (
-    BlockTemplate,
-    T_ASSERT,
-    T_BRANCH,
-    T_LOAD,
-    T_STORE,
-    T_SYSCALL,
+from .streams import (
+    MEM_WB_HIT,
+    VALUE_CONFIRMED,
+    Chain,
+    IssuePlan,
+    TraceStreams,
 )
+from .templates import BlockTemplate, T_ALU, T_LOAD, T_STORE, T_SYSCALL
 
 #: Cycles between a resolving squash and the start of correct-path fetch
 #: (the first issue word opens one cycle later).
 REDIRECT_PENALTY = 1
 
-#: Fetch budget for one wrong-path excursion, in blocks.
-_WRONG_PATH_BLOCK_LIMIT = 64
-
-#: Prune the per-cycle slot tables when they grow past this many entries.
-_SLOT_PRUNE_THRESHOLD = 1_000_000
+#: Initial length of the per-cycle slot tables (they double on demand).
+_SLOT_TABLE_CYCLES = 1 << 16
 
 
 class DynamicEngine:
@@ -72,7 +73,6 @@ class DynamicEngine:
         self.benchmark = benchmark
         self.collector = collector
         issue = config.issue
-        self.sequential = issue.sequential
         self.mem_limit = issue.mem_slots
         self.alu_limit = issue.alu_slots
         self.window = config.window_blocks
@@ -84,34 +84,63 @@ class DynamicEngine:
         self.max_cycles = resolve_max_cycles(max_cycles)
         #: verify engine accounting against the functional trace.
         self.self_check = self_check
+        #: the trace's streams; ``simulate`` shares its prepared
+        #: workload's, and ``run`` builds its own when left None.
+        self.streams: Optional[TraceStreams] = None
 
     # ------------------------------------------------------------------
     def run(self) -> SimResult:
-        templates = self.templates
+        config = self.config
         trace = self.trace
-        tmpl_of: List[BlockTemplate] = [templates[label] for label in trace.labels]
+        streams = self.streams
+        if streams is None:
+            streams = TraceStreams(self.templates, trace)
+        plans = streams.issue_plans(config.issue)
+        plan_of: List[IssuePlan] = [plans[label] for label in trace.labels]
+        memory = streams.memory(config.memory_config)
+        perfect = self.perfect
+        # Perfect prediction consults no predictor: no lookups, no
+        # mispredicts, no wrong paths.
+        branches = (None if perfect else
+                    streams.branches(config.predictor, config.static_hints))
+        wrong_paths: Dict[int, Chain] = (
+            branches.wrong_paths if branches is not None else {})
+        value_spec = self.value_spec
+        values = (streams.values(config.value_predictor) if value_spec
+                  else None)
+
         block_ids = trace.block_ids
         outcomes = trace.outcomes
         fault_indices = trace.fault_indices
         addresses = trace.addresses
-
-        memsys = MemorySystem(self.config.memory_config)
-        predictor = make_predictor(self.config.predictor, self.config.static_hints)
-        perfect = self.perfect
-        sequential = self.sequential
+        mem_codes = memory.outcomes
+        value_codes = values.outcomes if values is not None else b""
         mem_limit = self.mem_limit
         alu_limit = self.alu_limit
         window_size = self.window
         collector = self.collector
         tracing = collector.tracing
         attributing = collector.enabled
-        hit_latency = self.config.memory_config.hit_cycles
+        memory_config = config.memory_config
+        hit_latency = memory_config.hit_cycles
+        latency_of = (hit_latency, hit_latency, memory_config.miss_cycles)
 
         reg_ready = [0] * 64
         store_time: Dict[int, int] = {}
         load_time: Dict[int, int] = {}
-        alu_used: Dict[int, int] = {}
-        mem_used: Dict[int, int] = {}
+
+        # Function-unit slots used per cycle.  No node of a block, and no
+        # slot search one starts, reaches past max(fetch cycle, latest
+        # completion so far) + words + 1 + (latency + 1) per node, so
+        # before each block the tables grow to cover its worst case.
+        max_latency = max(latency_of)
+        slack = 2 + max(
+            (plan.words + len(plan.nodes) * (max_latency + 1)
+             for plan in plan_of), default=0)
+        size = _SLOT_TABLE_CYCLES
+        alu_used = bytearray(size)
+        mem_used = bytearray(size)
+        top = 0  # latest completion of any real node so far
 
         # Value speculation (DESIGN.md §16).  A confident prediction for
         # a load delivers its value one cycle after issue; verification
@@ -122,30 +151,13 @@ class DynamicEngine:
         # consumed the poisoned value before its verify burns a wasted
         # function-unit slot and replays -- propagating the poison one
         # level down the dependent subtree.
-        value_spec = self.value_spec
-        vp = None
-        vp_perfect = False
-        load_values: List[int] = []
         val_cursor = 0
         spec_avail: Dict[int, int] = {}
         spec_verify: Dict[int, int] = {}
         vr_replays = 0
         replay_nodes: set = set()
-        if value_spec:
-            vp = make_value_predictor(self.config.value_predictor)
-            vp_perfect = vp.perfect
-            load_values = trace.load_values
-            if not load_values and any(
-                node[0] == T_LOAD for t in tmpl_of for node in t.nodes
-            ):
-                raise ValueError(
-                    "value prediction needs a trace with recorded load"
-                    " values; re-prepare the workload's artifacts"
-                )
 
         fetch_cycle = 0
-        word_mem_left = 0
-        word_alu_left = 0
         window_retires: deque = deque()
 
         # Cycle attribution (ATTRIBUTION_BUCKETS).  `acct` is a
@@ -153,7 +165,7 @@ class DynamicEngine:
         # charged to exactly one bucket.  Fetch-gap cycles are classified
         # by two absolute-cycle markers -- `recover_until` (set at squash
         # redirects) and `window_until` (set when the window gate holds
-        # fetch) -- applied recovery-first at the next word open.
+        # fetch) -- applied recovery-first when a block's words open.
         # `window_mem` mirrors `window_retires` and remembers what kind
         # of node a window entry's straggler was (0 = ALU, 1 = memory
         # op, 2 = value-squash replay), so a window-gate wait on a
@@ -165,14 +177,21 @@ class DynamicEngine:
         window_until = 0
         window_wait_kind = 0
         window_mem: deque = deque()
+        # The sequential model issues its first node in the fetch cycle
+        # itself; wider models open their first word one cycle later.
+        first_word = 0 if config.issue.sequential else 1
 
-        def _charge_issue(f: int) -> None:
-            """Charge the issue cycle ``f`` and classify the gap to it."""
+        def _charge_words(first: int, count: int) -> None:
+            """Charge issue cycles ``first``..``first + count - 1`` (one
+            word each) and classify the gap before them."""
             nonlocal acct, b_issued, b_stall, b_mem, b_recover, b_value
-            if f <= acct:
+            last = first + count - 1
+            if last <= acct:
                 return  # already charged (fetch re-covered old cycles)
+            if first <= acct:
+                first = acct + 1
             lo = acct
-            hi = f - 1
+            hi = first - 1
             if recover_until > lo:
                 take = (recover_until if recover_until < hi else hi) - lo
                 if take > 0:
@@ -190,31 +209,32 @@ class DynamicEngine:
                     lo += take
             if hi > lo:
                 b_stall += hi - lo
-            b_issued += 1
-            acct = f
+            b_issued += last - first + 1
+            acct = last
 
         retired_nodes = 0
         discarded_nodes = 0
         faults = 0
         prev_retire = 0
         max_cycle = 0
-        addr_cursor = 0
+        mem_cursor = 0
         issue_words = 0
         issued_slots = 0
         window_block_cycles = 0
-        window_samples = 0
+        # Per-node execution cycles, kept only for a faulting block (to
+        # count what it discards) or for attribution (its straggler).
         exec_times: List[int] = []
 
         watchdog_limit = self.max_cycles
 
         for position in range(len(block_ids)):
-            tmpl = tmpl_of[block_ids[position]]
+            plan = plan_of[block_ids[position]]
 
             # Watchdog: one comparison per block bounds any runaway
             # scheduling loop without touching the per-node hot path.
             if fetch_cycle > watchdog_limit:
                 raise SimulationHang(
-                    self.benchmark, str(self.config), fetch_cycle,
+                    self.benchmark, str(config), fetch_cycle,
                     watchdog_limit,
                 )
 
@@ -225,8 +245,6 @@ class DynamicEngine:
                 freed_kind = window_mem.popleft() if attributing else 0
                 if freed + 1 > fetch_cycle:
                     fetch_cycle = freed + 1
-                    word_mem_left = 0
-                    word_alu_left = 0
                     if attributing:
                         window_until = fetch_cycle
                         window_wait_kind = freed_kind
@@ -235,7 +253,6 @@ class DynamicEngine:
             if occupancy > window_size:
                 occupancy = window_size
             window_block_cycles += occupancy
-            window_samples += 1
             block_start = fetch_cycle
             if tracing:
                 collector.event(
@@ -244,94 +261,82 @@ class DynamicEngine:
                 )
 
             fault_index = fault_indices[position]
-            fault_time = -1
-            branch_exec = -1
-            block_complete = 0
-            del exec_times[:]
+            faulting = fault_index >= 0 and fault_index in plan.fault_targets
+            record = faulting or attributing
+            if record:
+                del exec_times[:]
             if value_spec:
                 replay_nodes.clear()
+            horizon = (top if top > fetch_cycle else fetch_cycle) + slack
+            if horizon >= size:
+                while horizon >= size:
+                    size *= 2
+                alu_used.extend(bytes(size - len(alu_used)))
+                mem_used.extend(bytes(size - len(mem_used)))
+
             # Each basic block is issued as its own unit of work: a new
             # issue word opens at every block boundary.  Small blocks
             # therefore waste issue slots -- the issue-bandwidth problem
             # basic block enlargement exists to solve.
-            word_mem_left = 0
-            word_alu_left = 0
+            words = plan.words
+            if attributing and words:
+                _charge_words(fetch_cycle + first_word, words)
+            issue_words += words
+            issued_slots += plan.n_datapath
+            label = plan.label
+            base = fetch_cycle + 1  # + offset: one past the node's issue
+            last_exec = -1
+            load_complete = 0
+            t = 0
 
-            for index, (cls, dest, srcs) in enumerate(tmpl.nodes):
-                # ---- issue slot -------------------------------------
-                if cls != T_SYSCALL:
-                    if sequential:
-                        issue_cycle = fetch_cycle
-                        fetch_cycle += 1
-                        issue_words += 1
-                        if attributing:
-                            _charge_issue(issue_cycle)
-                    else:
-                        if cls == T_LOAD or cls == T_STORE:
-                            if word_mem_left <= 0:
-                                fetch_cycle += 1
-                                word_mem_left = mem_limit
-                                word_alu_left = alu_limit
-                                issue_words += 1
-                                if attributing:
-                                    _charge_issue(fetch_cycle)
-                            word_mem_left -= 1
-                        else:
-                            if word_alu_left <= 0:
-                                fetch_cycle += 1
-                                word_mem_left = mem_limit
-                                word_alu_left = alu_limit
-                                issue_words += 1
-                                if attributing:
-                                    _charge_issue(fetch_cycle)
-                            word_alu_left -= 1
-                        issue_cycle = fetch_cycle
-                    issued_slots += 1
-                    if tracing:
-                        collector.event(
-                            "issue.slot", issue_cycle, 0,
-                            TID_MEM if cls == T_LOAD or cls == T_STORE
-                            else 0,
-                        )
-                else:
-                    issue_cycle = fetch_cycle
-
+            for cls, dest, srcs, offset, index in plan.nodes:
+                ready = base + offset
+                if tracing and cls != T_SYSCALL:
+                    collector.event(
+                        "issue.slot", ready - 1, 0,
+                        TID_MEM if cls == T_LOAD or cls == T_STORE else 0,
+                    )
                 # ---- operand readiness ------------------------------
-                ready = issue_cycle + 1
                 for src in srcs:
                     r = reg_ready[src]
                     if r > ready:
                         ready = r
 
                 # ---- schedule to a function unit --------------------
-                if cls == T_LOAD:
-                    addr = addresses[addr_cursor]
-                    addr_cursor += 1
+                if cls == T_ALU:  # ALU, control, branch, assert
+                    t = ready
+                    while alu_used[t] >= alu_limit:
+                        t += 1
+                    alu_used[t] += 1
+                    done = t + 1
+                elif cls == T_LOAD:
+                    addr = addresses[mem_cursor]
                     word = addr >> 2
                     st = store_time.get(word)
                     if st is not None and st > ready:
                         ready = st
                     t = ready
-                    while mem_used.get(t, 0) >= mem_limit:
+                    while mem_used[t] >= mem_limit:
                         t += 1
-                    mem_used[t] = mem_used.get(t, 0) + 1
+                    mem_used[t] += 1
                     lt = load_time.get(word)
                     if lt is None or t > lt:
                         load_time[word] = t
+                    code = mem_codes[mem_cursor]
+                    mem_cursor += 1
+                    lat = latency_of[code]
                     if tracing:
-                        wb_before = memsys.wb_hits
-                        lat = memsys.load_latency(addr)
                         collector.event(
                             "mem.load", t, lat, TID_MEM,
                             {"addr": addr, "miss": lat > hit_latency,
-                             "wb_hit": memsys.wb_hits != wb_before},
+                             "wb_hit": code == MEM_WB_HIT},
                         )
-                    else:
-                        lat = memsys.load_latency(addr)
                     done = t + lat
+                    if done > load_complete:
+                        load_complete = done
                 elif cls == T_STORE:
-                    addr = addresses[addr_cursor]
-                    addr_cursor += 1
+                    addr = addresses[mem_cursor]
+                    mem_cursor += 1
                     word = addr >> 2
                     lt = load_time.get(word)
                     if lt is not None and lt > ready:
@@ -340,35 +345,25 @@ class DynamicEngine:
                     if st is not None and st > ready:
                         ready = st
                     t = ready
-                    while mem_used.get(t, 0) >= mem_limit:
+                    while mem_used[t] >= mem_limit:
                         t += 1
-                    mem_used[t] = mem_used.get(t, 0) + 1
-                    memsys.store_access(addr)
+                    mem_used[t] += 1
                     if tracing:
                         collector.event(
                             "mem.store", t, 1, TID_MEM, {"addr": addr}
                         )
                     done = t + 1
                     store_time[word] = done
-                elif cls == T_SYSCALL:
+                else:  # T_SYSCALL: no function unit
                     t = ready
                     done = t + 1
-                else:  # ALU, CONTROL, BRANCH, ASSERT
-                    t = ready
-                    while alu_used.get(t, 0) >= alu_limit:
-                        t += 1
-                    alu_used[t] = alu_used.get(t, 0) + 1
-                    done = t + 1
-                    if cls == T_BRANCH:
-                        branch_exec = t
-                    elif cls == T_ASSERT and index == fault_index:
-                        fault_time = t
 
                 if dest >= 0:
                     reg_ready[dest] = done
-                exec_times.append(t)
-                if done > block_complete:
-                    block_complete = done
+                if t > last_exec:
+                    last_exec = t
+                if record:
+                    exec_times.append(t)
 
                 # ---- value speculation ------------------------------
                 if value_spec:
@@ -380,7 +375,7 @@ class DynamicEngine:
                         # (the verified-operand time already charged
                         # above); the wasted early result propagates
                         # the poison one level down.
-                        spec_ready = issue_cycle + 1
+                        spec_ready = base + offset
                         uses_spec = False
                         for src in srcs:
                             sa = spec_avail.get(src)
@@ -392,19 +387,13 @@ class DynamicEngine:
                             if r > spec_ready:
                                 spec_ready = r
                         if uses_spec and spec_ready < ready:
-                            if cls == T_LOAD:
-                                w = spec_ready
-                                while mem_used.get(w, 0) >= mem_limit:
-                                    w += 1
-                                if w < ready:
-                                    mem_used[w] = mem_used.get(w, 0) + 1
-                            else:
-                                w = spec_ready
-                                while alu_used.get(w, 0) >= alu_limit:
-                                    w += 1
-                                if w < ready:
-                                    alu_used[w] = alu_used.get(w, 0) + 1
+                            used = mem_used if cls == T_LOAD else alu_used
+                            limit = mem_limit if cls == T_LOAD else alu_limit
+                            w = spec_ready
+                            while w < ready and used[w] >= limit:
+                                w += 1
                             if w < ready:
+                                used[w] += 1
                                 vr_replays += 1
                                 discarded_nodes += 1
                                 replay_nodes.add(index)
@@ -416,26 +405,18 @@ class DynamicEngine:
                                     collector.event(
                                         "value.replay", w, 1, TID_MEM
                                         if cls == T_LOAD else 0,
-                                        {"block": tmpl.label,
-                                         "node": index},
+                                        {"block": label, "node": index},
                                     )
                     if cls == T_LOAD:
-                        actual = load_values[val_cursor]
+                        code = value_codes[val_cursor]
                         val_cursor += 1
-                        if vp_perfect:
-                            vp.lookups += 1
-                            predicted: Optional[int] = actual
-                        else:
-                            predicted = vp.predict(
-                                "%s#%d" % (tmpl.label, index)
-                            )
-                        if predicted is not None:
+                        if code:
                             # The predicted value is in hand one cycle
                             # after issue -- always strictly before the
                             # real completion `done` (t >= issue+1 and
                             # lat >= 1, so done >= issue+2).
-                            spec_done = issue_cycle + 1
-                            if predicted == actual:
+                            spec_done = base + offset
+                            if code == VALUE_CONFIRMED:
                                 reg_ready[dest] = spec_done
                                 poisoned = False
                             else:
@@ -445,52 +426,48 @@ class DynamicEngine:
                             if tracing:
                                 collector.event(
                                     "value.verify", done, 0, TID_MEM,
-                                    {"block": tmpl.label, "node": index,
-                                     "confirmed": predicted == actual},
+                                    {"block": label, "node": index,
+                                     "confirmed": code == VALUE_CONFIRMED},
                                 )
-                        if vp_perfect:
-                            vp.update("", actual, actual)
-                        else:
-                            vp.update(
-                                "%s#%d" % (tmpl.label, index),
-                                actual, predicted,
-                            )
                     # A clean (non-speculative) write supersedes any
                     # stale poison on the destination register.
                     if dest >= 0 and not poisoned and spec_avail:
                         if spec_avail.pop(dest, None) is not None:
                             del spec_verify[dest]
 
+            fetch_cycle = block_start + words
+            # Every node completes one cycle after it executes except a
+            # load, which completes after its latency.
+            block_complete = last_exec + 1
+            if load_complete > block_complete:
+                block_complete = load_complete
+            if block_complete > top:
+                top = block_complete
+
             # ---- end of block: faults, branches, retirement ---------
-            if fault_time >= 0:
+            if faulting:
                 # The whole block is discarded.  Nodes that reached a
                 # function unit by the fault's resolution count as
                 # executed-but-not-retired work.
+                fault_time = exec_times[fault_index]
                 faults += 1
                 block_discarded = 0
-                for index, t in enumerate(exec_times):
-                    if t <= fault_time and tmpl.nodes[index][0] != T_SYSCALL:
+                for node, t in zip(plan.nodes, exec_times):
+                    if t <= fault_time and node[0] != T_SYSCALL:
                         block_discarded += 1
                 discarded_nodes += block_discarded
                 if tracing:
                     collector.event(
                         "block.fault", fault_time, 0, TID_CONTROL,
-                        {"block": tmpl.label, "discarded": block_discarded},
+                        {"block": label, "discarded": block_discarded},
                     )
                 if not perfect:
                     discarded_nodes += self._wrong_path_issue(
-                        self._predicted_successor(tmpl, predictor),
-                        fetch_cycle + 1,
-                        fault_time + 1,
-                        window_retires,
-                        reg_ready,
-                        predictor,
-                        alu_used,
-                        mem_used,
+                        wrong_paths[position], plans, fetch_cycle + 1,
+                        fault_time + 1, window_retires, reg_ready,
+                        alu_used, mem_used,
                     )
                 fetch_cycle = fault_time + REDIRECT_PENALTY
-                word_mem_left = 0
-                word_alu_left = 0
                 window_retires.append(fault_time)
                 if attributing:
                     window_mem.append(0)  # the assert is an ALU op
@@ -500,36 +477,22 @@ class DynamicEngine:
                     max_cycle = fault_time
                 continue
 
-            if tmpl.has_branch:
-                actual_taken = outcomes[position] == TAKEN
-                if perfect:
-                    predicted = actual_taken
-                else:
-                    predicted = predictor.predict(tmpl.label, tmpl.static_hint)
-                    predictor.update(tmpl.label, actual_taken, predicted)
+            if plan.has_branch:
+                # The branch is the block's last node: `t` is its cycle.
+                chain = wrong_paths.get(position)
                 if tracing:
                     collector.event(
-                        "branch.resolve", branch_exec, 0, TID_CONTROL,
-                        {"block": tmpl.label, "taken": actual_taken,
-                         "mispredict": predicted != actual_taken},
+                        "branch.resolve", t, 0, TID_CONTROL,
+                        {"block": label,
+                         "taken": outcomes[position] == TAKEN,
+                         "mispredict": chain is not None},
                     )
-                if predicted != actual_taken:
-                    wrong_target = (
-                        tmpl.branch_taken if predicted else tmpl.branch_alt
-                    )
+                if chain is not None:
                     discarded_nodes += self._wrong_path_issue(
-                        wrong_target,
-                        fetch_cycle + 1,
-                        branch_exec + 1,
-                        window_retires,
-                        reg_ready,
-                        predictor,
-                        alu_used,
-                        mem_used,
+                        chain, plans, fetch_cycle + 1, t + 1,
+                        window_retires, reg_ready, alu_used, mem_used,
                     )
-                    fetch_cycle = branch_exec + REDIRECT_PENALTY
-                    word_mem_left = 0
-                    word_alu_left = 0
+                    fetch_cycle = t + REDIRECT_PENALTY
                     if attributing and fetch_cycle > recover_until:
                         recover_until = fetch_cycle
 
@@ -540,48 +503,37 @@ class DynamicEngine:
             # table entries, not the retirement commit, are what bounds
             # fetch in an HPS-style machine.  Retirement stays in order for
             # the statistics above.
-            last_scheduled = max(exec_times) if exec_times else fetch_cycle
-            window_retires.append(last_scheduled)
+            window_retires.append(last_exec)
             if attributing:
-                if exec_times:
-                    straggler = max(
-                        range(len(exec_times)), key=exec_times.__getitem__
-                    )
-                    scls = tmpl.nodes[straggler][0]
-                    if value_spec and straggler in replay_nodes:
-                        window_mem.append(2)
-                    elif scls == T_LOAD or scls == T_STORE:
-                        window_mem.append(1)
-                    else:
-                        window_mem.append(0)
+                straggler = exec_times.index(last_exec)  # the first one
+                scls = plan.nodes[straggler][0]
+                if value_spec and straggler in replay_nodes:
+                    window_mem.append(2)
+                elif scls == T_LOAD or scls == T_STORE:
+                    window_mem.append(1)
                 else:
                     window_mem.append(0)
-            retired_nodes += tmpl.n_datapath
+            retired_nodes += plan.n_datapath
             if retire > max_cycle:
                 max_cycle = retire
             if tracing:
                 collector.event(
                     "block.retire", block_start,
                     max(block_complete - block_start, 1), TID_CONTROL,
-                    {"block": tmpl.label, "nodes": tmpl.n_datapath},
+                    {"block": label, "nodes": plan.n_datapath},
                 )
-
-            # Keep the per-cycle slot tables bounded.
-            if len(alu_used) > _SLOT_PRUNE_THRESHOLD:
-                horizon = fetch_cycle
-                alu_used = {c: n for c, n in alu_used.items() if c >= horizon}
-                mem_used = {c: n for c, n in mem_used.items() if c >= horizon}
 
         # Cross-engine invariant: every trace block either retires or
         # faults, so the retired datapath-node count must match the
         # functional run's.  A divergence means the replay is wrong.
         if self.self_check and retired_nodes != trace.retired_nodes:
             raise EngineDivergence(
-                self.benchmark, str(self.config), retired_nodes,
+                self.benchmark, str(config), retired_nodes,
                 trace.retired_nodes,
             )
 
-        cache = memsys.cache
+        lookups = branches.lookups if branches is not None else 0
+        mispredicts = branches.mispredicts if branches is not None else 0
         total_cycles = max(max_cycle, 1)
         extra: Dict[str, float] = {}
         if attributing:
@@ -597,139 +549,113 @@ class DynamicEngine:
             for name, value in buckets.items():
                 collector.count("cycles.dynamic." + name, value)
                 extra["attr." + name] = float(value)
-            collector.count("branch.lookups", predictor.lookups)
-            collector.count("branch.mispredicts", predictor.mispredicts)
-            if value_spec:
-                collector.count("value.predictions", vp.predictions)
-                collector.count("value.confirmed", vp.confirmed)
-                collector.count("value.squashed", vp.squashed)
+            collector.count("branch.lookups", lookups)
+            collector.count("branch.mispredicts", mispredicts)
+            if values is not None:
+                collector.count("value.predictions", values.predictions)
+                collector.count("value.confirmed", values.confirmed)
+                collector.count("value.squashed", values.squashed)
                 collector.count("value.replays", vr_replays)
         return SimResult(
             benchmark=self.benchmark,
-            config=self.config,
+            config=config,
             cycles=total_cycles,
             retired_nodes=retired_nodes,
             discarded_nodes=discarded_nodes,
             dynamic_blocks=len(block_ids),
-            mispredicts=predictor.mispredicts,
-            branch_lookups=predictor.lookups,
+            mispredicts=mispredicts,
+            branch_lookups=lookups,
             faults=faults,
-            loads=memsys.load_count,
-            stores=memsys.store_count,
-            cache_accesses=cache.accesses if cache else 0,
-            cache_misses=cache.misses if cache else 0,
-            write_buffer_hits=memsys.wb_hits,
+            loads=memory.loads,
+            stores=memory.stores,
+            cache_accesses=memory.cache_accesses,
+            cache_misses=memory.cache_misses,
+            write_buffer_hits=memory.wb_hits,
             issue_words=issue_words,
             issued_slots=issued_slots,
             window_block_cycles=window_block_cycles,
-            window_samples=window_samples,
-            value_predictions=vp.predictions if vp is not None else 0,
-            value_confirmed=vp.confirmed if vp is not None else 0,
-            value_squashed=vp.squashed if vp is not None else 0,
+            window_samples=len(block_ids),
+            value_predictions=values.predictions if values is not None else 0,
+            value_confirmed=values.confirmed if values is not None else 0,
+            value_squashed=values.squashed if values is not None else 0,
             value_replays=vr_replays,
             extra=extra,
         )
 
     # ------------------------------------------------------------------
-    def _predicted_successor(self, tmpl: BlockTemplate,
-                             predictor: BranchPredictor) -> Optional[str]:
-        """Where fetch would go after ``tmpl`` on the predicted path."""
-        if tmpl.has_branch:
-            taken = predictor.peek(tmpl.label, tmpl.static_hint)
-            return tmpl.branch_taken if taken else tmpl.branch_alt
-        if tmpl.term_kind in (NodeKind.JUMP, NodeKind.CALL):
-            return tmpl.control_target
-        if tmpl.term_kind is NodeKind.SYSCALL:
-            return tmpl.control_target  # None for EXIT
-        return None  # RET: the return stack redirects; treat as fetch stall
-
-    def _wrong_path_issue(self, start_label: Optional[str], start_cycle: int,
-                          until_cycle: int, window_retires: deque,
-                          reg_ready: List[int], predictor: BranchPredictor,
-                          alu_used: Dict[int, int],
-                          mem_used: Dict[int, int]) -> int:
+    def _wrong_path_issue(self, chain: Chain, plans: Dict[str, IssuePlan],
+                          start_cycle: int, until_cycle: int,
+                          window_retires: deque, reg_ready: List[int],
+                          alu_used: bytearray, mem_used: bytearray) -> int:
         """Issue and schedule wrong-path work; returns nodes executed.
 
         Wrong-path nodes consume issue bandwidth and function-unit slots
         until the squash at ``until_cycle``; their register results live
         in an overlay so the architectural ready times are untouched.
         """
-        if start_label is None or start_cycle > until_cycle:
-            return 0
-        sequential = self.sequential
         mem_limit = self.mem_limit
         alu_limit = self.alu_limit
         window_size = self.window
-        templates = self.templates
-
-        overlay: Dict[int, int] = {}
-        executed = 0
-        cycle = start_cycle
-        word_mem_left = 0
-        word_alu_left = 0
-        label = start_label
-        blocks_fetched = 0
         hit_latency = self.config.memory_config.hit_cycles
 
-        while label is not None and cycle <= until_cycle:
+        overlay = reg_ready[:]
+        executed = 0
+        cycle = start_cycle
+        blocks_fetched = 0
+        for label in chain:
+            if cycle > until_cycle:
+                break
             blocks_fetched += 1
-            if blocks_fetched > _WRONG_PATH_BLOCK_LIMIT:
+            # Window room: the real blocks still being scheduled plus
+            # the wrong-path blocks fetched so far must leave a slot.
+            # Stop counting as soon as the answer is known either way.
+            room = window_size - blocks_fetched
+            if room <= 0:
                 break
-            # Window room: real unretired blocks plus wrong-path blocks.
-            active_real = sum(1 for r in window_retires if r > cycle) + 1
-            if active_real + blocks_fetched - 1 >= window_size:
-                break
-            tmpl = templates.get(label)
-            if tmpl is None:
-                break
-            word_mem_left = 0  # each block opens a fresh issue word
-            word_alu_left = 0
-            for cls, dest, srcs in tmpl.nodes:
+            if len(window_retires) >= room:
+                busy = 0
+                spare = len(window_retires) - room
+                for r in window_retires:
+                    if r > cycle:
+                        busy += 1
+                        if busy >= room:
+                            break
+                    elif spare:
+                        spare -= 1
+                    else:
+                        break
+                if busy >= room:
+                    break
+            plan = plans[label]
+            for cls, dest, srcs, offset, _ in plan.nodes:
                 if cls == T_SYSCALL:
                     continue
-                if sequential:
-                    issue_cycle = cycle
-                    cycle += 1
-                else:
-                    if cls == T_LOAD or cls == T_STORE:
-                        if word_mem_left <= 0:
-                            cycle += 1
-                            word_mem_left = mem_limit
-                            word_alu_left = alu_limit
-                        word_mem_left -= 1
-                    else:
-                        if word_alu_left <= 0:
-                            cycle += 1
-                            word_mem_left = mem_limit
-                            word_alu_left = alu_limit
-                        word_alu_left -= 1
-                    issue_cycle = cycle
+                issue_cycle = cycle + offset
                 if issue_cycle > until_cycle:
                     return executed
                 ready = issue_cycle + 1
                 for src in srcs:
-                    r = overlay.get(src)
-                    if r is None:
-                        r = reg_ready[src]
+                    r = overlay[src]
                     if r > ready:
                         ready = r
-                if cls == T_LOAD or cls == T_STORE:
-                    t = ready
-                    while mem_used.get(t, 0) >= mem_limit:
+                # Slots past the squash are never reserved, so the search
+                # for a free one stops there.
+                t = ready
+                if cls == T_ALU:
+                    while t <= until_cycle and alu_used[t] >= alu_limit:
                         t += 1
                     if t <= until_cycle:
-                        mem_used[t] = mem_used.get(t, 0) + 1
-                        executed += 1
-                    done = t + (hit_latency if cls == T_LOAD else 1)
-                else:
-                    t = ready
-                    while alu_used.get(t, 0) >= alu_limit:
-                        t += 1
-                    if t <= until_cycle:
-                        alu_used[t] = alu_used.get(t, 0) + 1
+                        alu_used[t] += 1
                         executed += 1
                     done = t + 1
+                else:
+                    while t <= until_cycle and mem_used[t] >= mem_limit:
+                        t += 1
+                    if t <= until_cycle:
+                        mem_used[t] += 1
+                        executed += 1
+                    done = t + (hit_latency if cls == T_LOAD else 1)
                 if dest >= 0:
                     overlay[dest] = done
-            label = self._predicted_successor(tmpl, predictor)
+            cycle += plan.words
         return executed

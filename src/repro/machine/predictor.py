@@ -232,8 +232,7 @@ class PerceptronPredictor(BranchPredictor):
     def _output(self, slot: int) -> int:
         weights = self._weights.get(slot)
         if weights is None:
-            weights = [0] * (self.history_bits + 1)
-            self._weights[slot] = weights
+            return 0  # an untrained row: every weight is still zero
         total = weights[0]
         history = self._history
         for i in range(self.history_bits):
@@ -248,6 +247,8 @@ class PerceptronPredictor(BranchPredictor):
         return self.peek(label, static_hint)
 
     def peek(self, label: str, static_hint: Optional[bool] = None) -> bool:
+        # A peek reads only: a row is allocated by the first update, so
+        # wrong-path fetch never changes what later predictions see.
         slot = self._slot(label)
         if slot not in self._weights and self.use_static_hints \
                 and static_hint is not None:
@@ -259,7 +260,10 @@ class PerceptronPredictor(BranchPredictor):
             self.mispredicts += 1
         slot = self._slot(label)
         output = self._output(slot)
-        weights = self._weights[slot]
+        weights = self._weights.get(slot)
+        if weights is None:
+            weights = [0] * (self.history_bits + 1)
+            self._weights[slot] = weights
         if taken != (output >= 0) or abs(output) <= self.theta:
             limit = self._limit
             sign = 1 if taken else -1

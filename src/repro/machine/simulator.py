@@ -28,6 +28,7 @@ from ..telemetry.collector import Collector, NULL_COLLECTOR
 from .config import BranchMode, Discipline, MachineConfig
 from .dynamic import DynamicEngine
 from .static_engine import StaticEngine
+from .streams import TraceStreams
 from .templates import BlockTemplate, build_templates
 
 
@@ -48,6 +49,7 @@ class PreparedWorkload:
         self._templates_single: Optional[Dict[str, BlockTemplate]] = None
         self._templates_enlarged: Optional[Dict[str, BlockTemplate]] = None
         self._schedule_cache: Dict[tuple, Dict[str, ScheduledBlock]] = {}
+        self._streams: Dict[bool, TraceStreams] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -84,6 +86,21 @@ class PreparedWorkload:
             if mode is BranchMode.SINGLE
             else self.templates_enlarged
         )
+
+    def streams_for(self, mode: BranchMode) -> TraceStreams:
+        """The memo of one translated program's trace streams.
+
+        Built empty on first use; each stream inside it is computed at
+        the first simulated point that needs it, never while artifacts
+        are prepared or loaded.
+        """
+        single = mode is BranchMode.SINGLE
+        streams = self._streams.get(single)
+        if streams is None:
+            streams = TraceStreams(self.templates_for(mode),
+                                   self.trace_for(mode))
+            self._streams[single] = streams
+        return streams
 
     def schedules_for(self, config: MachineConfig,
                       collector: Collector = NULL_COLLECTOR,
@@ -179,17 +196,19 @@ def simulate(prepared: PreparedWorkload, config: MachineConfig,
     templates = prepared.templates_for(config.branch_mode)
     trace = prepared.trace_for(config.branch_mode)
     if config.discipline is Discipline.STATIC:
-        result = StaticEngine(
+        engine = StaticEngine(
             templates, prepared.schedules_for(config, collector), trace, config,
             benchmark=prepared.name, collector=collector,
             max_cycles=max_cycles, self_check=self_check,
-        ).run()
+        )
     else:
-        result = DynamicEngine(
+        engine = DynamicEngine(
             templates, trace, config, benchmark=prepared.name,
             collector=collector, max_cycles=max_cycles,
             self_check=self_check,
-        ).run()
+        )
+    engine.streams = prepared.streams_for(config.branch_mode)
+    result = engine.run()
     # Normalise the performance metric to architectural work (the single
     # program's retired node count); see SimResult.retired_per_cycle.
     result.work_nodes = prepared.single_trace.retired_nodes

@@ -7,6 +7,13 @@ assumed hit latency surface as issue stalls at the consumer.  Speculative
 execution fetches one predicted word past an unresolved branch; on a
 misprediction that word is squashed and fetch redirects, and a signalling
 assert discards its whole (enlarged) block.
+
+The engine runs over flattened word plans (each word's de-duplicated
+source registers and its nodes) and reads mispredictions from the
+trace's branch stream (:mod:`.streams`), shared with the dynamic engine.
+Cache probes stay per point: they follow schedule order and stop at a
+faulting word, so they depend on the schedule.  A perfect memory needs
+no probe at all.
 """
 
 from __future__ import annotations
@@ -25,15 +32,8 @@ from ..telemetry.collector import (
 from .cache import MemorySystem
 from .config import MachineConfig
 from .errors import EngineDivergence, SimulationHang, resolve_max_cycles
-from .predictor import make_predictor
-from .templates import (
-    BlockTemplate,
-    T_ASSERT,
-    T_BRANCH,
-    T_LOAD,
-    T_STORE,
-    T_SYSCALL,
-)
+from .streams import TraceStreams, WordPlan
+from .templates import BlockTemplate, T_LOAD, T_STORE, T_SYSCALL
 from ..sched.list_scheduler import ScheduledBlock
 
 #: Issue cycles lost redirecting fetch after a squash.
@@ -58,25 +58,35 @@ class StaticEngine:
         self.max_cycles = resolve_max_cycles(max_cycles)
         #: verify engine accounting against the functional trace.
         self.self_check = self_check
+        #: the trace's streams; ``simulate`` shares its prepared
+        #: workload's, and ``run`` builds its own when left None.
+        self.streams: Optional[TraceStreams] = None
 
     # ------------------------------------------------------------------
     def run(self) -> SimResult:
-        templates = self.templates
-        schedules = self.schedules
+        config = self.config
         trace = self.trace
-        tmpl_of: List[BlockTemplate] = [templates[label] for label in trace.labels]
-        sched_of: List[ScheduledBlock] = [schedules[label] for label in trace.labels]
+        streams = self.streams
+        if streams is None:
+            streams = TraceStreams(self.templates, trace)
+        plans = streams.word_plans(self.schedules)
+        plan_of: List[WordPlan] = [plans[label] for label in trace.labels]
+        branches = streams.branches(config.predictor, config.static_hints)
+        wrong_paths = branches.wrong_paths
         block_ids = trace.block_ids
         outcomes = trace.outcomes
         fault_indices = trace.fault_indices
         addresses = trace.addresses
 
-        memsys = MemorySystem(self.config.memory_config)
-        predictor = make_predictor(self.config.predictor, self.config.static_hints)
+        memory_config = config.memory_config
+        hit_latency = memory_config.hit_cycles
+        memsys = (None if memory_config.is_perfect
+                  else MemorySystem(memory_config))
         collector = self.collector
         tracing = collector.tracing
         attributing = collector.enabled
-        hit_latency = self.config.memory_config.hit_cycles
+        # Probe the cache only with one to probe (or events to report).
+        addressing = memsys is not None or tracing
 
         reg_ready = [0] * 64
         # Cycle attribution (ATTRIBUTION_BUCKETS): `acct` is a monotonic
@@ -95,6 +105,7 @@ class StaticEngine:
         addr_cursor = 0
         issue_words = 0
         issued_slots = 0
+        loads = stores = 0  # perfect memory only; a cache counts its own
 
         watchdog_limit = self.max_cycles
 
@@ -102,29 +113,36 @@ class StaticEngine:
             # Watchdog: bounds any runaway issue loop at block granularity.
             if cycle > watchdog_limit:
                 raise SimulationHang(
-                    self.benchmark, str(self.config), cycle, watchdog_limit
+                    self.benchmark, str(config), cycle, watchdog_limit
                 )
-            tmpl = tmpl_of[block_ids[position]]
-            sched = sched_of[block_ids[position]]
-            nodes = tmpl.nodes
-            fault_index = fault_indices[position]
+            block_id = block_ids[position]
+            plan = plan_of[block_id]
             addr_base = addr_cursor
-            addr_cursor += tmpl.n_mem
+            addr_cursor += plan.n_mem
+            words = plan.words
+            fault_index = fault_indices[position]
+            # Issue stops after the word holding a signalling assert.
+            fault = plan.faults.get(fault_index) if fault_index >= 0 else None
+            if fault is not None:
+                words = words[:fault[0]]
+                issued_datapath = fault[1]
+                loads += fault[2]
+                stores += fault[3]
+            else:
+                issued_datapath = plan.n_datapath
+                loads += plan.loads
+                stores += plan.stores
 
             branch_exec = -1
-            fault_exec = -1
-            issued_datapath = 0
             block_complete = 0
             block_start = cycle + 1
 
-            for word in sched.words:
+            for srcs, ops, holds_branch in words:
                 issue = cycle + 1
-                for index in word:
-                    for src in nodes[index][2]:
-                        r = reg_ready[src]
-                        if r > issue:
-                            issue = r
-                issue_words += 1
+                for src in srcs:
+                    r = reg_ready[src]
+                    if r > issue:
+                        issue = r
                 if attributing and issue > acct:
                     gap = issue - 1 - acct
                     if gap > 0:
@@ -132,12 +150,9 @@ class StaticEngine:
                         # any binding operand (ready exactly at `issue`)
                         # was produced by a load.
                         stall_mem = False
-                        for index in word:
-                            for src in nodes[index][2]:
-                                if reg_ready[src] == issue and reg_mem[src]:
-                                    stall_mem = True
-                                    break
-                            if stall_mem:
+                        for src in srcs:
+                            if reg_ready[src] == issue and reg_mem[src]:
+                                stall_mem = True
                                 break
                         if stall_mem:
                             b_mem += gap
@@ -145,57 +160,61 @@ class StaticEngine:
                             b_stall += gap
                     b_issued += 1
                     acct = issue
-                for index in word:
-                    cls, dest, _ = nodes[index]
+                for cls, dest, rank in ops:
                     if cls == T_LOAD:
-                        addr = addresses[addr_base + sched.mem_rank[index]]
-                        if tracing:
-                            wb_before = memsys.wb_hits
-                            lat = memsys.load_latency(addr)
-                            collector.event(
-                                "mem.load", issue, lat, TID_MEM,
-                                {"addr": addr, "miss": lat > hit_latency,
-                                 "wb_hit": memsys.wb_hits != wb_before},
-                            )
+                        if addressing:
+                            addr = addresses[addr_base + rank]
+                            if memsys is None:
+                                lat = hit_latency
+                                wb_hit = False
+                            else:
+                                wb_before = memsys.wb_hits
+                                lat = memsys.load_latency(addr)
+                                wb_hit = memsys.wb_hits != wb_before
+                            if tracing:
+                                collector.event(
+                                    "mem.load", issue, lat, TID_MEM,
+                                    {"addr": addr, "miss": lat > hit_latency,
+                                     "wb_hit": wb_hit},
+                                )
                         else:
-                            lat = memsys.load_latency(addr)
+                            lat = hit_latency
                         done = issue + lat
                     elif cls == T_STORE:
-                        addr = addresses[addr_base + sched.mem_rank[index]]
-                        memsys.store_access(addr)
+                        if addressing:
+                            addr = addresses[addr_base + rank]
+                            if memsys is not None:
+                                memsys.store_access(addr)
+                            if tracing:
+                                collector.event(
+                                    "mem.store", issue, 1, TID_MEM,
+                                    {"addr": addr},
+                                )
                         done = issue + 1
-                        if tracing:
-                            collector.event(
-                                "mem.store", issue, 1, TID_MEM, {"addr": addr}
-                            )
                     else:
                         done = issue + 1
-                        if cls == T_BRANCH:
-                            branch_exec = issue
-                        elif cls == T_ASSERT and index == fault_index:
-                            fault_exec = issue
                     if dest >= 0:
                         reg_ready[dest] = done
                         if attributing:
                             reg_mem[dest] = cls == T_LOAD
-                    if cls != T_SYSCALL:
-                        issued_datapath += 1
-                        if tracing:
-                            collector.event(
-                                "issue.slot", issue, 0,
-                                TID_MEM if cls == T_LOAD or cls == T_STORE
-                                else 0,
-                            )
+                    if tracing and cls != T_SYSCALL:
+                        collector.event(
+                            "issue.slot", issue, 0,
+                            TID_MEM if cls == T_LOAD or cls == T_STORE
+                            else 0,
+                        )
                     if done > block_complete:
                         block_complete = done
+                if holds_branch:
+                    branch_exec = issue
                 cycle = issue
-                if fault_exec >= 0:
-                    break  # issue stops once the fault resolves
 
+            issue_words += len(words)
             issued_slots += issued_datapath
 
-            if fault_exec >= 0:
+            if fault is not None:
                 # Enlarged-block fault: everything issued is discarded.
+                fault_exec = cycle
                 faults += 1
                 discarded_nodes += issued_datapath
                 cycle = fault_exec + REDIRECT_PENALTY
@@ -207,35 +226,37 @@ class StaticEngine:
                 if tracing:
                     collector.event(
                         "block.fault", fault_exec, 0, TID_CONTROL,
-                        {"block": tmpl.label, "discarded": issued_datapath},
+                        {"block": trace.labels[block_id],
+                         "discarded": issued_datapath},
                     )
                 continue
 
-            retired_nodes += tmpl.n_datapath
+            retired_nodes += plan.n_datapath
             if block_complete > max_cycle:
                 max_cycle = block_complete
             if tracing:
                 collector.event(
                     "block.retire", block_start,
                     max(block_complete - block_start, 1), TID_CONTROL,
-                    {"block": tmpl.label, "nodes": tmpl.n_datapath},
+                    {"block": trace.labels[block_id],
+                     "nodes": plan.n_datapath},
                 )
 
-            if tmpl.has_branch:
-                actual_taken = outcomes[position] == TAKEN
-                predicted = predictor.predict(tmpl.label, tmpl.static_hint)
-                predictor.update(tmpl.label, actual_taken, predicted)
+            if plan.has_branch:
+                chain = wrong_paths.get(position)
                 if tracing:
                     collector.event(
                         "branch.resolve", branch_exec, 0, TID_CONTROL,
-                        {"block": tmpl.label, "taken": actual_taken,
-                         "mispredict": predicted != actual_taken},
+                        {"block": trace.labels[block_id],
+                         "taken": outcomes[position] == TAKEN,
+                         "mispredict": chain is not None},
                     )
-                if predicted != actual_taken:
-                    wrong_target = (
-                        tmpl.branch_taken if predicted else tmpl.branch_alt
-                    )
-                    discarded_nodes += self._squashed_word_nodes(wrong_target)
+                if chain is not None:
+                    # The one wrongly fetched word past the mispredict.
+                    if chain:
+                        wrong = plans.get(chain[0])
+                        if wrong is not None:
+                            discarded_nodes += wrong.first_word_nodes
                     cycle = branch_exec + REDIRECT_PENALTY
                     if attributing and cycle > acct:
                         b_recover += cycle - acct
@@ -245,11 +266,17 @@ class StaticEngine:
         # must match the functional trace exactly.
         if self.self_check and retired_nodes != trace.retired_nodes:
             raise EngineDivergence(
-                self.benchmark, str(self.config), retired_nodes,
+                self.benchmark, str(config), retired_nodes,
                 trace.retired_nodes,
             )
 
-        cache = memsys.cache
+        cache_accesses = cache_misses = wb_hits = 0
+        if memsys is not None:
+            loads = memsys.load_count
+            stores = memsys.store_count
+            cache_accesses = memsys.cache.accesses
+            cache_misses = memsys.cache.misses
+            wb_hits = memsys.wb_hits
         total_cycles = max(max_cycle, 1)
         extra: Dict[str, float] = {}
         if attributing:
@@ -267,34 +294,24 @@ class StaticEngine:
             for name, value in buckets.items():
                 collector.count("cycles.static." + name, value)
                 extra["attr." + name] = float(value)
-            collector.count("branch.lookups", predictor.lookups)
-            collector.count("branch.mispredicts", predictor.mispredicts)
+            collector.count("branch.lookups", branches.lookups)
+            collector.count("branch.mispredicts", branches.mispredicts)
         return SimResult(
             benchmark=self.benchmark,
-            config=self.config,
+            config=config,
             cycles=total_cycles,
             retired_nodes=retired_nodes,
             discarded_nodes=discarded_nodes,
             dynamic_blocks=len(block_ids),
-            mispredicts=predictor.mispredicts,
-            branch_lookups=predictor.lookups,
+            mispredicts=branches.mispredicts,
+            branch_lookups=branches.lookups,
             faults=faults,
-            loads=memsys.load_count,
-            stores=memsys.store_count,
-            cache_accesses=cache.accesses if cache else 0,
-            cache_misses=cache.misses if cache else 0,
-            write_buffer_hits=memsys.wb_hits,
+            loads=loads,
+            stores=stores,
+            cache_accesses=cache_accesses,
+            cache_misses=cache_misses,
+            write_buffer_hits=wb_hits,
             issue_words=issue_words,
             issued_slots=issued_slots,
             extra=extra,
         )
-
-    # ------------------------------------------------------------------
-    def _squashed_word_nodes(self, label: Optional[str]) -> int:
-        """Nodes in the one wrongly fetched word past a mispredict."""
-        if label is None:
-            return 0
-        sched = self.schedules.get(label)
-        if sched is None or not sched.words:
-            return 0
-        return len(sched.words[0])

@@ -10,6 +10,8 @@ cached good point without re-running it).
 
 import json
 import multiprocessing
+import os
+import stat
 import time
 
 import pytest
@@ -390,6 +392,21 @@ class TestCrashSafeWrites:
         atomic_write_json(str(target), {"x": 1})
         assert json.loads(target.read_text()) == {"x": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["data.json"]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_atomic_write_honours_umask(self, tmp_path, umask, mode):
+        # A cache shared between accounts must stay readable to them:
+        # the published file gets 0666 less the umask, as open() gives.
+        target = tmp_path / "results.json"
+        previous = os.umask(umask)
+        try:
+            atomic_write_json(str(target), {"generation": 1})
+            assert stat.S_IMODE(target.stat().st_mode) == mode
+            atomic_write_json(str(target), {"generation": 2})
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert json.loads(target.read_text()) == {"generation": 2}
 
     def test_failed_write_preserves_old_contents(self, tmp_path, monkeypatch):
         target = tmp_path / "data.json"

@@ -171,6 +171,30 @@ class TestBuilder:
         enlarged_result = run_program(enlarged, inputs={0: b""})
         assert enlarged_result.exit_code == result.exit_code
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect (ROADMAP.md): liveness treats an assert's fault"
+        " target as a block exit, but a signalling assert first restores"
+        " the block-entry registers, so re-optimisation drops writes the"
+        " fault path still reads"))
+    def test_loop_value_read_after_a_faulting_exit_survives(self):
+        source = """
+        int main() {
+            int a = 3;
+            int b = -7;
+            int round;
+            for (round = 0; round < 15; round++) {
+                a = a + round;
+                b = a + a;
+            }
+            return (a ^ b) & 127;
+        }
+        """
+        program = compile_source(source)
+        result = run_program(program, inputs={0: b""})
+        enlarged = enlarge_program(program, build_profile(result.trace))
+        assert run_program(enlarged, inputs={0: b""}).exit_code == \
+            result.exit_code
+
     def test_enlarged_blocks_are_bigger(self, loopy):
         program, _, profile = loopy
         plan = plan_enlargement(program, profile)

@@ -402,11 +402,12 @@ class TestChaoticInterleaving:
     ))
     @settings(max_examples=25, deadline=None)
     def test_any_interleaving_preserves_retired_work(self, decisions):
-        import repro.machine.dynamic as dynamic_module
+        # The engine's value stream builds the predictor.
+        import repro.machine.streams as streams_module
 
         baseline = _engine_result(STRIDE_LOOP_ASM)
-        original = dynamic_module.make_value_predictor
-        dynamic_module.make_value_predictor = (
+        original = streams_module.make_value_predictor
+        streams_module.make_value_predictor = (
             lambda kind: ChaoticPredictor(decisions)
         )
         try:
@@ -414,7 +415,7 @@ class TestChaoticInterleaving:
                 STRIDE_LOOP_ASM, value_predictor="last"
             )
         finally:
-            dynamic_module.make_value_predictor = original
+            streams_module.make_value_predictor = original
         assert result.retired_nodes == baseline.retired_nodes
         assert (result.value_confirmed + result.value_squashed
                 == result.value_predictions)
