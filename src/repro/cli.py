@@ -14,11 +14,6 @@ Subcommands:
 * ``validate`` -- run the validation oracle over a grid (invariants,
   dominance orders, golden-baseline regression gating; see the
   "Validation & regression gating" section of DESIGN.md)
-* ``profile``  -- profile a sweep under cProfile plus a sampling
-  timer; writes ``BENCH_profile.json`` (hot-function table, cycle
-  attribution, telemetry overhead) and a flamegraph-ready
-  collapsed-stack file (see the "Profiling & metrics" section of
-  DESIGN.md)
 * ``serve``    -- run the long-lived simulation service daemon
 * ``submit``   -- submit a grid job to a running daemon (``--wait``
   streams progress until it finishes)
@@ -29,9 +24,12 @@ Subcommands:
 Performance is measured by ``python3 perfbench/run.py`` (see
 ``perfbench/README.md``), not by a verb of this tool.
 
-``sweep`` and ``report`` accept ``--telemetry`` (live progress plus
-counters/timers) and ``--metrics-out FILE`` (write the aggregated
-``telemetry.json``); see the "Observability" section of DESIGN.md.
+``sweep``, ``validate``, ``report`` and ``chaos`` accept ``--telemetry``
+(live progress plus counters, phase spans and cycle attribution) and
+``--metrics-out FILE`` (write the aggregated ``telemetry.json``); see
+the "Observability" section of DESIGN.md.  Function-level hot spots
+come from the standard library: ``python -m cProfile -s tottime -m
+repro.cli run ...``.
 The global ``--log-json`` flag (or ``REPRO_LOG_JSON=1``) switches every
 diagnostic line to one structured JSON object per line.
 
@@ -154,7 +152,7 @@ def _benchmarks_from_args(args: argparse.Namespace) -> Optional[List[str]]:
 
 
 def _add_telemetry_arguments(command: argparse.ArgumentParser) -> None:
-    """The observability flags shared by sweep/validate/report."""
+    """The observability flags shared by sweep/validate/report/chaos."""
     command.add_argument("--telemetry", action="store_true",
                          help="collect sweep counters and timings (live"
                               " progress line on grid runs)")
@@ -306,38 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="relative tolerance for dominance"
                                " comparisons (default 0.02)")
     _add_telemetry_arguments(validate)
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile a sweep point (default) or the 40-config smoke"
-             " grid under cProfile plus a sampling timer; writes"
-             " BENCH_profile.json (top-N hot functions, phase spans,"
-             " cycle attribution, telemetry overhead) and a"
-             " flamegraph-ready collapsed-stack file",
-    )
-    _add_grid_arguments(profile, default_benchmarks="grep")
-    profile.add_argument("--smoke", action="store_true",
-                         help="profile the full smoke grid instead of one"
-                              " representative point per benchmark")
-    profile.add_argument("--top", type=int, default=15, metavar="N",
-                         help="hot-function table depth (default 15)")
-    profile.add_argument("--interval", type=float, default=None,
-                         metavar="SECONDS",
-                         help="sampling period (default 0.005)")
-    profile.add_argument("--overhead-repeats", type=int, default=2,
-                         metavar="N",
-                         help="best-of-N runs for the telemetry-overhead"
-                              " figure (0 skips the measurement;"
-                              " default 2)")
-    profile.add_argument("-o", "--output", default="BENCH_profile.json",
-                         help="profile document path"
-                              " (default BENCH_profile.json)")
-    profile.add_argument("--stacks-out", default="PROFILE_stacks.folded",
-                         metavar="FILE",
-                         help="collapsed-stack output: one 'frame;...;leaf"
-                              " count' line per sampled stack, the input"
-                              " format of flamegraph.pl and speedscope"
-                              " (default PROFILE_stacks.folded)")
 
     serve = sub.add_parser(
         "serve",
@@ -920,137 +886,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 4
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile a sweep under cProfile plus the sampling timer.
-
-    One run, three instruments: cProfile supplies exact call counts and
-    internal times (the top-N table), the :class:`SamplingProfiler`
-    supplies collapsed stacks for flamegraphs, and the enabled
-    ``MetricsCollector`` supplies phase spans and cycle attribution.
-    A separate unprofiled pass (best-of ``--overhead-repeats``) times
-    the same grid with the collector disabled and enabled, so the
-    document carries the measured cost of turning telemetry on.
-
-    The result cache is bypassed throughout: a profile of cache reads
-    would say nothing about the simulator.
-    """
-    import json
-    import time
-
-    from .machine.config import smoke_configuration_space
-    from .stats.aggregate import attribution_breakdown, span_totals
-    from .telemetry import MetricsCollector
-    from .telemetry.perfscope import (
-        DEFAULT_INTERVAL_S,
-        SamplingProfiler,
-        host_block,
-        measure_overhead,
-        profile_call,
-    )
-
-    benchmarks = _benchmarks_from_args(args) or ["grep"]
-    if args.smoke:
-        configs = list(smoke_configuration_space())
-    else:
-        # One representative point: the paper's headline machine
-        # (dynamic, 4-block window, 8-wide issue, memory A, enlarged).
-        configs = [MachineConfig(
-            discipline=Discipline.DYNAMIC, issue_model=8, memory="A",
-            branch_mode=BranchMode.ENLARGED, window_blocks=4,
-        )]
-    interval_s = (
-        args.interval if args.interval is not None else DEFAULT_INTERVAL_S
-    )
-
-    collector = MetricsCollector()
-    runner = SweepRunner(benchmarks=benchmarks, scale=args.scale,
-                         use_cache=False, collector=collector)
-    # Warm the prepared-workload cache outside the profile window so the
-    # stacks show simulation, not one-time compilation and tracing.
-    for name in benchmarks:
-        runner.workload(name)
-
-    def run_grid(target: SweepRunner) -> None:
-        for config in configs:
-            for name in benchmarks:
-                target.run_point(name, config)
-
-    points = len(configs) * len(benchmarks)
-    print(f"profile: {points} point(s) on {','.join(benchmarks)}"
-          f" ({'smoke grid' if args.smoke else 'representative point'},"
-          f" scale {runner.scale})", file=sys.stderr)
-    sampler = SamplingProfiler(interval_s=interval_s)
-    start = time.perf_counter()
-    with sampler:
-        _, hot_functions = profile_call(
-            lambda: run_grid(runner), top_n=args.top
-        )
-    wall_s = time.perf_counter() - start
-
-    phases = span_totals(collector.spans)
-    attribution = attribution_breakdown(collector.counters)
-
-    overhead = None
-    if args.overhead_repeats > 0:
-        plain = SweepRunner(benchmarks=benchmarks, scale=runner.scale,
-                            use_cache=False)
-        disabled_s = measure_overhead(lambda: run_grid(plain),
-                                      repeats=args.overhead_repeats)
-        instrumented = SweepRunner(benchmarks=benchmarks,
-                                   scale=runner.scale, use_cache=False,
-                                   collector=MetricsCollector())
-        enabled_s = measure_overhead(lambda: run_grid(instrumented),
-                                     repeats=args.overhead_repeats)
-        overhead = {
-            "disabled_s": round(disabled_s, 4),
-            "enabled_s": round(enabled_s, 4),
-            "telemetry_overhead_pct": round(
-                100.0 * (enabled_s - disabled_s) / disabled_s, 2
-            ) if disabled_s else 0.0,
-        }
-        print(f"  overhead    : disabled {disabled_s:.3f}s, enabled"
-              f" {enabled_s:.3f}s"
-              f" ({overhead['telemetry_overhead_pct']:+.2f}%)",
-              file=sys.stderr)
-
-    document = {
-        "schema": "repro.bench.profile/1",
-        "host": host_block(),
-        "grid": {
-            "benchmarks": benchmarks,
-            "mode": "smoke" if args.smoke else "point",
-            "configs": len(configs),
-            "points": points,
-            "scale": runner.scale,
-        },
-        "wall_s": round(wall_s, 3),
-        "sampling": {
-            "interval_s": interval_s,
-            "samples": sampler.samples,
-        },
-        "hot_functions": hot_functions,
-        "hot_frames": sampler.hot_frames(args.top),
-        "phases": phases,
-        "attribution": attribution,
-        "overhead": overhead,
-    }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    stacks = sampler.collapsed()
-    with open(args.stacks_out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(stacks) + ("\n" if stacks else ""))
-
-    for row in hot_functions[:5]:
-        print(f"  {row['tottime_s']:8.3f}s  {row['calls']:>9} calls "
-              f" {row['function']} ({row['file']}:{row['line']})",
-              file=sys.stderr)
-    print(f"profiled {points} point(s) in {wall_s:.2f}s"
-          f" ({sampler.samples} samples); wrote {args.output}"
-          f" and {args.stacks_out} ({len(stacks)} stacks)")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the simulation service daemon until interrupted.
 
@@ -1285,7 +1120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "compile": _cmd_compile,
         "sweep": _cmd_sweep,
         "validate": _cmd_validate,
-        "profile": _cmd_profile,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "chaos": _cmd_chaos,

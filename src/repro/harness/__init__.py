@@ -26,7 +26,6 @@ from .backend import (
 from .cache import ResultCache, atomic_write_json
 from .checkpoint import SweepCheckpoint, default_checkpoint_path
 from .errors import (
-    CacheCorruption,
     EngineDivergence,
     FAILURE_KINDS,
     HarnessError,
@@ -57,7 +56,6 @@ from .sweep import SweepTally, grid_tasks, run_sweep
 
 __all__ = [
     "ArtifactStore",
-    "CacheCorruption",
     "EngineDivergence",
     "ExecutionBackend",
     "ExecutionPolicy",

@@ -46,7 +46,7 @@ from ..program.parser import parse_program
 from ..program.printer import format_program
 from ..telemetry.collector import Collector, NULL_COLLECTOR
 from ..telemetry.logging import get_logger
-from .cache import atomic_write_json
+from .cache import atomic_write_json, quarantine_path
 
 _LOG = get_logger("artifacts")
 
@@ -109,15 +109,8 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def _quarantine(self, directory: str, benchmark: str) -> None:
         """Move a corrupt artifact directory aside for post-mortem."""
-        pen = os.path.join(self.root, ".quarantine")
-        base = os.path.basename(directory)
         try:
-            os.makedirs(pen, exist_ok=True)
-            target = os.path.join(pen, base)
-            suffix = 0
-            while os.path.exists(target):
-                suffix += 1
-                target = os.path.join(pen, f"{base}.{suffix}")
+            target = quarantine_path(self.root, os.path.basename(directory))
             os.replace(directory, target)
         except OSError:
             return

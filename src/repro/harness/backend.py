@@ -53,7 +53,7 @@ from ..chaos.inject import current as chaos_current
 from ..machine.config import MachineConfig
 from ..stats.results import SimResult
 from .errors import PointFailure, WorkloadPrepareError
-from .executor import ExecutionPolicy, PointExecutor
+from .executor import ExecutionPolicy, PointExecutor, record_failure
 from .runner import SweepRunner
 
 #: Extra attempts a task gets after its worker pool broke underneath it.
@@ -415,23 +415,11 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _degrade(self, task: PointTask, kind: str, message: str,
                  attempts: int = 1, elapsed: float = 0.0) -> PointOutcome:
-        """Record a parent-detected failure exactly like the executor does."""
-        collector = self.runner.collector
-        if kind == "timeout":
-            collector.count("sweep.point.timeout")
-        collector.count("sweep.point.failed")
-        failure = PointFailure(
-            benchmark=task.benchmark, config=str(task.config), kind=kind,
-            message=message, attempts=attempts, elapsed_s=round(elapsed, 6),
-        )
-        if collector.enabled:
-            collector.record_point(
-                benchmark=task.benchmark, config=str(task.config),
-                cached=False, failed=True, error=kind, attempts=attempts,
-                wall_s=elapsed,
-            )
-        self.runner.failures.append(failure)
-        return PointOutcome(task, failure=failure)
+        """Record a parent-detected failure through the executor's path."""
+        return PointOutcome(task, failure=record_failure(
+            self.runner, task.benchmark, task.config, kind, message,
+            attempts, elapsed,
+        ))
 
 
 def make_backend(runner: SweepRunner,

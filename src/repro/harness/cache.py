@@ -45,18 +45,14 @@ def _create_temp(directory: str, basename: str) -> Tuple[int, str]:
             continue
 
 
-def atomic_write_json(path: str, payload: Any,
-                      indent: Optional[int] = None,
-                      sort_keys: bool = False) -> None:
-    """Crash-safe JSON write: unique temp file, fsync, ``os.replace``.
+def atomic_write_text(path: str, text: str) -> None:
+    """Crash-safe text write: unique temp file, fsync, ``os.replace``.
 
     A killed writer can never leave a truncated file at ``path`` -- the
     old contents stay until the fully flushed replacement is renamed
     into place -- and the unique temp name keeps concurrent writers
     (e.g. two sweeps sharing a cache directory) from trampling each
-    other's in-flight data.  ``indent`` is forwarded to ``json.dump``
-    for documents meant to be committed and diffed (golden baselines);
-    ``sort_keys`` pins byte layout independent of insertion order.
+    other's in-flight data.  A failed write removes its temp file.
 
     After the replace the containing directory is fsynced (best effort:
     not every filesystem allows opening a directory) so the rename itself
@@ -67,9 +63,7 @@ def atomic_write_json(path: str, payload: Any,
     fd, tmp_path = _create_temp(directory, os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent, sort_keys=sort_keys)
-            if indent is not None:
-                handle.write("\n")
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -89,6 +83,41 @@ def atomic_write_json(path: str, payload: Any,
         pass
     finally:
         os.close(dir_fd)
+
+
+def atomic_write_json(path: str, payload: Any,
+                      indent: Optional[int] = None,
+                      sort_keys: bool = False) -> None:
+    """:func:`atomic_write_text` of ``payload`` encoded as JSON.
+
+    ``indent`` is forwarded to ``json.dumps`` for documents meant to be
+    committed and diffed (golden baselines), which also end in a
+    newline; ``sort_keys`` pins byte layout independent of insertion
+    order.
+    """
+    text = json.dumps(payload, indent=indent, sort_keys=sort_keys)
+    if indent is not None:
+        text += "\n"
+    atomic_write_text(path, text)
+
+
+def quarantine_path(directory: str, name: str, ext: str = "") -> str:
+    """A free path for ``name`` in ``directory``'s ``.quarantine/`` pen.
+
+    Corrupt files are moved or copied there for post-mortem instead of
+    being deleted.  A name already taken gets a numbered suffix before
+    ``ext``: ``name``, ``name.1``, ``name.2``, ...  Creates the pen;
+    raises ``OSError`` when it cannot.
+    """
+    pen = os.path.join(directory, ".quarantine")
+    os.makedirs(pen, exist_ok=True)
+    target = os.path.join(pen, name + ext)
+    suffix = 0
+    while os.path.exists(target):
+        suffix += 1
+        target = os.path.join(pen, f"{name}.{suffix}{ext}")
+    return target
+
 
 _RESULT_FIELDS = (
     "cycles",
@@ -160,16 +189,9 @@ class ResultCache:
     # ------------------------------------------------------------------
     def _quarantine_file(self) -> None:
         """Move a corrupt cache file aside for post-mortem, don't delete."""
-        directory = os.path.dirname(self.path) or "."
-        pen = os.path.join(directory, ".quarantine")
-        base = os.path.basename(self.path)
         try:
-            os.makedirs(pen, exist_ok=True)
-            target = os.path.join(pen, base)
-            suffix = 0
-            while os.path.exists(target):
-                suffix += 1
-                target = os.path.join(pen, f"{base}.{suffix}")
+            target = quarantine_path(os.path.dirname(self.path) or ".",
+                                     os.path.basename(self.path))
             os.replace(self.path, target)
         except OSError:
             return
@@ -181,16 +203,10 @@ class ResultCache:
 
     def _quarantine_entry(self, key: str, raw: Any) -> None:
         """Preserve a corrupt cache entry in a sidecar before dropping it."""
-        directory = os.path.dirname(self.path) or "."
-        pen = os.path.join(directory, ".quarantine")
         digest = hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
         try:
-            os.makedirs(pen, exist_ok=True)
-            target = os.path.join(pen, f"entry-{digest}.json")
-            suffix = 0
-            while os.path.exists(target):
-                suffix += 1
-                target = os.path.join(pen, f"entry-{digest}.{suffix}.json")
+            target = quarantine_path(os.path.dirname(self.path) or ".",
+                                     f"entry-{digest}", ".json")
             atomic_write_json(target, {"key": key, "raw": raw}, indent=2)
         except OSError:
             return

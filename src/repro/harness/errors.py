@@ -12,7 +12,6 @@ kind                      raised when
 ``timeout``               the executor's wall-clock limit expired
 ``prepare``               workload preparation (compile/profile/enlarge/trace)
                           failed, including ``WorkloadMismatch``
-``cache``                 the result cache raised while reading or writing
 ``transient``             an explicitly retryable failure (I/O glitches, the
                           test suite's injected flakes)
 ``worker-crash``          a pool worker process died without reporting
@@ -72,10 +71,6 @@ class WorkloadPrepareError(HarnessError):
         )
 
 
-class CacheCorruption(HarnessError):
-    """The result cache failed while reading or writing an entry."""
-
-
 class TransientSimulationError(HarnessError):
     """A retryable failure: the executor backs off and tries again."""
 
@@ -86,7 +81,6 @@ _KIND_TABLE = (
     ("divergence", (EngineDivergence,)),
     ("timeout", (PointTimeout,)),
     ("prepare", (WorkloadPrepareError, WorkloadMismatch)),
-    ("cache", (CacheCorruption,)),
     ("transient", (TransientSimulationError,)),
     ("worker-crash", (ChaosCrash,)),
 )

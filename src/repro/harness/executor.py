@@ -12,9 +12,11 @@ process-pool backend's job (``--jobs N``; see
 :mod:`repro.harness.backend`).
 
 Transient failures (see :func:`repro.harness.errors.is_transient`) are
-retried with exponential backoff up to ``retries`` times.  Telemetry:
-``sweep.point.retried``, ``sweep.point.timeout``, ``sweep.point.failed``
-counters, plus a per-point record flagged ``failed=True``.
+retried with exponential backoff up to ``retries`` times.  Every failed
+point, raised here or detected by the process-pool parent, is settled
+by :func:`record_failure`.  Telemetry: ``sweep.point.retried``,
+``sweep.point.timeout``, ``sweep.point.failed`` counters, plus a
+per-point record flagged ``failed=True``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..chaos.inject import current as chaos_current
 from ..machine.config import MachineConfig
@@ -80,6 +82,34 @@ def _call_with_timeout(fn, timeout_s: float, benchmark: str,
     return payload
 
 
+def record_failure(runner: SweepRunner, benchmark: str,
+                   config: MachineConfig, kind: str, message: str,
+                   attempts: int = 1, elapsed: float = 0.0) -> PointFailure:
+    """Count, log and record one failed point on ``runner``.
+
+    The one failure path: the executor calls it for failures a point
+    raises, the process-pool backend for failures the parent detects
+    (prepare, worker-crash, backstop timeout).
+    """
+    collector = runner.collector
+    if kind == "timeout":
+        collector.count("sweep.point.timeout")
+    collector.count("sweep.point.failed")
+    failure = PointFailure(
+        benchmark=benchmark, config=str(config), kind=kind,
+        message=message, attempts=attempts, elapsed_s=round(elapsed, 6),
+    )
+    _LOG.error("point_failed", benchmark=benchmark, config=str(config),
+               kind=kind, attempts=attempts, elapsed_s=round(elapsed, 3))
+    if collector.enabled:
+        collector.record_point(
+            benchmark=benchmark, config=str(config), cached=False,
+            failed=True, error=kind, attempts=attempts, wall_s=elapsed,
+        )
+    runner.failures.append(failure)
+    return failure
+
+
 class PointExecutor:
     """Runs sweep points with timeout, retry and degradation."""
 
@@ -88,8 +118,6 @@ class PointExecutor:
         self.runner = runner
         self.policy = policy or ExecutionPolicy()
         self.collector = runner.collector
-        #: every failure this executor has recorded, in order.
-        self.failures: List[PointFailure] = []
         if self.policy.max_cycles is not None:
             runner.max_cycles = self.policy.max_cycles
 
@@ -128,9 +156,9 @@ class PointExecutor:
                     )
                     time.sleep(policy.backoff_s * (2 ** (attempts - 1)))
                     continue
-                return self._record_failure(
-                    benchmark, config, exc, attempts,
-                    time.perf_counter() - start,
+                return record_failure(
+                    runner, benchmark, config, classify_error(exc),
+                    str(exc), attempts, time.perf_counter() - start,
                 )
             if attempts > 1:
                 eng = chaos_current()
@@ -141,30 +169,3 @@ class PointExecutor:
             except Exception:  # noqa: BLE001 - a cache write must not
                 collector.count("sweep.cache.store_error")  # lose the result
             return result
-
-    # ------------------------------------------------------------------
-    def _record_failure(self, benchmark: str, config: MachineConfig,
-                        exc: BaseException, attempts: int,
-                        elapsed: float) -> PointFailure:
-        collector = self.collector
-        kind = classify_error(exc)
-        if kind == "timeout":
-            collector.count("sweep.point.timeout")
-        collector.count("sweep.point.failed")
-        failure = PointFailure(
-            benchmark=benchmark, config=str(config), kind=kind,
-            message=str(exc), attempts=attempts,
-            elapsed_s=round(elapsed, 6),
-        )
-        _LOG.error("point_failed", benchmark=benchmark, config=str(config),
-                   kind=kind, attempts=attempts,
-                   elapsed_s=round(elapsed, 3))
-        if collector.enabled:
-            collector.record_point(
-                benchmark=benchmark, config=str(config), cached=False,
-                failed=True, error=kind, attempts=attempts,
-                wall_s=elapsed,
-            )
-        self.failures.append(failure)
-        self.runner.failures.append(failure)
-        return failure

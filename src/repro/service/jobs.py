@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..chaos.inject import current as chaos_current
 from ..harness.backend import PointTask
+from ..harness.cache import atomic_write_text
 from ..harness.sweep import grid_tasks
 from ..machine.config import GRIDS
 from ..telemetry.collector import Collector, NULL_COLLECTOR
@@ -309,16 +310,14 @@ class JobJournal:
         return records
 
     def rewrite(self, records: Sequence[Dict[str, Any]]) -> None:
-        """Compact the journal to ``records`` (restart-time hygiene)."""
+        """Compact the journal to ``records`` (restart-time hygiene).
+
+        The compacted journal replaces the old one atomically: a failed
+        rewrite raises and leaves the old journal as it was.
+        """
         self.close()
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            for record in records:
-                record = dict(record)
-                record["v"] = JOURNAL_VERSION
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.path)
+        atomic_write_text(self.path, "".join(
+            json.dumps(dict(record, v=JOURNAL_VERSION), sort_keys=True)
+            + "\n"
+            for record in records
+        ))

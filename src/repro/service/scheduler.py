@@ -409,7 +409,9 @@ class JobScheduler:
         Completed points are *not* replayed -- they live in the result
         cache -- so a re-queued job re-runs as cache hits instead of
         duplicating work.  The journal is compacted afterwards so it
-        does not grow across restart cycles.
+        does not grow across restart cycles; a failed compaction is
+        logged and the uncompacted journal, which replays to the same
+        jobs, stays in place.
         """
         records = JobJournal.replay(self._journal.path,
                                     collector=self.runner.collector)
@@ -431,7 +433,12 @@ class JobScheduler:
         compacted: List[Dict[str, Any]] = []
         with self._cond:
             self._recover_jobs(accepted, final_state, order, compacted)
-        self._journal.rewrite(compacted)
+        try:
+            self._journal.rewrite(compacted)
+        except OSError as exc:
+            _LOG.warning("journal_compaction_failed",
+                         path=self._journal.path,
+                         error=f"{type(exc).__name__}: {exc}")
 
     def _recover_jobs(self, accepted: Dict[str, Dict[str, Any]],
                       final_state: Dict[str, Dict[str, Any]],

@@ -14,7 +14,7 @@ from ..telemetry.collector import Collector
 from .results import SimResult
 
 #: Version tag of the ``telemetry.json`` document layout.
-TELEMETRY_SCHEMA = "repro.telemetry/1"
+TELEMETRY_SCHEMA = "repro.telemetry/2"
 
 #: Counter-name prefix under which the engines publish cycle
 #: attribution (``cycles.<engine>.<bucket>``; see
@@ -257,9 +257,8 @@ def telemetry_report(collector: Collector,
     """The machine-readable ``telemetry.json`` document for one sweep.
 
     Schema (``TELEMETRY_SCHEMA``): ``counters`` maps dotted counter
-    names to totals (e.g. ``sweep.cache.hit``); ``timers`` maps timer
-    names to ``{total_s, count}``; ``histograms`` maps distribution
-    names to :func:`histogram_stats` summaries (e.g.
+    names to totals (e.g. ``sweep.cache.hit``); ``histograms`` maps
+    distribution names to :func:`histogram_stats` summaries (e.g.
     ``sweep.point.wall_s``); ``points`` lists one record per simulated
     point with its per-point timings.  Points that failed under
     fault-tolerant execution carry ``failed: true`` and an ``error``
@@ -286,10 +285,6 @@ def telemetry_report(collector: Collector,
     document: Dict[str, Any] = {
         "schema": TELEMETRY_SCHEMA,
         "counters": dict(sorted(collector.counters.items())),
-        "timers": {
-            name: {"total_s": total, "count": count}
-            for name, (total, count) in sorted(collector.timers.items())
-        },
         "histograms": {
             name: histogram_stats(values)
             for name, values in sorted(collector.histograms.items())

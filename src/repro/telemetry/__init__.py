@@ -1,9 +1,9 @@
-"""Observability subsystem: counters, timers, per-cycle pipeline traces.
+"""Observability subsystem: counters, spans, per-cycle pipeline traces.
 
 See DESIGN.md section "Observability" for the collector API, the
 event/counter naming scheme, and the ``telemetry.json`` schema, and
-section "Profiling & metrics" for spans, cycle attribution, the
-sampling profiler, and the Prometheus exposition.
+section "Profiling & metrics" for spans, cycle attribution and the
+Prometheus exposition.
 """
 
 from .collector import (
@@ -24,7 +24,6 @@ from .export import (
     write_jsonl,
 )
 from .logging import StructuredLogger, get_logger
-from .perfscope import SamplingProfiler, host_block, profile_call
 from .progress import ProgressLine
 
 __all__ = [
@@ -43,8 +42,5 @@ __all__ = [
     "write_jsonl",
     "StructuredLogger",
     "get_logger",
-    "SamplingProfiler",
-    "host_block",
-    "profile_call",
     "ProgressLine",
 ]

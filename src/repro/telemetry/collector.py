@@ -1,4 +1,4 @@
-"""Telemetry collectors: counters, histograms, timers and trace events.
+"""Telemetry collectors: counters, histograms, spans and trace events.
 
 The collector API is designed around one invariant: **when telemetry is
 off, the instrumented code must do no extra work**.  The base
@@ -12,8 +12,8 @@ Three tiers:
 
 * :class:`Collector` -- the null object; :data:`NULL_COLLECTOR` is the
   shared default instance.
-* :class:`MetricsCollector` -- counters / histograms / timers / sweep
-  points, for harness-level instrumentation (``enabled`` but not
+* :class:`MetricsCollector` -- counters / histograms / sweep points /
+  phase spans, for harness-level instrumentation (``enabled`` but not
   ``tracing``).
 * :class:`TraceCollector` -- additionally records per-cycle pipeline
   events for the exporters in :mod:`repro.telemetry.export`.
@@ -21,7 +21,6 @@ Three tiers:
 
 from __future__ import annotations
 
-import time
 from types import MappingProxyType
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -93,65 +92,10 @@ def finalize_attribution(buckets: Dict[str, int], total_cycles: int,
             return
 
 
-class _NullTimer:
-    """Context manager that measures nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class _Timer:
-    """Context manager accumulating wall time into a collector."""
-
-    __slots__ = ("_collector", "_name", "_start")
-
-    def __init__(self, collector: "MetricsCollector", name: str):
-        self._collector = collector
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._collector.add_time(self._name, time.perf_counter() - self._start)
-
-
-class _SpanTimer:
-    """Context manager recording one named span into a collector."""
-
-    __slots__ = ("_collector", "_name", "_attrs", "_start")
-
-    def __init__(self, collector: "MetricsCollector", name: str,
-                 attrs: Dict[str, Any]):
-        self._collector = collector
-        self._name = name
-        self._attrs = attrs
-        self._start = 0.0
-
-    def __enter__(self) -> "_SpanTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._collector.add_span(
-            self._name, time.perf_counter() - self._start, **self._attrs
-        )
-
-
 class Collector:
     """The telemetry API; the base class is the null implementation.
 
-    ``enabled`` gates harness-level instrumentation (counters, timers,
+    ``enabled`` gates harness-level instrumentation (counters, spans,
     per-point records); ``tracing`` gates per-cycle event recording.
     Both are plain class attributes so hot loops can hoist them into a
     local bool once.
@@ -168,13 +112,6 @@ class Collector:
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample of the named distribution."""
-
-    def add_time(self, name: str, seconds: float) -> None:
-        """Accumulate elapsed wall time under the named timer."""
-
-    def time(self, name: str) -> "_NullTimer":
-        """Context manager timing a block into :meth:`add_time`."""
-        return _NULL_TIMER
 
     def event(self, name: str, ts: int, dur: int = 0, tid: int = TID_ALU,
               args: Optional[Dict[str, Any]] = None) -> None:
@@ -193,10 +130,6 @@ class Collector:
         cycles.  Attributes carry correlation (benchmark, config,
         job id).
         """
-
-    def span(self, name: str, **attrs: Any) -> "_NullTimer":
-        """Context manager timing a block into :meth:`add_span`."""
-        return _NULL_TIMER
 
     # ---- cross-process merge (no-ops on the null object) -------------
     def snapshot(self) -> Dict[str, Any]:
@@ -221,10 +154,6 @@ class Collector:
         return _EMPTY_MAP
 
     @property
-    def timers(self) -> Dict[str, List[float]]:
-        return _EMPTY_MAP
-
-    @property
     def events(self) -> List[Event]:
         return []
 
@@ -242,9 +171,9 @@ NULL_COLLECTOR = Collector()
 
 
 class MetricsCollector(Collector):
-    """Collector recording counters, histograms, timers and sweep points."""
+    """Collector recording counters, histograms, sweep points and spans."""
 
-    __slots__ = ("_counters", "_histograms", "_timers", "_points", "_spans")
+    __slots__ = ("_counters", "_histograms", "_points", "_spans")
 
     enabled = True
     tracing = False
@@ -252,7 +181,6 @@ class MetricsCollector(Collector):
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, List[float]] = {}
-        self._timers: Dict[str, List[float]] = {}  # name -> [total_s, count]
         self._points: List[Dict[str, Any]] = []
         self._spans: List[Dict[str, Any]] = []
 
@@ -261,17 +189,6 @@ class MetricsCollector(Collector):
 
     def observe(self, name: str, value: float) -> None:
         self._histograms.setdefault(name, []).append(value)
-
-    def add_time(self, name: str, seconds: float) -> None:
-        entry = self._timers.get(name)
-        if entry is None:
-            self._timers[name] = [seconds, 1]
-        else:
-            entry[0] += seconds
-            entry[1] += 1
-
-    def time(self, name: str) -> _Timer:
-        return _Timer(self, name)
 
     def record_point(self, **fields: Any) -> None:
         self._points.append(fields)
@@ -282,18 +199,12 @@ class MetricsCollector(Collector):
             span.update(attrs)
         self._spans.append(span)
 
-    def span(self, name: str, **attrs: Any) -> _SpanTimer:
-        return _SpanTimer(self, name, attrs)
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "counters": dict(self._counters),
             "histograms": {
                 name: list(values)
                 for name, values in self._histograms.items()
-            },
-            "timers": {
-                name: list(entry) for name, entry in self._timers.items()
             },
             "points": [dict(point) for point in self._points],
             "spans": [dict(span) for span in self._spans],
@@ -304,13 +215,6 @@ class MetricsCollector(Collector):
             self.count(name, total)
         for name, values in snap.get("histograms", {}).items():
             self._histograms.setdefault(name, []).extend(values)
-        for name, (total_s, count) in snap.get("timers", {}).items():
-            entry = self._timers.get(name)
-            if entry is None:
-                self._timers[name] = [total_s, count]
-            else:
-                entry[0] += total_s
-                entry[1] += count
         self._points.extend(snap.get("points", []))
         self._spans.extend(snap.get("spans", []))
 
@@ -321,10 +225,6 @@ class MetricsCollector(Collector):
     @property
     def histograms(self) -> Dict[str, List[float]]:
         return self._histograms
-
-    @property
-    def timers(self) -> Dict[str, List[float]]:
-        return self._timers
 
     @property
     def points(self) -> List[Dict[str, Any]]:

@@ -114,8 +114,8 @@ def clear_prepared_cache() -> None:
     """Drop the in-process prepared-workload cache.
 
     The on-disk artifact store is untouched; the next :func:`prepared`
-    call reloads from it.  Used by the bench command (so each timed
-    backend starts from the same cold in-process state) and by tests.
+    call reloads from it.  Used by the chaos drill, so each arm starts
+    from the same cold in-process state.
     """
     _PREPARED_CACHE.clear()
 

@@ -7,6 +7,7 @@ torn-tail healing, admission Retry-After hints, the retrying service
 client, and small end-to-end convergence drills through ``run_chaos``.
 """
 
+import hashlib
 import json
 import os
 
@@ -262,6 +263,47 @@ class TestCacheQuarantine:
         assert (pen / "results.json").read_text(
             encoding="utf-8"
         ) == "{ not json"
+
+    def test_second_corrupt_file_gets_a_numbered_sidecar(self, tmp_path):
+        path = tmp_path / "results.json"
+        pen = tmp_path / ".quarantine"
+        for garbage in ("{ not json", "[]"):
+            path.write_text(garbage, encoding="utf-8")
+            collector = MetricsCollector()
+            cache = ResultCache(path=str(path), collector=collector)
+            assert cache.get("grep", make_config(), 1) is None
+            assert collector.counters["cache.quarantined"] == 1
+        assert sorted(p.name for p in pen.iterdir()) == [
+            "results.json", "results.json.1",
+        ]
+        # The first sidecar is never overwritten by the second.
+        assert (pen / "results.json").read_text(
+            encoding="utf-8"
+        ) == "{ not json"
+        assert (pen / "results.json.1").read_text(encoding="utf-8") == "[]"
+
+    def test_second_corrupt_entry_gets_a_numbered_sidecar(self, tmp_path):
+        path = tmp_path / "results.json"
+        config = make_config()
+        for cycles in ("not-a-number", "still-not"):
+            seed_cache = ResultCache(path=str(path))
+            seed_cache.put(fake_result(config), scale=1)
+            document = json.loads(path.read_text(encoding="utf-8"))
+            (key,) = document.keys()
+            document[key] = {"cycles": cycles}
+            path.write_text(json.dumps(document), encoding="utf-8")
+            assert ResultCache(path=str(path)).get("grep", config, 1) is None
+        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
+        pen = tmp_path / ".quarantine"
+        first = pen / f"entry-{digest}.json"
+        second = pen / f"entry-{digest}.1.json"
+        assert sorted(pen.iterdir()) == sorted([first, second])
+        assert json.loads(first.read_text(encoding="utf-8"))["raw"] == {
+            "cycles": "not-a-number",
+        }
+        assert json.loads(second.read_text(encoding="utf-8"))["raw"] == {
+            "cycles": "still-not",
+        }
 
     def test_corrupt_entry_gets_a_sidecar(self, tmp_path):
         path = tmp_path / "results.json"

@@ -94,7 +94,7 @@ class TestSweepTelemetry:
         assert code == 0
         assert "limit reached" in capsys.readouterr().out
         document = json.loads(metrics.read_text())
-        assert document["schema"] == "repro.telemetry/1"
+        assert document["schema"] == "repro.telemetry/2"
         assert document["counters"]["sweep.cache.miss"] == 2
         assert document["histograms"]["sweep.point.wall_s"]["count"] == 2
         assert len(document["points"]) == 2

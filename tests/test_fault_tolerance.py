@@ -414,11 +414,11 @@ class TestCrashSafeWrites:
 
         import repro.harness.cache as cache_mod
 
-        def exploding_dump(payload, handle, **kwargs):
-            handle.write('{"generation"')  # simulate dying mid-write
+        def exploding_fsync(fd):
+            # simulate dying with the temp file written, before the replace
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(cache_mod.json, "dump", exploding_dump)
+        monkeypatch.setattr(cache_mod.os, "fsync", exploding_fsync)
         with pytest.raises(RuntimeError):
             atomic_write_json(str(target), {"generation": 2})
         monkeypatch.undo()

@@ -1,19 +1,12 @@
-"""Perfscope, Prometheus exposition, and structured-logging tests."""
+"""Prometheus exposition and structured-logging tests."""
 
 import io
 import json
-import time
 
 import pytest
 
 import repro.telemetry.logging as rlog
 from repro.telemetry import prometheus
-from repro.telemetry.perfscope import (
-    SamplingProfiler,
-    host_block,
-    measure_overhead,
-    profile_call,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -21,101 +14,6 @@ def _reset_log_mode():
     """Leave the process-wide log format pristine (lazy env read)."""
     yield
     rlog._JSON_MODE = None
-
-
-def _busy(duration_s: float) -> int:
-    """Burn the CPU for a wall-clock duration; returns loop count."""
-    end = time.perf_counter() + duration_s
-    total = 0
-    while time.perf_counter() < end:
-        total += 1
-    return total
-
-
-class TestSamplingProfiler:
-    def test_collapsed_stack_format(self):
-        prof = SamplingProfiler(interval_s=0.001)
-        with prof:
-            _busy(0.2)
-        assert prof.samples > 0
-        lines = prof.collapsed()
-        assert lines
-        counts = []
-        for line in lines:
-            stack, count = line.rsplit(" ", 1)
-            counts.append(int(count))
-            # every frame is module:function, frames joined with ';'
-            for frame in stack.split(";"):
-                assert ":" in frame
-        assert counts == sorted(counts, reverse=True)
-        assert sum(counts) == prof.samples
-        # the busy loop must dominate the leaf frames
-        leaves = prof.hot_frames(top_n=3)
-        assert any("_busy" in row["frame"] for row in leaves)
-
-    def test_hot_frames_shares_sum_to_one(self):
-        prof = SamplingProfiler(interval_s=0.001)
-        with prof:
-            _busy(0.1)
-        rows = prof.hot_frames(top_n=100)
-        assert rows
-        assert sum(row["samples"] for row in rows) == prof.samples
-        assert abs(sum(row["share"] for row in rows) - 1.0) < 0.01
-
-    def test_double_start_rejected(self):
-        prof = SamplingProfiler(interval_s=0.01)
-        prof.start()
-        try:
-            with pytest.raises(RuntimeError):
-                prof.start()
-        finally:
-            prof.stop()
-
-    def test_stop_is_idempotent(self):
-        prof = SamplingProfiler(interval_s=0.01)
-        prof.start()
-        prof.stop()
-        prof.stop()
-        assert prof.samples >= 0
-
-
-class TestProfileCall:
-    def test_returns_result_and_sorted_table(self):
-        result, rows = profile_call(lambda: sum(range(100_000)), top_n=5)
-        assert result == sum(range(100_000))
-        assert 0 < len(rows) <= 5
-        for row in rows:
-            assert set(row) == {"function", "file", "line", "calls",
-                                "tottime_s", "cumtime_s"}
-        tottimes = [row["tottime_s"] for row in rows]
-        assert tottimes == sorted(tottimes, reverse=True)
-
-    def test_exception_propagates(self):
-        def boom():
-            raise RuntimeError("profiled failure")
-
-        with pytest.raises(RuntimeError, match="profiled failure"):
-            profile_call(boom)
-
-
-class TestHostBlock:
-    def test_shape_and_env_filter(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "2")
-        monkeypatch.setenv("DEFINITELY_NOT_OURS", "x")
-        block = host_block()
-        assert {"platform", "machine", "python", "python_impl",
-                "cpu_count", "repro_env"} <= set(block)
-        assert block["repro_env"]["REPRO_BENCH_SCALE"] == "2"
-        assert "DEFINITELY_NOT_OURS" not in block["repro_env"]
-        json.dumps(block)  # BENCH_* documents must serialize
-
-
-class TestMeasureOverhead:
-    def test_best_of_is_positive_wall_time(self):
-        calls = []
-        wall = measure_overhead(lambda: calls.append(1), repeats=3)
-        assert len(calls) == 3
-        assert 0.0 <= wall < 1.0
 
 
 class TestPrometheus:

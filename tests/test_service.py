@@ -380,6 +380,52 @@ class TestRestartReplay:
         assert [r["event"] for r in compacted] == ["accept", "state"]
         assert compacted[1]["state"] == "done"
 
+    def test_failed_compaction_keeps_the_journal(self, tmp_path,
+                                                 monkeypatch, stub_sim):
+        # The journal sits alone in its directory, so debris would show.
+        journal_dir = tmp_path / "journal"
+        journal = journal_dir / "journal.jsonl"
+        spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 2})
+        first = make_scheduler(tmp_path, monkeypatch,
+                               journal_path=str(journal))
+        first.start()
+        done = run_job(first, spec)
+        first.stop()
+        before = journal.read_bytes()
+        records = JobJournal.replay(str(journal))
+        assert len(records) == 3
+
+        real_dumps = json.dumps
+        encoded = []
+
+        def dumps_failing_on_second_record(obj, *args, **kwargs):
+            encoded.append(obj)
+            if len(encoded) == 2:
+                raise OSError(28, "No space left on device")
+            return real_dumps(obj, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dumps", dumps_failing_on_second_record)
+            with pytest.raises(OSError):
+                JobJournal(str(journal)).rewrite(records)
+        assert os.listdir(journal_dir) == ["journal.jsonl"]
+        assert journal.read_bytes() == before
+
+        # A restart whose compaction fails still comes up: the
+        # uncompacted journal stays and replays to the same jobs.
+        def failing_rewrite(self, records):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(JobJournal, "rewrite", failing_rewrite)
+            second = make_scheduler(tmp_path, monkeypatch,
+                                    journal_path=str(journal))
+        restored = second.job(done["job_id"])
+        assert restored["state"] == "done"
+        assert restored["points"]["fresh"] == 2
+        second.stop()
+        assert journal.read_bytes() == before
+
 
 # ----------------------------------------------------------------------
 class GatedBackend:

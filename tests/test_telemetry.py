@@ -62,16 +62,6 @@ class TestMetricsCollector:
         collector.observe("h", 3.0)
         assert collector.histograms["h"] == [1.0, 3.0]
 
-    def test_timer_accumulates(self):
-        collector = MetricsCollector()
-        with collector.time("t"):
-            pass
-        with collector.time("t"):
-            pass
-        total, count = collector.timers["t"]
-        assert count == 2
-        assert total >= 0.0
-
     def test_record_point(self):
         collector = MetricsCollector()
         collector.record_point(benchmark="sort", wall_s=1.5)
@@ -95,11 +85,8 @@ class TestNullCollector:
         NULL_COLLECTOR.observe("h", 1.0)
         NULL_COLLECTOR.event("issue.slot", 0)
         NULL_COLLECTOR.record_point(x=1)
-        with NULL_COLLECTOR.time("t"):
-            pass
         assert NULL_COLLECTOR.counters == {}
         assert NULL_COLLECTOR.histograms == {}
-        assert NULL_COLLECTOR.timers == {}
         assert NULL_COLLECTOR.events == []
         assert NULL_COLLECTOR.points == []
 
@@ -297,15 +284,13 @@ class TestTelemetryReport:
         collector = MetricsCollector()
         collector.count("sweep.cache.hit", 2)
         collector.observe("sweep.point.wall_s", 0.5)
-        with collector.time("sweep.total_s"):
-            pass
         collector.record_point(benchmark="sort", wall_s=0.5)
         report = telemetry_report(collector)
         parsed = json.loads(json.dumps(report))
-        assert parsed["schema"] == "repro.telemetry/1"
+        assert parsed["schema"] == "repro.telemetry/2"
+        assert "timers" not in parsed
         assert parsed["counters"]["sweep.cache.hit"] == 2
         assert parsed["histograms"]["sweep.point.wall_s"]["count"] == 1
-        assert parsed["timers"]["sweep.total_s"]["count"] == 1
         assert parsed["points"][0]["benchmark"] == "sort"
 
 
@@ -317,19 +302,8 @@ class TestSpans:
             {"name": "phase.prepare", "dur_s": 0.25, "benchmark": "sort"}
         ]
 
-    def test_span_context_manager_times(self):
-        collector = MetricsCollector()
-        with collector.span("phase.simulate", benchmark="grep"):
-            pass
-        (span,) = collector.spans
-        assert span["name"] == "phase.simulate"
-        assert span["benchmark"] == "grep"
-        assert span["dur_s"] >= 0.0
-
     def test_null_collector_span_is_noop(self):
         NULL_COLLECTOR.add_span("x", 1.0)
-        with NULL_COLLECTOR.span("y"):
-            pass
         assert NULL_COLLECTOR.spans == []
 
     def test_snapshot_merge_round_trip(self):
