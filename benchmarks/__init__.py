@@ -1,1 +1,1 @@
-"""Figure-reproduction and ablation benchmarks (pytest-benchmark)."""
+"""Ablation studies beyond the paper's figures (``benchmarks/results/``)."""

@@ -1,43 +1,27 @@
-"""Shared benchmark fixtures.
+"""Shared helpers for the ablation studies.
 
-Figure data is expensive (hundreds of timing simulations); results are
-cached on disk (see repro.harness.cache), so re-runs only pay for points
-not yet measured.  Each figure bench writes its table under
-``benchmarks/results/`` and asserts the paper's shape claims.
+Each ablation runs its sweep (timing results are cached on disk, see
+repro.harness.cache, so re-runs only pay for points not yet measured),
+writes its table under ``benchmarks/results/`` and asserts its own
+expected shape.  ``repro-sim report`` folds those tables into
+EXPERIMENTS.md; the paper's figure claims are checked by the report's
+claims table, and ``repro-sim figure N`` prints one figure's table.
 
-Environment knobs:
-
-* ``REPRO_BENCH_WORKLOADS`` -- comma-separated benchmark subset
-* ``REPRO_BENCH_SCALE``     -- input-size multiplier (default 1)
-* ``REPRO_CACHE_DIR``       -- result cache location
+``REPRO_CACHE_DIR`` sets the result cache location.
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro.harness import SweepRunner
-
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-@pytest.fixture(scope="session")
-def runner():
-    return SweepRunner(verbose=False)
-
-
 def write_table(name: str, text: str) -> None:
-    """Store a rendered figure table under benchmarks/results/."""
+    """Store a rendered ablation table under benchmarks/results/."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, name)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     print()
     print(text)
-
-
-def run_once(benchmark, fn):
-    """Run a figure generator exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -19,7 +19,7 @@ from repro.machine.config import BranchMode, Discipline, MachineConfig
 from repro.machine.simulator import simulate
 from repro.workloads import WORKLOADS
 
-from .conftest import run_once, write_table
+from .conftest import write_table
 
 ABLATION_BENCHMARKS = ("grep", "sort")
 WINDOWS = (1, 2, 4, 8, 16, 64, 256)
@@ -44,19 +44,16 @@ def config(window=4, mode=BranchMode.ENLARGED, predictor="twobit",
     )
 
 
-def test_window_sweep(benchmark, ablation_runner):
-    def sweep():
-        return {
-            "dyn/enlarged": [
-                ablation_runner.mean_ipc(config(window=w)) for w in WINDOWS
-            ],
-            "dyn/single": [
-                ablation_runner.mean_ipc(config(window=w, mode=BranchMode.SINGLE))
-                for w in WINDOWS
-            ],
-        }
-
-    data = run_once(benchmark, sweep)
+def test_window_sweep(ablation_runner):
+    data = {
+        "dyn/enlarged": [
+            ablation_runner.mean_ipc(config(window=w)) for w in WINDOWS
+        ],
+        "dyn/single": [
+            ablation_runner.mean_ipc(config(window=w, mode=BranchMode.SINGLE))
+            for w in WINDOWS
+        ],
+    }
     table = render_series_table(
         "Ablation: window size sweep (issue model 8, memory A)",
         [str(w) for w in WINDOWS],
@@ -75,20 +72,16 @@ def test_window_sweep(benchmark, ablation_runner):
     assert first_gain > last_gain
 
 
-def test_predictor_ablation(benchmark, ablation_runner):
-    def sweep():
-        ipc = {}
-        accuracy = {}
-        for kind in PREDICTORS:
-            results = [
-                ablation_runner.run_point(name, config(predictor=kind))
-                for name in ABLATION_BENCHMARKS
-            ]
-            ipc[kind] = sum(r.retired_per_cycle for r in results) / len(results)
-            accuracy[kind] = sum(r.branch_accuracy for r in results) / len(results)
-        return ipc, accuracy
-
-    ipc, accuracy = run_once(benchmark, sweep)
+def test_predictor_ablation(ablation_runner):
+    ipc = {}
+    accuracy = {}
+    for kind in PREDICTORS:
+        results = [
+            ablation_runner.run_point(name, config(predictor=kind))
+            for name in ABLATION_BENCHMARKS
+        ]
+        ipc[kind] = sum(r.retired_per_cycle for r in results) / len(results)
+        accuracy[kind] = sum(r.branch_accuracy for r in results) / len(results)
     table = render_series_table(
         "Ablation: branch predictor family (dyn4/enlarged, issue 8, memory A)",
         PREDICTORS,
@@ -108,19 +101,15 @@ def test_predictor_ablation(benchmark, ablation_runner):
     assert ipc["twobit"] > ipc["nottaken"]
 
 
-def test_static_hints_ablation(benchmark, ablation_runner):
-    def sweep():
-        with_hints = [
-            ablation_runner.run_point(name, config(hints=True))
-            for name in ABLATION_BENCHMARKS
-        ]
-        without = [
-            ablation_runner.run_point(name, config(hints=False))
-            for name in ABLATION_BENCHMARKS
-        ]
-        return with_hints, without
-
-    with_hints, without = run_once(benchmark, sweep)
+def test_static_hints_ablation(ablation_runner):
+    with_hints = [
+        ablation_runner.run_point(name, config(hints=True))
+        for name in ABLATION_BENCHMARKS
+    ]
+    without = [
+        ablation_runner.run_point(name, config(hints=False))
+        for name in ABLATION_BENCHMARKS
+    ]
     rows = {
         "with hints": [r.branch_accuracy for r in with_hints],
         "without": [r.branch_accuracy for r in without],
@@ -140,29 +129,24 @@ def test_static_hints_ablation(benchmark, ablation_runner):
     assert total_with <= total_without * 1.05
 
 
-def test_enlargement_threshold_ablation(benchmark):
+def test_enlargement_threshold_ablation():
     """Stricter arc thresholds trade block size against fault rate."""
     configs = {
         "aggressive": EnlargeConfig(min_arc_ratio=0.55, min_cum_ratio=0.10),
         "default": EnlargeConfig(),
         "conservative": EnlargeConfig(min_arc_ratio=0.92, min_cum_ratio=0.75),
     }
-
-    def sweep():
-        stats = {}
-        for name, enlarge_config in configs.items():
-            workload = WORKLOADS["grep"].prepare(enlarge_config=enlarge_config)
-            result = simulate(workload, config(window=4))
-            trace = workload.enlarged_trace
-            faults = sum(1 for f in trace.fault_indices if f >= 0)
-            stats[name] = {
-                "ipc": result.retired_per_cycle,
-                "fault_rate": faults / max(len(trace), 1),
-                "redundancy": result.redundancy,
-            }
-        return stats
-
-    stats = run_once(benchmark, sweep)
+    stats = {}
+    for name, enlarge_config in configs.items():
+        workload = WORKLOADS["grep"].prepare(enlarge_config=enlarge_config)
+        result = simulate(workload, config(window=4))
+        trace = workload.enlarged_trace
+        faults = sum(1 for f in trace.fault_indices if f >= 0)
+        stats[name] = {
+            "ipc": result.retired_per_cycle,
+            "fault_rate": faults / max(len(trace), 1),
+            "redundancy": result.redundancy,
+        }
     names = list(configs)
     table = render_series_table(
         "Ablation: enlargement thresholds (grep, dyn4/enlarged)",
@@ -190,7 +174,7 @@ def test_enlargement_threshold_ablation(benchmark):
     )
 
 
-def test_wider_words_extension(benchmark, ablation_runner):
+def test_wider_words_extension(ablation_runner):
     """Beyond the paper: issue models 9 (8M+24A) and 10 (16M+48A).
 
     The paper conjectures "even more parallelism could be exploited with
@@ -198,22 +182,18 @@ def test_wider_words_extension(benchmark, ablation_runner):
     holds for realistic vs perfect prediction.
     """
     models = (7, 8, 9, 10)
-
-    def sweep():
-        return {
-            "dyn256/enlarged": [
-                ablation_runner.mean_ipc(config(window=256, issue=m))
-                for m in models
-            ],
-            "dyn256/perfect": [
-                ablation_runner.mean_ipc(
-                    config(window=256, issue=m, mode=BranchMode.PERFECT)
-                )
-                for m in models
-            ],
-        }
-
-    data = run_once(benchmark, sweep)
+    data = {
+        "dyn256/enlarged": [
+            ablation_runner.mean_ipc(config(window=256, issue=m))
+            for m in models
+        ],
+        "dyn256/perfect": [
+            ablation_runner.mean_ipc(
+                config(window=256, issue=m, mode=BranchMode.PERFECT)
+            )
+            for m in models
+        ],
+    }
     table = render_series_table(
         "Ablation: wider multinodewords (extension models 9 and 10)",
         [str(m) for m in models],
@@ -235,7 +215,7 @@ def test_wider_words_extension(benchmark, ablation_runner):
     assert gap_wide >= gap_narrow * 0.8
 
 
-def test_fill_unit_vs_profile_enlargement(benchmark):
+def test_fill_unit_vs_profile_enlargement():
     """Extension: run-time (fill unit) vs compile-time (profile) units.
 
     The paper enlarges offline from profile data but floats "possibly a
@@ -248,39 +228,35 @@ def test_fill_unit_vs_profile_enlargement(benchmark):
     from repro.interp import run_program
     from repro.machine.simulator import PreparedWorkload
 
-    def sweep():
-        stats = {}
-        workload = WORKLOADS["grep"]
-        program = workload.compile()
-        train = workload.make_inputs("train")
-        eval_inputs = workload.make_inputs("eval")
+    stats = {}
+    workload = WORKLOADS["grep"]
+    program = workload.compile()
+    train = workload.make_inputs("train")
+    eval_inputs = workload.make_inputs("eval")
 
-        # Offline (paper) flow, via the standard preparation.
-        offline = workload.prepare()
-        offline_result = simulate(offline, config(window=4))
-        stats["profile (offline)"] = offline_result.retired_per_cycle
+    # Offline (paper) flow, via the standard preparation.
+    offline = workload.prepare()
+    offline_result = simulate(offline, config(window=4))
+    stats["profile (offline)"] = offline_result.retired_per_cycle
 
-        # Run-time flow: observe the training trace, build units, trace
-        # the enlarged program on the evaluation input.
-        observed = run_program(program, inputs=train)
-        enlarged = fill_unit_enlarge(program, observed.trace)
-        single_eval = run_program(program, inputs=eval_inputs)
-        enlarged_eval = run_program(enlarged, inputs=eval_inputs)
-        assert enlarged_eval.output == single_eval.output
-        runtime_wl = PreparedWorkload(
-            "grep-fill", program, enlarged,
-            single_eval.trace, enlarged_eval.trace,
-        )
-        runtime_result = simulate(runtime_wl, config(window=4))
-        stats["fill unit (runtime)"] = runtime_result.retired_per_cycle
+    # Run-time flow: observe the training trace, build units, trace
+    # the enlarged program on the evaluation input.
+    observed = run_program(program, inputs=train)
+    enlarged = fill_unit_enlarge(program, observed.trace)
+    single_eval = run_program(program, inputs=eval_inputs)
+    enlarged_eval = run_program(enlarged, inputs=eval_inputs)
+    assert enlarged_eval.output == single_eval.output
+    runtime_wl = PreparedWorkload(
+        "grep-fill", program, enlarged,
+        single_eval.trace, enlarged_eval.trace,
+    )
+    runtime_result = simulate(runtime_wl, config(window=4))
+    stats["fill unit (runtime)"] = runtime_result.retired_per_cycle
 
-        # Baseline without any enlargement.
-        stats["single blocks"] = simulate(
-            offline, config(window=4, mode=BranchMode.SINGLE)
-        ).retired_per_cycle
-        return stats
-
-    stats = run_once(benchmark, sweep)
+    # Baseline without any enlargement.
+    stats["single blocks"] = simulate(
+        offline, config(window=4, mode=BranchMode.SINGLE)
+    ).retired_per_cycle
     names = list(stats)
     table = render_series_table(
         "Ablation: offline vs run-time enlargement (grep, dyn4, issue 8)",

@@ -1,10 +1,10 @@
 """The runtime side of chaos: a seeded engine behind named injection sites.
 
-Sites call :func:`current` (one global read) and, when an engine is active,
-``engine.act(site, kinds)``.  With chaos disabled — the overwhelmingly
-common case — ``current()`` returns None and the site costs a single global
-load plus a None check, mirroring the telemetry null-object discipline
-(guarded by the tripwire test in tests/test_chaos.py).
+Each site is one call: :func:`fire` at an injection site, :func:`recovered`
+on a recovery path.  With chaos disabled — the overwhelmingly common case —
+either costs a function call, a single global load and a None check,
+mirroring the telemetry null-object discipline (guarded by the tripwire
+test in tests/test_chaos.py).
 
 This module imports only the stdlib and ``telemetry.logging`` so that the
 machine engines and the harness error taxonomy can depend on it without
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..telemetry.logging import get_logger
 from .plan import FaultPlan, FaultRule
@@ -62,12 +62,12 @@ class ChaosEngine:
         self._lock = threading.Lock()
 
     # -- matching ------------------------------------------------------
-    def _match(self, site: str, kinds: Tuple[str, ...]) -> Optional[FaultRule]:
+    def _match(self, site: str) -> Optional[FaultRule]:
         with self._lock:
             hit = self.site_hits.get(site, 0) + 1
             self.site_hits[site] = hit
             for index, rule in enumerate(self.plan.rules):
-                if rule.site != site or rule.kind not in kinds:
+                if rule.site != site:
                     continue
                 if self._rule_injections[index] >= rule.limit():
                     continue
@@ -85,10 +85,10 @@ class ChaosEngine:
         return None
 
     # -- the site API --------------------------------------------------
-    def act(self, site: str, kinds: Tuple[str, ...]) -> Optional[FaultRule]:
+    def act(self, site: str) -> Optional[FaultRule]:
         """Fire at `site` if a rule matches; return the rule for kinds the
         caller must enact itself (corrupt, torn-write, budget, http-*)."""
-        rule = self._match(site, kinds)
+        rule = self._match(site)
         if rule is None:
             return None
         if rule.kind in ("delay", "hang"):
@@ -114,6 +114,19 @@ _ENGINE: Optional[ChaosEngine] = None
 def current() -> Optional[ChaosEngine]:
     """The active engine, or None (the common, zero-cost case)."""
     return _ENGINE
+
+
+def fire(site: str) -> Optional[FaultRule]:
+    """:meth:`ChaosEngine.act` on the active engine; None when disabled."""
+    engine = _ENGINE
+    return None if engine is None else engine.act(site)
+
+
+def recovered(path: str) -> None:
+    """:meth:`ChaosEngine.mark_recovered` on the active engine, if any."""
+    engine = _ENGINE
+    if engine is not None:
+        engine.mark_recovered(path)
 
 
 def activate(engine: ChaosEngine) -> None:

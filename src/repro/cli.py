@@ -6,6 +6,7 @@ Subcommands:
 * ``trace``    -- dump a per-cycle pipeline trace (Chrome tracing / JSONL)
 * ``figure``   -- print the data for one of the paper's figures (2-6)
 * ``report``   -- write the full EXPERIMENTS.md (runs missing simulations)
+  and gate on its table of paper claims
 * ``dump``     -- print a benchmark's translated assembly (or DOT CFG)
 * ``schedule`` -- per-block list-vs-optimal schedule study
 * ``compile``  -- compile and run a user Mini-C source file
@@ -24,20 +25,21 @@ Subcommands:
 Performance is measured by ``python3 perfbench/run.py`` (see
 ``perfbench/README.md``), not by a verb of this tool.
 
-``sweep``, ``validate``, ``report`` and ``chaos`` accept ``--telemetry``
-(live progress plus counters, phase spans and cycle attribution) and
-``--metrics-out FILE`` (write the aggregated ``telemetry.json``); see
-the "Observability" section of DESIGN.md.  Function-level hot spots
-come from the standard library: ``python -m cProfile -s tottime -m
-repro.cli run ...``.
+``sweep``, ``validate`` and ``chaos`` accept ``--telemetry`` (live
+progress plus counters, phase spans and cycle attribution) and
+``--metrics-out FILE`` (write the aggregated ``telemetry.json``);
+``report`` accepts only ``--metrics-out``.  See the "Observability"
+section of DESIGN.md.  Function-level hot spots come from the standard
+library: ``python -m cProfile -s tottime -m repro.cli run ...``.
 The global ``--log-json`` flag (or ``REPRO_LOG_JSON=1``) switches every
 diagnostic line to one structured JSON object per line.
 
 Exit codes: 0 success, 1 fatal harness error, 3 some sweep or
 validate points failed (structured ``PointFailure`` records) or a
 submitted job finished ``failed``, 4 the validation oracle found gating
-(``error``-severity) findings, 5 the service rejected a job at
-admission (typed 429-style response; retry later).
+(``error``-severity) findings or a paper claim in ``report`` does not
+hold (each failing row is named on stderr), 5 the service rejected a
+job at admission (typed 429-style response; retry later).
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def _benchmarks_from_args(args: argparse.Namespace) -> Optional[List[str]]:
 
 
 def _add_telemetry_arguments(command: argparse.ArgumentParser) -> None:
-    """The observability flags shared by sweep/validate/report/chaos."""
+    """The observability flags shared by sweep/validate/chaos."""
     command.add_argument("--telemetry", action="store_true",
                          help="collect sweep counters and timings (live"
                               " progress line on grid runs)")
@@ -191,10 +193,12 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("number", type=int, choices=(2, 3, 4, 5, 6))
     figure.add_argument("--scale", type=int, default=None)
 
-    report = sub.add_parser("report", help="write EXPERIMENTS.md")
+    report = sub.add_parser("report", help="write EXPERIMENTS.md; exit 4"
+                                           " if a paper claim does not hold")
     report.add_argument("-o", "--output", default="EXPERIMENTS.md")
     report.add_argument("--scale", type=int, default=None)
-    _add_telemetry_arguments(report)
+    report.add_argument("--metrics-out", default=None, metavar="FILE",
+                        help="write aggregated telemetry.json")
 
     dump = sub.add_parser("dump", help="print translated assembly")
     dump.add_argument("--benchmark", required=True, choices=sorted(WORKLOADS))
@@ -536,17 +540,17 @@ def _write_metrics(collector, path: str, context=None,
 def _cmd_report(args: argparse.Namespace) -> int:
     from .telemetry import MetricsCollector
 
-    collector = (
-        MetricsCollector() if args.telemetry or args.metrics_out else None
-    )
+    collector = MetricsCollector() if args.metrics_out else None
     runner = SweepRunner(scale=args.scale, collector=collector)
-    text = generate_report(runner)
+    text, failures = generate_report(runner)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"wrote {args.output}")
     if args.metrics_out:
         _write_metrics(collector, args.metrics_out)
-    return 0
+    for failure in failures:
+        print(f"report: claim does not hold: {failure}", file=sys.stderr)
+    return 4 if failures else 0
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:

@@ -39,7 +39,7 @@ import json
 import os
 from typing import Any, Dict, Optional
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import fire as chaos_fire, recovered as chaos_recovered
 from ..interp.trace_io import load_trace_file, save_trace_file
 from ..machine.simulator import PreparedWorkload
 from ..program.parser import parse_program
@@ -117,9 +117,7 @@ class ArtifactStore:
         self.collector.count("artifacts.quarantined")
         _LOG.warning("artifacts_quarantined", benchmark=benchmark,
                      directory=directory, moved_to=target)
-        eng = chaos_current()
-        if eng is not None:
-            eng.mark_recovered("artifacts.read")
+        chaos_recovered("artifacts.read")
 
     # ------------------------------------------------------------------
     def directory(self, workload: Any, scale: int) -> str:
@@ -162,12 +160,10 @@ class ArtifactStore:
         directory = self.directory(workload, scale)
         if self._manifest(directory) is None:
             return None
-        eng = chaos_current()
-        if eng is not None:
-            rule = eng.act("artifacts.read", ("corrupt", "delay"))
-            if rule is not None and rule.kind == "corrupt":
-                self._quarantine(directory, workload.name)
-                return None
+        rule = chaos_fire("artifacts.read")
+        if rule is not None and rule.kind == "corrupt":
+            self._quarantine(directory, workload.name)
+            return None
         try:
             with open(os.path.join(directory, "single.asm"),
                       encoding="utf-8") as handle:
@@ -196,9 +192,7 @@ class ArtifactStore:
         written directory never satisfies a later :meth:`load`.
         """
         directory = self.directory(workload, scale)
-        eng = chaos_current()
-        if eng is not None:
-            eng.act("artifacts.write", ("io-error", "delay"))
+        chaos_fire("artifacts.write")
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, "single.asm"), "w",
                   encoding="utf-8") as handle:

@@ -49,7 +49,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, Iterator, Optional, Tuple
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import fire as chaos_fire
 from ..machine.config import MachineConfig
 from ..stats.results import SimResult
 from .errors import PointFailure, WorkloadPrepareError
@@ -120,11 +120,9 @@ class SerialBackend(ExecutionBackend):
         self.executor = PointExecutor(runner, policy)
 
     def submit(self, task: PointTask) -> Iterator[PointOutcome]:
-        eng = chaos_current()
-        if eng is not None:
-            # Dispatch only tolerates latency: a raised fault here would
-            # abort the whole sweep, not one point.
-            eng.act("backend.dispatch", ("delay",))
+        # Dispatch only tolerates latency: a raised fault here would
+        # abort the whole sweep, not one point.
+        chaos_fire("backend.dispatch")
         outcome = self.executor.execute(task.benchmark, task.config)
         if isinstance(outcome, PointFailure):
             yield PointOutcome(task, failure=outcome)
@@ -204,9 +202,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def submit(self, task: PointTask) -> Iterator[PointOutcome]:
-        eng = chaos_current()
-        if eng is not None:
-            eng.act("backend.dispatch", ("delay",))
+        chaos_fire("backend.dispatch")
         self._queue.append(_Pending(task))
         yield from self._pump(block=False)
 

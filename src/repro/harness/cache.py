@@ -15,7 +15,7 @@ import os
 import secrets
 from typing import Any, Dict, Optional, Tuple
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import fire as chaos_fire, recovered as chaos_recovered
 from ..machine.config import MachineConfig
 from ..stats.results import SimResult
 from ..telemetry.collector import Collector, NULL_COLLECTOR
@@ -197,9 +197,7 @@ class ResultCache:
             return
         self.collector.count("cache.quarantined")
         _LOG.warning("cache_file_quarantined", path=self.path, moved_to=target)
-        eng = chaos_current()
-        if eng is not None:
-            eng.mark_recovered("cache.read")
+        chaos_recovered("cache.read")
 
     def _quarantine_entry(self, key: str, raw: Any) -> None:
         """Preserve a corrupt cache entry in a sidecar before dropping it."""
@@ -212,9 +210,7 @@ class ResultCache:
             return
         self.collector.count("cache.quarantined")
         _LOG.warning("cache_entry_quarantined", key=key, moved_to=target)
-        eng = chaos_current()
-        if eng is not None:
-            eng.mark_recovered("cache.read")
+        chaos_recovered("cache.read")
 
     # ------------------------------------------------------------------
     def _load(self) -> None:
@@ -256,11 +252,9 @@ class ResultCache:
         raw = self._data.get(key)
         if raw is None:
             return None
-        eng = chaos_current()
-        if eng is not None:
-            rule = eng.act("cache.read", ("corrupt", "delay"))
-            if rule is not None and rule.kind == "corrupt":
-                raw = {"_chaos": "corrupted entry"}
+        rule = chaos_fire("cache.read")
+        if rule is not None and rule.kind == "corrupt":
+            raw = {"_chaos": "corrupted entry"}
         try:
             return SimResult(
                 benchmark=benchmark,
@@ -297,10 +291,8 @@ class ResultCache:
         """
         if not self._dirty:
             return
-        eng = chaos_current()
         try:
-            if eng is not None:
-                eng.act("cache.write", ("io-error", "delay"))
+            chaos_fire("cache.write")
             atomic_write_json(self.path, self._data, sort_keys=True)
         except OSError as exc:
             self._write_failed = True
@@ -310,8 +302,7 @@ class ResultCache:
         if self._write_failed:
             self._write_failed = False
             _LOG.info("cache_flush_recovered", path=self.path)
-            if eng is not None:
-                eng.mark_recovered("cache.write")
+            chaos_recovered("cache.write")
         self._dirty = 0
 
     def __len__(self) -> int:

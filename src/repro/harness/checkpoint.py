@@ -22,7 +22,7 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import fire as chaos_fire, recovered as chaos_recovered
 from ..telemetry.logging import get_logger
 from .cache import atomic_write_json
 from .errors import PointFailure
@@ -142,10 +142,8 @@ class SweepCheckpoint:
                 for key, failure in sorted(self.failures.items())
             ],
         }
-        eng = chaos_current()
         try:
-            if eng is not None:
-                eng.act("checkpoint.write", ("io-error", "delay"))
+            chaos_fire("checkpoint.write")
             atomic_write_json(self.path, document)
         except OSError as exc:
             self._write_failed = True
@@ -155,8 +153,7 @@ class SweepCheckpoint:
         if self._write_failed:
             self._write_failed = False
             _LOG.info("checkpoint_save_recovered", path=self.path)
-            if eng is not None:
-                eng.mark_recovered("checkpoint.write")
+            chaos_recovered("checkpoint.write")
         self._since_save = 0
 
     def remove(self) -> None:

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import recovered as chaos_recovered
 from ..machine.config import MachineConfig
 from ..stats.results import SimResult
 from .errors import PointFailure, PointTimeout, classify_error, is_transient
@@ -161,9 +161,7 @@ class PointExecutor:
                     str(exc), attempts, time.perf_counter() - start,
                 )
             if attempts > 1:
-                eng = chaos_current()
-                if eng is not None:
-                    eng.mark_recovered("executor.retry")
+                chaos_recovered("executor.retry")
             try:
                 runner.cache_store(result)
             except Exception:  # noqa: BLE001 - a cache write must not

@@ -1,9 +1,10 @@
 """Per-figure data generators for the paper's evaluation section.
 
 Every figure in the paper's section 3 has a function here that produces
-its data series (and an ASCII rendering); the pytest-benchmark harnesses
-under ``benchmarks/`` call these, and ``repro-sim report`` assembles them
-into EXPERIMENTS.md.
+its data series (and an ASCII rendering).  ``repro-sim figure N`` prints
+one figure's table; ``repro-sim report`` assembles them all into
+EXPERIMENTS.md and judges them against its claims table
+(``repro.harness.report.CLAIMS``).
 """
 
 from __future__ import annotations

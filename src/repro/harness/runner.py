@@ -12,7 +12,7 @@ import os
 import time
 from typing import List, Optional, Sequence
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import fire as chaos_fire
 from ..machine.config import MachineConfig
 from ..machine.simulator import PreparedWorkload, simulate
 from ..stats.results import SimResult
@@ -74,8 +74,7 @@ class SweepRunner:
         #: engine watchdog limit (None: REPRO_MAX_CYCLES or the default).
         self.max_cycles = max_cycles
         #: PointFailure records accumulated by fault-tolerant execution
-        #: (see repro.harness.executor); report generation annotates
-        #: partial grids from this list.
+        #: (see repro.harness.executor and the sweep loop).
         self.failures: List[PointFailure] = []
         #: validation oracle hook (see repro.validate): when enabled the
         #: runner keeps every result it serves and checks per-result
@@ -173,18 +172,15 @@ class SweepRunner:
     def simulate_point(self, benchmark: str,
                        config: MachineConfig) -> SimResult:
         """Prepare and simulate one point, bypassing the result cache."""
-        eng = chaos_current()
-        if eng is not None:
-            eng.act("point.simulate", ("crash", "hang", "delay"))
+        chaos_fire("point.simulate")
         collector = self.collector
         start = time.perf_counter()
         workload = self.workload(benchmark)
         prepared_at = time.perf_counter()
         max_cycles = self.max_cycles
-        if eng is not None:
-            rule = eng.act("engine.budget", ("budget",))
-            if rule is not None:
-                max_cycles = rule.budget
+        rule = chaos_fire("engine.budget")
+        if rule is not None:
+            max_cycles = rule.budget
         if collector.enabled:
             point = str(config)
             result = simulate(workload, config, collector=collector,

@@ -30,7 +30,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import recovered as chaos_recovered
 from .jobs import TERMINAL_STATES
 
 #: Admission reasons worth retrying: pressure and transient daemon
@@ -137,9 +137,7 @@ class ServiceClient:
                 delay_hint = exc.retry_after_s
             else:
                 if attempt:
-                    eng = chaos_current()
-                    if eng is not None:
-                        eng.mark_recovered("http.request")
+                    chaos_recovered("http.request")
                 return payload
             attempt += 1
             self._sleep(self._retry_delay(attempt, delay_hint))

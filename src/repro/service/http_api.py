@@ -35,7 +35,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import fire as chaos_fire
 from ..telemetry.logging import get_logger
 from ..telemetry.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from .jobs import GridSpec, SpecError
@@ -111,10 +111,7 @@ class _Handler(BaseHTTPRequestHandler):
         never half-submitted a job.  Returns True when the request was
         consumed by the fault.
         """
-        eng = chaos_current()
-        if eng is None:
-            return False
-        rule = eng.act("http.request", ("http-503", "conn-reset", "delay"))
+        rule = chaos_fire("http.request")
         if rule is None or rule.kind == "delay":
             return False  # delay already slept inside act(); proceed
         # Either fault consumes the request without reading its body, so

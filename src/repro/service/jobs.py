@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import fire as chaos_fire, recovered as chaos_recovered
 from ..harness.backend import PointTask
 from ..harness.cache import atomic_write_text
 from ..harness.sweep import grid_tasks
@@ -249,16 +249,13 @@ class JobJournal:
         record = dict(record)
         record["v"] = JOURNAL_VERSION
         line = json.dumps(record, sort_keys=True) + "\n"
-        eng = chaos_current()
-        if eng is not None:
-            rule = eng.act("journal.append", ("torn-write", "io-error",
-                                              "delay"))
-            if rule is not None and rule.kind == "torn-write":
-                handle = self._open()
-                handle.write(line[: max(1, len(line) // 2)])
-                handle.flush()
-                self.close()  # the writer "died" mid-record
-                return
+        rule = chaos_fire("journal.append")
+        if rule is not None and rule.kind == "torn-write":
+            handle = self._open()
+            handle.write(line[: max(1, len(line) // 2)])
+            handle.flush()
+            self.close()  # the writer "died" mid-record
+            return
         handle = self._open()
         handle.write(line)
         handle.flush()
@@ -300,9 +297,7 @@ class JobJournal:
                     collector.count("journal.garbled")
                     _LOG.warning("journal_garbled_record", path=path,
                                  line=index + 1)
-                eng = chaos_current()
-                if eng is not None:
-                    eng.mark_recovered("journal.append")
+                chaos_recovered("journal.append")
                 continue
             if (isinstance(record, dict)
                     and record.get("v") == JOURNAL_VERSION):

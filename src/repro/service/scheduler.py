@@ -35,7 +35,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import recovered as chaos_recovered
 from ..harness.backend import (
     ExecutionBackend,
     PointOutcome,
@@ -614,9 +614,7 @@ class JobScheduler:
                          job_id=record.get("job_id"),
                          event=record.get("event"),
                          error=f"{type(exc).__name__}: {exc}")
-            eng = chaos_current()
-            if eng is not None:
-                eng.mark_recovered("journal.append")
+            chaos_recovered("journal.append")
 
     def _flush_cache_safe(self) -> None:
         """Terminal cache flush (scheduler thread): retry a failed write.

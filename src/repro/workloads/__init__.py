@@ -20,7 +20,6 @@ from .compress_wl import WORKLOAD as COMPRESS
 from .cpp_wl import WORKLOAD as CPP
 from .crc32_wl import WORKLOAD as CRC32
 from .diff_wl import WORKLOAD as DIFF
-from .extra_wl import EXTRA_WORKLOADS, UNIQ, WC
 from .grep_wl import WORKLOAD as GREP
 from .hashjoin_wl import WORKLOAD as HASHJOIN
 from .jsontok_wl import WORKLOAD as JSONTOK
@@ -41,15 +40,12 @@ __all__ = [
     "CPP",
     "CRC32",
     "DIFF",
-    "EXTRA_WORKLOADS",
     "GREP",
     "HASHJOIN",
     "Inputs",
     "JSONTOK",
     "PAPER_WORKLOAD_NAMES",
     "SORT",
-    "UNIQ",
-    "WC",
     "WORKLOADS",
     "Workload",
     "prepared",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from ..chaos.inject import current as chaos_current
+from ..chaos.inject import recovered as chaos_recovered
 from ..enlarge.plan import EnlargeConfig
 from ..lang.frontend import compile_source
 from ..machine.simulator import PreparedWorkload, prepare_workload
@@ -103,9 +103,7 @@ def prepared(workload: Workload, scale: int = 1,
                          scale=scale,
                          error=f"{type(exc).__name__}: {exc}")
             collector.count("artifacts.write_error")
-            eng = chaos_current()
-            if eng is not None:
-                eng.mark_recovered("artifacts.write")
+            chaos_recovered("artifacts.write")
     _PREPARED_CACHE[key] = loaded
     return loaded
 

@@ -146,7 +146,7 @@ class TestChaosEngine:
         plan = self.plan(FaultRule("cache.read", "corrupt", hits=(2, 4)))
         for _ in range(2):  # two identical engines, identical outcomes
             eng = ChaosEngine(plan)
-            fired = [eng.act("cache.read", ("corrupt",)) is not None
+            fired = [eng.act("cache.read") is not None
                      for _ in range(5)]
             assert fired == [False, True, False, True, False]
 
@@ -156,7 +156,7 @@ class TestChaosEngine:
         plan = self.plan(FaultRule("cache.write", "io-error", hits=(1,)))
         eng = ChaosEngine(plan)
         with pytest.raises(ChaosIOError) as excinfo:
-            eng.act("cache.write", ("io-error",))
+            eng.act("cache.write")
         assert excinfo.value.errno == errno.ENOSPC
         assert isinstance(excinfo.value, OSError)
 
@@ -164,18 +164,9 @@ class TestChaosEngine:
         plan = self.plan(FaultRule("point.simulate", "crash", hits=(1,)))
         eng = ChaosEngine(plan)
         with pytest.raises(ChaosCrash) as excinfo:
-            eng.act("point.simulate", ("crash",))
+            eng.act("point.simulate")
         assert is_transient(excinfo.value)
         assert classify_error(excinfo.value) == "worker-crash"
-
-    def test_kind_filter(self):
-        # The site only asks for kinds it can enact; a torn-write rule
-        # must not fire at a site that only advertised io-error.
-        plan = self.plan(
-            FaultRule("journal.append", "torn-write", hits=(1,))
-        )
-        eng = ChaosEngine(plan)
-        assert eng.act("journal.append", ("io-error",)) is None
 
     def test_max_injections_bounds_p_rules(self):
         plan = self.plan(
@@ -183,7 +174,7 @@ class TestChaosEngine:
                       delay_s=0.0)
         )
         eng = ChaosEngine(plan)
-        fired = [eng.act("cache.read", ("delay",)) is not None
+        fired = [eng.act("cache.read") is not None
                  for _ in range(5)]
         assert fired.count(True) == 2
 
@@ -194,7 +185,7 @@ class TestChaosEngine:
         for _ in range(2):
             eng = ChaosEngine(self.plan(rule, seed=123))
             runs.append(tuple(
-                eng.act("cache.read", ("delay",)) is not None
+                eng.act("cache.read") is not None
                 for _ in range(40)
             ))
         assert runs[0] == runs[1]
@@ -203,7 +194,7 @@ class TestChaosEngine:
     def test_counters(self):
         plan = self.plan(FaultRule("cache.read", "corrupt", hits=(1,)))
         eng = ChaosEngine(plan)
-        eng.act("cache.read", ("corrupt",))
+        eng.act("cache.read")
         eng.mark_recovered("cache.read")
         assert eng.injected == {"cache.read/corrupt": 1}
         assert eng.recovered == {"cache.read": 1}

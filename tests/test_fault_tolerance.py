@@ -29,7 +29,6 @@ from repro.harness.errors import (
     is_transient,
 )
 from repro.harness.executor import ExecutionPolicy, PointExecutor
-from repro.harness.report import partial_grid_note
 from repro.harness.runner import (
     SweepRunner,
     geometric_mean,
@@ -456,20 +455,6 @@ class TestCheckpoint:
         path = tmp_path / "sweep.state.json"
         path.write_text("{not json")
         assert SweepCheckpoint.load(str(path)) is None
-
-
-class TestPartialGridAnnotation:
-    def test_note_lists_failures(self):
-        note = partial_grid_note([
-            PointFailure("grep", "dyn4/single/4M+12A/A", "hang",
-                         "watchdog fired", attempts=1),
-        ])
-        assert "Partial grid" in note
-        assert "hang" in note
-        assert "grep" in note
-
-    def test_empty_failures_render_nothing(self):
-        assert partial_grid_note([]) == ""
 
 
 # ----------------------------------------------------------------------

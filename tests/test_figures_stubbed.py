@@ -5,6 +5,10 @@ results aggregate) without running any timing simulations: the stub
 returns synthetic results whose IPC encodes the configuration.
 """
 
+import os
+from types import SimpleNamespace
+from typing import Any, Dict, List, Tuple
+
 import pytest
 
 from repro.harness import figures
@@ -130,10 +134,13 @@ class TestReportGeneration:
             lambda r: {"sort": 2.5, "grep": 3.0},
         )
         monkeypatch.setattr(
-            report_mod, "schedule_gap_section",
-            lambda r: "## Optimal static scheduling (beyond the paper)\n",
+            report_mod, "schedule_gap_data",
+            lambda r: [("sort", SimpleNamespace(
+                blocks=(), closed_blocks=0, list_words=10, optimal_words=8,
+                lower_bound_words=8, gap_percent=20.0, loops=[],
+            ), 1.0, 1.2)],
         )
-        text = report_mod.generate_report(runner)
+        text, _ = report_mod.generate_report(runner)
         assert "# EXPERIMENTS" in text
         assert "Figure 2" in text
         assert "Figure 3" in text
@@ -142,3 +149,127 @@ class TestReportGeneration:
         assert "Figure 6" in text
         assert "2.75" in text  # mean static ratio
         assert "dyn256/enlarged" in text
+
+
+# ----------------------------------------------------------------------
+# The claims table, judged on data shaped like the committed report
+# ----------------------------------------------------------------------
+def _section(text: str, heading: str) -> str:
+    start = text.index(heading)
+    end = text.find("\n## ", start + len(heading))
+    return text[start:] if end < 0 else text[start:end]
+
+
+def _table(section: str) -> Tuple[List[str], Dict[str, List[float]]]:
+    """The first markdown table of a section: its column labels and
+    ``{row label: values}`` (a trailing ``%`` is dropped)."""
+    lines = section.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.strip("|").split("|"))
+    header, body = rows[0], rows[2:]
+    values = {cells[0].strip(): [float(cell.strip().rstrip("%"))
+                                 for cell in cells[1:]]
+              for cells in body}
+    return [cell.strip() for cell in header[1:]], values
+
+
+def committed_report_data() -> Dict[str, Any]:
+    """``report_data``'s shape, read back from the committed EXPERIMENTS.md."""
+    path = os.path.join(os.path.dirname(__file__), "..", "EXPERIMENTS.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    ratios = {}
+    for line in _section(text, "## §3.1").splitlines():
+        if line.startswith("- ") and "mean" not in line:
+            name, value = line[2:].split(":")
+            ratios[name] = float(value)
+    buckets, fig2 = _table(_section(text, "## Figure 2"))
+    fig2["buckets"] = buckets
+    data: Dict[str, Any] = {"ratios": ratios, "fig2": fig2}
+    for key, heading, axis, parse in (
+        ("fig3", "## Figure 3", "_issue_models", int),
+        ("fig4", "## Figure 4", "_memories", str),
+        ("fig5", "## Figure 5", "_composites", str),
+        ("fig6", "## Figure 6", "_issue_models", int),
+        ("spec", "## Value speculation", "_issue_models", int),
+    ):
+        columns, series = _table(_section(text, heading))
+        series[axis] = [parse(column) for column in columns]
+        data[key] = series
+    _, sched = _table(_section(text, "## Optimal static scheduling"))
+    data["sched"] = [
+        (name, SimpleNamespace(
+            blocks=range(int(blocks)), closed_blocks=int(closed),
+            list_words=int(listed), optimal_words=int(optimal),
+            lower_bound_words=int(bound), gap_percent=gap, loops=[],
+        ), ipc_list, ipc_optimal)
+        for name, (blocks, closed, listed, optimal, bound, gap, ipc_list,
+                   ipc_optimal) in sched.items()
+    ]
+    data["spec_accuracy"] = "Aggregate prediction accuracy: stub."
+    return data
+
+
+def window_capped(data: Dict[str, Any]) -> Dict[str, Any]:
+    """``data`` with every dyn256 line replaced by its dyn4 twin, as when
+    the dynamic engine caps its window at four blocks."""
+    capped = dict(data)
+    for key in ("fig3", "fig4", "fig6"):
+        capped[key] = {
+            label: data[key][label.replace("dyn256/", "dyn4/")]
+            if label.startswith("dyn256/") else series
+            for label, series in data[key].items()
+        }
+    return capped
+
+
+WINDOW_ROW = "window 4 comes close to window 256"
+
+
+class TestClaims:
+    def test_every_row_holds_and_renders_one_line(self):
+        from repro.harness.report import CLAIMS, verdicts_section
+
+        data = committed_report_data()
+        text, failures = verdicts_section(data)
+        assert failures == []
+        rows = [line for line in text.splitlines()
+                if line.startswith("| ") and not line.startswith("| Source")]
+        assert len(rows) == len(CLAIMS)
+        for claim, row in zip(CLAIMS, rows):
+            assert claim.words in row
+            assert f"| {claim.bound()} | yes |" in row
+        for claim in CLAIMS:
+            if claim.why:
+                assert claim.why in text
+
+    def test_window_capped_at_four_fails_the_window_row(self):
+        from repro.harness.report import verdicts_section
+
+        _, failures = verdicts_section(window_capped(committed_report_data()))
+        assert any(WINDOW_ROW in failure for failure in failures)
+
+    def test_report_exits_0_when_every_claim_holds_and_4_when_one_fails(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.harness import report as report_mod
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        data = committed_report_data()
+        monkeypatch.setattr(report_mod, "report_data",
+                            lambda runner, issue_models: data)
+        output = tmp_path / "EXPERIMENTS.md"
+        assert main(["report", "-o", str(output)]) == 0
+        assert "## Verdicts" in output.read_text(encoding="utf-8")
+        assert "claim does not hold" not in capsys.readouterr().err
+
+        data = window_capped(data)
+        assert main(["report", "-o", str(output)]) == 4
+        err = capsys.readouterr().err
+        assert WINDOW_ROW in err
+        assert "**NO**" in output.read_text(encoding="utf-8")

@@ -99,48 +99,3 @@ class TestPreparedWorkloads:
         first = sort_prepared.schedules_for(cfg)
         second = sort_prepared.schedules_for(cfg)
         assert first is second
-
-
-class TestExtraWorkloads:
-    """The wc/uniq extension suite (not part of the paper's figures)."""
-
-    @pytest.mark.parametrize("name", ["wc", "uniq"])
-    @pytest.mark.parametrize("kind", ["train", "eval"])
-    def test_output_matches_reference(self, name, kind):
-        from repro.workloads import EXTRA_WORKLOADS
-
-        workload = EXTRA_WORKLOADS[name]
-        program = workload.compile()
-        inputs = workload.make_inputs(kind)
-        result = run_program(program, inputs=inputs)
-        assert result.exit_code == 0
-        assert result.output == workload.reference(inputs)
-
-    def test_extras_not_in_paper_suite(self):
-        from repro.workloads import EXTRA_WORKLOADS, WORKLOADS
-
-        assert not set(EXTRA_WORKLOADS) & set(WORKLOADS)
-
-    def test_uniq_collapses_runs(self):
-        from repro.workloads import UNIQ
-
-        inputs = {0: b"a\na\na\nb\nb\na\n"}
-        program = UNIQ.compile()
-        result = run_program(program, inputs=inputs)
-        assert result.output == b"a\nb\na\n"
-        assert result.output == UNIQ.reference(inputs)
-
-    def test_wc_counts_edge_cases(self):
-        from repro.workloads import WC
-
-        inputs = {0: b"  one\ttwo \n\nthree"}
-        program = WC.compile()
-        result = run_program(program, inputs=inputs)
-        assert result.output == WC.reference(inputs)
-        assert result.output == b"2 3 17\n"
-
-    def test_extras_prepare_through_full_pipeline(self):
-        from repro.workloads import WC
-
-        prepared_wl = WC.prepare()
-        assert prepared_wl.single_trace.retired_nodes > 0
