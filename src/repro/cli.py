@@ -10,11 +10,11 @@ Subcommands:
 * ``dump``     -- print a benchmark's translated assembly (or DOT CFG)
 * ``schedule`` -- per-block list-vs-optimal schedule study
 * ``compile``  -- compile and run a user Mini-C source file
-* ``sweep``    -- run a configuration grid (resumable; ``--jobs N``
-  runs points in worker processes)
-* ``validate`` -- run the validation oracle over a grid (invariants,
-  dominance orders, golden-baseline regression gating; see the
-  "Validation & regression gating" section of DESIGN.md)
+* ``sweep``    -- run a configuration grid through the validation oracle
+  (invariants and dominance orders on every run, golden baselines under
+  ``--check`` / ``--record``; resumable; ``--jobs N`` runs points in
+  worker processes; see the "Validation & regression gating" section of
+  DESIGN.md)
 * ``serve``    -- run the long-lived simulation service daemon
 * ``submit``   -- submit a grid job to a running daemon (``--wait``
   streams progress until it finishes)
@@ -25,18 +25,17 @@ Subcommands:
 Performance is measured by ``python3 perfbench/run.py`` (see
 ``perfbench/README.md``), not by a verb of this tool.
 
-``sweep``, ``validate`` and ``chaos`` accept ``--telemetry`` (live
-progress plus counters, phase spans and cycle attribution) and
-``--metrics-out FILE`` (write the aggregated ``telemetry.json``);
-``report`` accepts only ``--metrics-out``.  See the "Observability"
-section of DESIGN.md.  Function-level hot spots come from the standard
-library: ``python -m cProfile -s tottime -m repro.cli run ...``.
-The global ``--log-json`` flag (or ``REPRO_LOG_JSON=1``) switches every
-diagnostic line to one structured JSON object per line.
+``sweep``, ``report`` and ``chaos`` accept ``--metrics-out FILE``:
+collect counters, phase spans and cycle attribution, and write the
+aggregated ``telemetry.json``.  See the "Observability" section of
+DESIGN.md.  Function-level hot spots come from the standard library:
+``python -m cProfile -s tottime -m repro.cli run ...``.  The global
+``--log-json`` flag (or ``REPRO_LOG_JSON=1``) switches every diagnostic
+line to one structured JSON object per line.
 
-Exit codes: 0 success, 1 fatal harness error, 3 some sweep or
-validate points failed (structured ``PointFailure`` records) or a
-submitted job finished ``failed``, 4 the validation oracle found gating
+Exit codes: 0 success, 1 fatal harness error, 3 some sweep points
+failed (structured ``PointFailure`` records) or a submitted job
+finished ``failed``, 4 the validation oracle found gating
 (``error``-severity) findings or a paper claim in ``report`` does not
 hold (each failing row is named on stderr), 5 the service rejected a
 job at admission (typed 429-style response; retry later).
@@ -153,14 +152,12 @@ def _benchmarks_from_args(args: argparse.Namespace) -> Optional[List[str]]:
             if name.strip()]
 
 
-def _add_telemetry_arguments(command: argparse.ArgumentParser) -> None:
-    """The observability flags shared by sweep/validate/chaos."""
-    command.add_argument("--telemetry", action="store_true",
-                         help="collect sweep counters and timings (live"
-                              " progress line on grid runs)")
+def _add_metrics_argument(command: argparse.ArgumentParser) -> None:
+    """``--metrics-out``: telemetry is collected only when it is given."""
     command.add_argument("--metrics-out", default=None, metavar="FILE",
-                         help="write aggregated telemetry.json (implies"
-                              " --telemetry)")
+                         help="collect counters, phase spans and cycle"
+                              " attribution, and write the aggregated"
+                              " telemetry.json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -197,8 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                            " if a paper claim does not hold")
     report.add_argument("-o", "--output", default="EXPERIMENTS.md")
     report.add_argument("--scale", type=int, default=None)
-    report.add_argument("--metrics-out", default=None, metavar="FILE",
-                        help="write aggregated telemetry.json")
+    _add_metrics_argument(report)
 
     dump = sub.add_parser("dump", help="print translated assembly")
     dump.add_argument("--benchmark", required=True, choices=sorted(WORKLOADS))
@@ -244,14 +240,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep",
         help="run a configuration grid, by default the paper's full"
-             " 560-point space (fault-tolerant and resumable; results"
-             " land in the on-disk cache, failures in sweep.state.json)",
+             " 560-point space, through the validation oracle"
+             " (fault-tolerant and resumable; results land in the on-disk"
+             " cache, failures in sweep.state.json; gating findings"
+             " exit 4)",
     )
     _add_grid_arguments(sweep, default_grid="full")
     sweep.add_argument("--limit", type=int, default=None,
                        help="stop after N uncached points, counted in"
                             " benchmark-major order (for budgeting)")
-    _add_telemetry_arguments(sweep)
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="run points across N worker processes, so a"
                             " crashing or wedged point cannot take the"
@@ -272,42 +269,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--resume", action="store_true",
                        help="resume from sweep.state.json: skip points"
                             " recorded as failed, reuse all cached results")
-    sweep.add_argument("--retry-failed", action="store_true",
-                       help="with --resume: re-attempt previously failed"
-                            " points instead of carrying them forward")
-    sweep.add_argument("--validate", action="store_true",
-                       help="run the validation oracle inline: per-result"
-                            " invariants as points merge, dominance orders"
-                            " over the completed grid (findings land in"
-                            " telemetry.json; error findings exit 4)")
+    sweep.add_argument("--check", action="store_true",
+                       help="also check the results against the grid's"
+                            " golden baseline")
+    sweep.add_argument("--record", action="store_true",
+                       help="write the grid's golden baseline (refused"
+                            " with --limit, and when the oracle finds"
+                            " errors or a point fails)")
     sweep.add_argument("--baseline", default=None, metavar="FILE",
-                       help="with --validate (implied): also check results"
-                            " against this golden baseline")
+                       help="baseline path for --check and --record"
+                            " (default: baselines/<grid>-<benchmarks>.json)")
     sweep.add_argument("--rel-tol", type=float, default=None,
                        metavar="FRACTION",
                        help="relative tolerance for dominance comparisons"
                             " (default 0.02)")
-
-    validate = sub.add_parser(
-        "validate",
-        help="run the validation oracle over a configuration grid:"
-             " per-result invariants, the paper's dominance orders, and"
-             " golden-baseline regression gating (--record / --check)",
-    )
-    _add_grid_arguments(validate, default_grid="full")
-    validate.add_argument("--record", action="store_true",
-                          help="write the grid's golden baseline (refused"
-                               " when the oracle itself finds errors)")
-    validate.add_argument("--check", action="store_true",
-                          help="check the grid against its golden baseline")
-    validate.add_argument("--baseline", default=None, metavar="FILE",
-                          help="baseline path (default:"
-                               " baselines/<grid>-<benchmarks>.json)")
-    validate.add_argument("--rel-tol", type=float, default=None,
-                          metavar="FRACTION",
-                          help="relative tolerance for dominance"
-                               " comparisons (default 0.02)")
-    _add_telemetry_arguments(validate)
+    _add_metrics_argument(sweep)
 
     serve = sub.add_parser(
         "serve",
@@ -404,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--plan-out", default=None, metavar="FILE",
                        help="write the effective FaultPlan JSON before"
                             " running (repro artifact for CI uploads)")
-    _add_telemetry_arguments(chaos)
+    _add_metrics_argument(chaos)
 
     sub.add_parser("list", help="list benchmarks and configuration axes")
     return parser
@@ -526,14 +502,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _write_metrics(collector, path: str, context=None,
                    validation=None) -> None:
-    import json
-
+    from .harness.cache import atomic_write_json
     from .stats.aggregate import telemetry_report
 
     document = telemetry_report(collector, context=context,
                                 validation=validation)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
+    atomic_write_json(path, document, indent=2)
     print(f"wrote {path}")
 
 
@@ -657,15 +631,23 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Fault-tolerant, optionally parallel sweep.
+    """Fault-tolerant, optionally parallel sweep, checked by the oracle.
 
     The sweep loop is the single writer of the result cache, the
     checkpoint manifest and the telemetry document; execution backends
     (serial, or a process pool under ``--jobs N``) only produce
-    ``PointOutcome`` messages.  Exit codes are deterministic: 0 on full
-    success (or a budget-limited but failure-free run), 3 when the
-    sweep completed but some points failed (structured ``PointFailure``
-    records; summary on stderr), and 1 on a fatal harness error.
+    ``PointOutcome`` messages.  Every settled point feeds the validation
+    oracle: per-result invariants as it merges, then the dominance
+    orders and, under ``--check``, golden-baseline drift over the grid.
+    ``--record`` snapshots the grid's metrics as its golden baseline --
+    refused when the oracle found errors or a point failed, so a broken
+    simulator cannot be enshrined as truth.
+
+    Exit codes are deterministic: 0 on full success (or a budget-limited
+    but failure-free run) with a clean oracle, 3 when the sweep
+    completed but some points failed (structured ``PointFailure``
+    records; summary on stderr; 3 wins over 4), 4 on gating oracle
+    findings, and 1 on a fatal harness error or conflicting flags.
     """
     from .harness.backend import make_backend
     from .harness.checkpoint import SweepCheckpoint, default_checkpoint_path
@@ -673,19 +655,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .harness.runner import reset_zero_ipc_warning
     from .harness.sweep import grid_tasks, run_sweep
     from .telemetry import MetricsCollector, ProgressLine
+    from .validate import default_baseline_path, record_baseline, run_oracle
 
     if args.jobs < 1:
         print("fatal: --jobs must be >= 1", file=sys.stderr)
         return 1
+    if args.baseline and not (args.check or args.record):
+        print("fatal: --baseline names the file for --check or --record",
+              file=sys.stderr)
+        return 1
+    if args.record and args.limit is not None:
+        print("fatal: --record snapshots the whole grid; drop --limit",
+              file=sys.stderr)
+        return 1
 
     reset_zero_ipc_warning()
     benchmarks = _benchmarks_from_args(args)
-    telemetry = args.telemetry or bool(args.metrics_out)
-    collector = MetricsCollector() if telemetry else None
-    validating = args.validate or bool(args.baseline)
+    collector = MetricsCollector() if args.metrics_out else None
     runner = SweepRunner(benchmarks=benchmarks, scale=args.scale,
                          collector=collector, max_cycles=args.max_cycles,
-                         validate=validating)
+                         validate=True)
     policy = ExecutionPolicy(
         timeout_s=args.timeout,
         retries=args.retries,
@@ -705,13 +694,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ):
             checkpoint = loaded
             checkpoint.total = total
-            if args.retry_failed:
-                checkpoint.failures.clear()
-            else:
-                # Known-failed on a previous run: carry the failures
-                # forward instead of burning time on deterministic
-                # re-failures (--retry-failed opts out).
-                carried = dict(checkpoint.failures)
+            # Known-failed on a previous run: carry the failures forward
+            # instead of burning time on deterministic re-failures (a
+            # sweep without --resume re-attempts them).
+            carried = dict(checkpoint.failures)
         else:
             print("resume: no compatible sweep.state.json; starting fresh",
                   file=sys.stderr)
@@ -723,7 +709,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         checkpoint.backend = backend.name
 
-    progress = ProgressLine(total) if telemetry else None
+    progress = ProgressLine(total) if sys.stderr.isatty() else None
 
     def handle(outcome, tally) -> None:
         """Checkpoint and progress accounting for one settled point."""
@@ -777,94 +763,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         print(f"sweep complete: {total} points ({tally.dispatched} newly"
               f" simulated, {tally.failed} failed)")
-    report = None
-    if validating:
-        from .validate import run_oracle
-
-        report = run_oracle(
-            runner.results, rel_tol=args.rel_tol,
-            baseline_path=args.baseline, scale=runner.scale,
-            invariant_findings=runner.findings,
-        )
-        for line in report.summary_lines():
-            print(line, file=sys.stderr)
-    if args.metrics_out:
-        _write_metrics(
-            collector, args.metrics_out,
-            context={"backend": backend.name, "jobs": args.jobs},
-            validation=report.to_dict() if report is not None else None,
-        )
-    if runner.failures:
-        _report_failures("sweep", runner.failures,
-                         f"details in {checkpoint_path}")
-        return 3
-    if not tally.limited:
-        checkpoint.remove()
-    if report is not None and not report.ok:
-        return 4
-    return 0
-
-
-def _report_failures(verb: str, failures, detail: str) -> None:
-    """The one-line stderr summary behind exit code 3."""
-    kinds = sorted({failure.kind for failure in failures})
-    print(f"{verb}: {len(failures)} point(s) failed ({', '.join(kinds)});"
-          f" {detail}", file=sys.stderr)
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    """The validation oracle as a standalone gate.
-
-    Simulates (or serves from cache) every point of the chosen grid,
-    then runs all applicable oracle layers: per-result invariants and
-    cross-configuration dominance always, golden-baseline drift under
-    ``--check``.  ``--record`` snapshots the grid's metrics as the new
-    golden baseline -- refused when the oracle itself found errors or a
-    point failed, so a broken simulator cannot be enshrined as truth.
-
-    Exit codes: 0 clean (warnings allowed), 3 some points failed
-    (structured ``PointFailure`` records, as in ``sweep``), 4 gating
-    findings, 1 fatal.
-    """
-    from .harness.backend import make_backend
-    from .harness.sweep import grid_tasks, run_sweep
-    from .telemetry import MetricsCollector, ProgressLine
-    from .validate import default_baseline_path, record_baseline, run_oracle
-
-    benchmarks = _benchmarks_from_args(args)
-    telemetry = args.telemetry or bool(args.metrics_out)
-    collector = MetricsCollector() if telemetry else None
-    runner = SweepRunner(benchmarks=benchmarks, scale=args.scale,
-                         collector=collector, validate=True)
-    backend = make_backend(runner)
-    tasks = grid_tasks(args.grid, runner.benchmarks, runner.scale)
-    progress = ProgressLine(len(tasks)) if telemetry else None
-
-    def show(outcome, tally) -> None:
-        if progress is not None:
-            progress.update(tally.resolved, f"{outcome.task.benchmark}"
-                                            f" {outcome.task.config}")
-
-    try:
-        try:
-            run_sweep(runner, backend, tasks, show)
-        finally:
-            backend.close()
-            if progress is not None:
-                progress.finish()
-    except Exception as exc:  # noqa: BLE001 - deterministic exit code 1
-        print(f"fatal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-
     baseline = args.baseline or default_baseline_path(
         runner.benchmarks, grid=args.grid
     )
     report = run_oracle(
-        runner.results,
-        rel_tol=args.rel_tol,
+        runner.results, rel_tol=args.rel_tol,
         baseline_path=baseline if args.check else None,
-        scale=runner.scale,
-        invariant_findings=runner.findings,
+        scale=runner.scale, invariant_findings=runner.findings,
     )
     for line in report.summary_lines():
         print(line)
@@ -879,14 +784,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.metrics_out:
         _write_metrics(
             collector, args.metrics_out,
-            context={"grid": args.grid},
+            context={"backend": backend.name, "jobs": args.jobs},
             validation=report.to_dict(),
         )
     if runner.failures:
-        for failure in runner.failures:
-            print(failure.summary(), file=sys.stderr)
-        _report_failures("validate", runner.failures, "listed above")
+        kinds = sorted({failure.kind for failure in runner.failures})
+        print(f"sweep: {len(runner.failures)} point(s) failed"
+              f" ({', '.join(kinds)}); details in {checkpoint_path}",
+              file=sys.stderr)
         return 3
+    if not tally.limited:
+        checkpoint.remove()
     return 0 if report.ok else 4
 
 
@@ -1023,7 +931,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from .chaos.plan import FaultPlan, PlanError, smoke_plan
-    from .telemetry import MetricsCollector
+    from .telemetry import NULL_COLLECTOR, MetricsCollector
 
     if args.plan is not None and args.smoke:
         print("fatal: --plan and --smoke are mutually exclusive",
@@ -1047,18 +955,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"wrote {args.plan_out}")
 
     benchmarks = _benchmarks_from_args(args) or ["grep"]
-    telemetry = args.telemetry or bool(args.metrics_out)
-    collector = MetricsCollector() if telemetry else None
+    collector = MetricsCollector() if args.metrics_out else NULL_COLLECTOR
 
     from .chaos.harness import run_chaos
-    from .telemetry.collector import NULL_COLLECTOR
 
     try:
         report = run_chaos(
             args.mode, plan, benchmarks=tuple(benchmarks),
             scale=args.scale if args.scale is not None else 1,
-            limit=args.limit,
-            collector=collector if collector is not None else NULL_COLLECTOR,
+            limit=args.limit, collector=collector,
         )
     except Exception as exc:  # noqa: BLE001 - deterministic exit code 1
         print(f"fatal: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -1123,7 +1028,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "schedule": _cmd_schedule,
         "compile": _cmd_compile,
         "sweep": _cmd_sweep,
-        "validate": _cmd_validate,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "chaos": _cmd_chaos,

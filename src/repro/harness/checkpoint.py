@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..chaos.inject import fire as chaos_fire, recovered as chaos_recovered
 from ..telemetry.logging import get_logger
@@ -117,9 +117,6 @@ class SweepCheckpoint:
     def failed_point(self, key: str) -> Optional[PointFailure]:
         """The recorded failure for a point, if any."""
         return self.failures.get(key)
-
-    def known_failures(self) -> List[PointFailure]:
-        return list(self.failures.values())
 
     # ------------------------------------------------------------------
     def save(self) -> None:

@@ -1,8 +1,7 @@
 """The sweep loop: probe, dispatch and drain a list of grid points.
 
-Every caller that runs grid points -- ``repro-sim sweep``, ``repro-sim
-validate``, the chaos drill and the service's job scheduler -- drives
-:func:`run_sweep`.  Per point, in task order:
+Every caller that runs grid points -- ``repro-sim sweep``, the chaos
+drill and the service's job scheduler -- drives :func:`run_sweep`.  Per point, in task order:
 
 1. a failure carried from an earlier run settles the point without
    re-attempting it;

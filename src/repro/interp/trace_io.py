@@ -16,13 +16,12 @@ format is a small header plus ``array`` dumps:
     outcomes as u8[n]
     fault_indices as i32[n]
     n_addresses u32, then addresses as u64[n]
-    n_load_values u32, then load_values as i64[n]   (version >= 2)
+    n_load_values u32, then load_values as i64[n]
 
 Version 2 added the per-load value stream (value-prediction
-verification); a version-1 file still loads, with ``load_values`` left
-empty -- the artifact store's ``PREPARE_CACHE_VERSION`` bump re-prepares
-workloads whose traces predate the stream, so v1 loads only occur for
-hand-written files.
+verification).  Only the current version loads: ``PREPARE_CACHE_VERSION``
+is hashed into every artifact digest, so the store never opens a trace
+written by an older format.
 """
 
 from __future__ import annotations
@@ -35,9 +34,6 @@ from .trace import Trace
 
 _MAGIC = b"RTRC"
 _VERSION = 2
-
-#: Versions :func:`load_trace` still understands.
-_READABLE_VERSIONS = (1, 2)
 
 
 class TraceFormatError(Exception):
@@ -111,7 +107,7 @@ def load_trace(stream: BinaryIO) -> Trace:
     version, exit_code, retired, discarded = struct.unpack(
         "<IiQQ", _read_exact(stream, struct.calcsize("<IiQQ"), "header")
     )
-    if version not in _READABLE_VERSIONS:
+    if version != _VERSION:
         raise TraceFormatError(f"unsupported trace version {version}")
     trace = Trace()
     trace.exit_code = exit_code
@@ -137,13 +133,10 @@ def load_trace(stream: BinaryIO) -> Trace:
         "<I", _read_exact(stream, 4, "address count")
     )
     addresses = _read_array(stream, "Q", n_addresses, "address")
-    if version >= 2:
-        (n_values,) = struct.unpack(
-            "<I", _read_exact(stream, 4, "load-value count")
-        )
-        load_values = _read_array(stream, "q", n_values, "load value")
-    else:
-        load_values = array("q")
+    (n_values,) = struct.unpack(
+        "<I", _read_exact(stream, 4, "load-value count")
+    )
+    load_values = _read_array(stream, "q", n_values, "load value")
 
     trace.block_ids = list(block_ids)
     trace.outcomes = list(outcomes)

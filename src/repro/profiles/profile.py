@@ -40,10 +40,6 @@ class BranchProfile:
         """Static prediction for the branch at ``label``."""
         return self.taken_fraction(label) >= 0.5
 
-    def arcs_by_weight(self):
-        """All arcs sorted by descending traversal count."""
-        return sorted(self.arc_counts.items(), key=lambda item: -item[1])
-
 
 def build_profile(trace: Trace) -> BranchProfile:
     """Aggregate a functional trace into a :class:`BranchProfile`."""

@@ -92,14 +92,6 @@ class Program:
             total_mem += n_mem
         return total_alu, total_mem
 
-    def block_size_histogram(self) -> Dict[int, int]:
-        """Static histogram: block datapath size -> number of blocks."""
-        hist: Dict[int, int] = {}
-        for block in self.blocks.values():
-            size = block.datapath_size
-            hist[size] = hist.get(size, 0) + 1
-        return hist
-
     def conditional_branch_labels(self) -> List[str]:
         """Labels of blocks ending in a two-way conditional branch."""
         return [

@@ -1,6 +1,6 @@
 """Long-running simulation service: daemon, job queue, HTTP API, client.
 
-The batch entry points (``sweep``, ``validate``) pay the
+The batch entry point (``sweep``) pays the
 expensive half of every run -- compiling, profiling, enlarging and
 tracing workloads -- on each invocation, and throw the warm state away
 on exit.  The service keeps all of it resident: prepared workloads stay

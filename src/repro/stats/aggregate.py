@@ -1,14 +1,10 @@
-"""Aggregation helpers over collections of simulation results.
-
-The figure harnesses need only means, but downstream analysis (and the
-ablation benches) want speedup matrices and per-benchmark summaries;
-these helpers keep that logic out of the harness plumbing.
-"""
+"""Aggregation helpers: means over results and the ``telemetry.json``
+document built from a collector."""
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..telemetry.collector import Collector
 from .results import SimResult
@@ -20,15 +16,6 @@ TELEMETRY_SCHEMA = "repro.telemetry/2"
 #: attribution (``cycles.<engine>.<bucket>``; see
 #: ``repro.telemetry.collector.ATTRIBUTION_BUCKETS``).
 _ATTRIBUTION_PREFIX = "cycles."
-
-
-def group_by(results: Iterable[SimResult],
-             key: Callable[[SimResult], str]) -> Dict[str, List[SimResult]]:
-    """Bucket results by an arbitrary key function."""
-    buckets: Dict[str, List[SimResult]] = {}
-    for result in results:
-        buckets.setdefault(key(result), []).append(result)
-    return buckets
 
 
 def geometric_mean_ipc(results: Sequence[SimResult]) -> float:
@@ -44,95 +31,6 @@ def mean_redundancy(results: Sequence[SimResult]) -> float:
     if not results:
         return 0.0
     return sum(r.redundancy for r in results) / len(results)
-
-
-def speedup_matrix(results: Iterable[SimResult],
-                   baseline_key: str) -> Dict[str, Dict[str, float]]:
-    """Per-benchmark speedups of every discipline over a baseline.
-
-    Args:
-        results: results spanning benchmarks and discipline lines (one
-            result per (benchmark, discipline) pair).
-        baseline_key: the ``discipline_key()`` used as the denominator.
-
-    Returns:
-        benchmark -> {discipline_key -> speedup}.  Raises ``KeyError``
-        when a benchmark lacks the baseline.
-    """
-    by_benchmark = group_by(results, lambda r: r.benchmark)
-    matrix: Dict[str, Dict[str, float]] = {}
-    for benchmark, bucket in by_benchmark.items():
-        baseline: Optional[SimResult] = None
-        for result in bucket:
-            if result.config.discipline_key() == baseline_key:
-                baseline = result
-                break
-        if baseline is None:
-            raise KeyError(
-                f"benchmark {benchmark!r} has no {baseline_key!r} baseline"
-            )
-        row = {}
-        for result in bucket:
-            row[result.config.discipline_key()] = (
-                baseline.cycles / result.cycles if result.cycles else 0.0
-            )
-        matrix[benchmark] = row
-    return matrix
-
-
-#: What :func:`summarize` reports for an empty batch: every key
-#: present, ratios at their no-information identity (a consumer indexing
-#: ``summary["geomean_ipc"]`` must never KeyError on an empty grid, and
-#: nothing here is a NaN).
-EMPTY_SUMMARY: Dict[str, float] = {
-    "results": 0.0,
-    "geomean_ipc": 0.0,
-    "mean_redundancy": 0.0,
-    "aggregate_ipc": 0.0,
-    "branch_accuracy": 1.0,
-    "value_accuracy": 1.0,
-    "cache_hit_rate": 1.0,
-    "discard_fraction": 0.0,
-}
-
-
-def summarize(results: Sequence[SimResult]) -> Dict[str, float]:
-    """Aggregate statistics over a batch of results.
-
-    An empty batch returns :data:`EMPTY_SUMMARY` (same keys, defined
-    values) rather than an empty dict, so downstream indexing is safe
-    on fully-failed or filtered-out grids.
-    """
-    if not results:
-        return dict(EMPTY_SUMMARY)
-    total_cycles = sum(r.cycles for r in results)
-    total_retired = sum(r.retired_nodes for r in results)
-    total_executed = sum(r.executed_nodes for r in results)
-    total_lookups = sum(r.branch_lookups for r in results)
-    total_mispredicts = sum(r.mispredicts for r in results)
-    total_cache = sum(r.cache_accesses for r in results)
-    total_misses = sum(r.cache_misses for r in results)
-    total_value = sum(r.value_predictions for r in results)
-    total_confirmed = sum(r.value_confirmed for r in results)
-    return {
-        "results": float(len(results)),
-        "geomean_ipc": geometric_mean_ipc(results),
-        "mean_redundancy": mean_redundancy(results),
-        "aggregate_ipc": total_retired / total_cycles if total_cycles else 0.0,
-        "branch_accuracy": (
-            1.0 - total_mispredicts / total_lookups if total_lookups else 1.0
-        ),
-        "value_accuracy": (
-            total_confirmed / total_value if total_value else 1.0
-        ),
-        "cache_hit_rate": (
-            1.0 - total_misses / total_cache if total_cache else 1.0
-        ),
-        "discard_fraction": (
-            (total_executed - total_retired) / total_executed
-            if total_executed else 0.0
-        ),
-    }
 
 
 def histogram_stats(values: Sequence[float]) -> Dict[str, float]:
@@ -302,9 +200,3 @@ def telemetry_report(collector: Collector,
         document["validation"] = validation
     return document
 
-
-def format_summary(summary: Dict[str, float]) -> str:
-    """One aligned line per statistic."""
-    return "\n".join(
-        f"{name:18s} {value:10.4f}" for name, value in summary.items()
-    )

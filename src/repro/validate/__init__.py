@@ -9,8 +9,8 @@ Three layers of machine-checked correctness over simulation results
   (bigger windows, wider issue, faster memories, better branch
   handling must never lose) over a sweep's result set;
 * :mod:`~repro.validate.baseline` -- versioned golden baselines with
-  per-metric drift tolerances, recorded by ``repro-sim validate
-  --record`` and gated by ``--check``.
+  per-metric drift tolerances, recorded by ``repro-sim sweep --record``
+  and gated by ``sweep --check``.
 
 All layers emit typed :class:`ValidationFinding` records instead of
 raising, so findings flow into ``telemetry.json`` and the sweep's

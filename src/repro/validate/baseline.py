@@ -1,8 +1,8 @@
 """Golden-baseline regression gating: layer three of the validation oracle.
 
-``repro-sim validate --record`` snapshots the key metrics of every point
-in a grid into a versioned ``baselines/*.json`` document;
-``--check`` replays the same grid and compares against the snapshot with
+``repro-sim sweep --record`` snapshots the key metrics of every point
+in a grid into a versioned ``baselines/*.json`` document; ``sweep
+--check`` replays the same grid and compares against the snapshot with
 per-metric drift tolerances, so CI can gate regressions in
 ``retired_per_cycle``, ``redundancy``, ``mispredicts`` and ``cycles``
 across PRs without re-deriving the paper's figures.
@@ -154,7 +154,7 @@ def check_baseline(results: Iterable[SimResult], scale: int, path: str,
             config=path,
             message=(
                 "no readable golden baseline at this path;"
-                " run `repro-sim validate --record` to create one"
+                " run `repro-sim sweep --record` to create one"
             ),
         ))
         return findings

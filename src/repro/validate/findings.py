@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
 #: Severity levels, in gating order.  ``error`` findings gate exit codes
-#: (``repro-sim validate`` and ``sweep --validate`` exit 4); ``warning``
-#: findings are reported but never gate; ``info`` is purely advisory.
+#: (``repro-sim sweep`` exits 4); ``warning`` findings are reported but
+#: never gate; ``info`` is purely advisory.
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 SEVERITY_INFO = "info"

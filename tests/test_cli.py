@@ -104,10 +104,11 @@ class TestSweepTelemetry:
 
     def test_telemetry_progress_line(self, capsys, tmp_path, monkeypatch,
                                      grep_prepared):
+        import sys
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        code = main([
-            "sweep", "--benchmarks", "grep", "--limit", "1", "--telemetry",
-        ])
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+        code = main(["sweep", "--benchmarks", "grep", "--limit", "1"])
         assert code == 0
         captured = capsys.readouterr()
         assert "\r[1/560]" in captured.err

@@ -193,7 +193,7 @@ class TestGridTable:
 
         (verbs,) = [action for action in _build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)]
-        for verb in ("sweep", "validate", "submit"):
+        for verb in ("sweep", "submit"):
             (grid,) = [action for action in verbs.choices[verb]._actions
                        if action.dest == "grid"]
             assert tuple(grid.choices) == tuple(GRIDS), verb

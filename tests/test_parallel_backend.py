@@ -34,6 +34,8 @@ from repro.harness.errors import WorkloadPrepareError
 from repro.harness.runner import SweepRunner
 from repro.harness.sweep import grid_tasks
 from repro.machine.config import (
+    BranchMode,
+    Discipline,
     full_configuration_space,
     smoke_configuration_space,
 )
@@ -47,25 +49,31 @@ fork_only = pytest.mark.skipif(
 
 
 def fake_result(config, benchmark="grep", cycles=1000):
+    """A result the validation oracle accepts for ``config``."""
+    mode = config.branch_mode
+    mispredicts = 0 if mode is BranchMode.PERFECT else 10
+    faults = 2 if mode is BranchMode.ENLARGED else 0
+    cached = not config.memory_config.is_perfect
+    window = 800 if config.discipline is Discipline.DYNAMIC else 0
     return SimResult(
         benchmark=benchmark,
         config=config,
         cycles=cycles,
         retired_nodes=4000,
-        discarded_nodes=100,
+        discarded_nodes=100 if mispredicts or faults else 0,
         dynamic_blocks=800,
-        mispredicts=10,
+        mispredicts=mispredicts,
         branch_lookups=100,
-        faults=2,
+        faults=faults,
         loads=300,
         stores=200,
-        cache_accesses=500,
-        cache_misses=25,
+        cache_accesses=500 if cached else 0,
+        cache_misses=25 if cached else 0,
         write_buffer_hits=40,
         issue_words=1000,
-        issued_slots=4100,
-        window_block_cycles=2400,
-        window_samples=800,
+        issued_slots=1000,
+        window_block_cycles=window,
+        window_samples=window,
         work_nodes=4000,
     )
 
@@ -271,12 +279,13 @@ class TestProcessBackendFailurePaths:
 
         _install_stub_simulation(monkeypatch, fake_result)
         code = main(["sweep", "--benchmarks", "grep", "--limit", "4",
-                     "--resume", "--retry-failed", "--jobs", "2"])
+                     "--jobs", "2"])
         capsys.readouterr()
         assert code == 0
         # Every previously crashed or cached point of the original grid
         # slice is now a clean cache entry (--limit counts only fresh
-        # points, so the resume may have simulated further ones too).
+        # points, so the second sweep may have simulated further ones
+        # too).
         from repro.harness.cache import result_key
 
         cache = json.loads((tmp_path / "results.json").read_text())

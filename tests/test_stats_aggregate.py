@@ -4,15 +4,10 @@ import pytest
 
 from repro.machine.config import BranchMode, Discipline, MachineConfig
 from repro.stats import (
-    EMPTY_SUMMARY,
     SimResult,
-    format_summary,
     geometric_mean_ipc,
-    group_by,
     histogram_stats,
     mean_redundancy,
-    speedup_matrix,
-    summarize,
 )
 
 
@@ -38,14 +33,6 @@ def result(benchmark="b", discipline=Discipline.DYNAMIC, window=4,
         cache_misses=50,
         work_nodes=retired,
     )
-
-
-class TestGroupBy:
-    def test_by_benchmark(self):
-        results = [result("x"), result("y"), result("x")]
-        groups = group_by(results, lambda r: r.benchmark)
-        assert len(groups["x"]) == 2
-        assert len(groups["y"]) == 1
 
 
 class TestMeans:
@@ -75,81 +62,6 @@ class TestMeans:
         only = result(cycles=1000, retired=3000)
         assert geometric_mean_ipc([only]) == pytest.approx(3.0)
         assert mean_redundancy([only]) == pytest.approx(only.redundancy)
-
-
-class TestSpeedupMatrix:
-    def test_speedups_relative_to_baseline(self):
-        results = [
-            result("x", Discipline.STATIC, 1, cycles=3000),
-            result("x", Discipline.DYNAMIC, 4, cycles=1000),
-            result("y", Discipline.STATIC, 1, cycles=2000),
-            result("y", Discipline.DYNAMIC, 4, cycles=500),
-        ]
-        matrix = speedup_matrix(results, "static/single")
-        assert matrix["x"]["dyn4/single"] == pytest.approx(3.0)
-        assert matrix["y"]["dyn4/single"] == pytest.approx(4.0)
-        assert matrix["x"]["static/single"] == pytest.approx(1.0)
-
-    def test_missing_baseline_raises(self):
-        with pytest.raises(KeyError):
-            speedup_matrix([result("x")], "static/single")
-
-    def test_single_point_grid(self):
-        # One benchmark, one discipline: the matrix is the 1.0 identity.
-        matrix = speedup_matrix([result("x", Discipline.STATIC, 1)],
-                                "static/single")
-        assert matrix == {"x": {"static/single": pytest.approx(1.0)}}
-
-    def test_zero_cycle_point_yields_zero_speedup(self):
-        results = [
-            result("x", Discipline.STATIC, 1, cycles=3000),
-            result("x", Discipline.DYNAMIC, 4, cycles=0),
-        ]
-        matrix = speedup_matrix(results, "static/single")
-        assert matrix["x"]["dyn4/single"] == 0.0
-
-    def test_mismatched_grids_compare_what_exists(self):
-        # Benchmark y ran fewer disciplines than x: each row only holds
-        # the discipline lines that benchmark actually has.
-        results = [
-            result("x", Discipline.STATIC, 1, cycles=3000),
-            result("x", Discipline.DYNAMIC, 4, cycles=1000),
-            result("y", Discipline.STATIC, 1, cycles=2000),
-        ]
-        matrix = speedup_matrix(results, "static/single")
-        assert set(matrix["x"]) == {"static/single", "dyn4/single"}
-        assert set(matrix["y"]) == {"static/single"}
-
-
-class TestSummarize:
-    def test_fields_and_values(self):
-        summary = summarize([result(discarded=1000)])
-        assert summary["results"] == 1.0
-        assert summary["geomean_ipc"] == pytest.approx(4.0)
-        assert summary["branch_accuracy"] == pytest.approx(0.9)
-        assert summary["cache_hit_rate"] == pytest.approx(0.95)
-        assert summary["discard_fraction"] == pytest.approx(0.2)
-
-    def test_empty_batch_keeps_every_key(self):
-        summary = summarize([])
-        assert summary == EMPTY_SUMMARY
-        assert summary is not EMPTY_SUMMARY  # callers may mutate their copy
-        assert summary["results"] == 0.0
-        assert summary["branch_accuracy"] == 1.0
-        assert summary["cache_hit_rate"] == 1.0
-
-    def test_empty_and_populated_summaries_share_keys(self):
-        assert set(summarize([])) == set(summarize([result()]))
-
-    def test_format_summary_lines(self):
-        text = format_summary(summarize([result()]))
-        assert "geomean_ipc" in text
-        assert "value_accuracy" in text
-        assert len(text.splitlines()) == len(EMPTY_SUMMARY)
-
-    def test_format_summary_handles_empty_batch(self):
-        text = format_summary(summarize([]))
-        assert len(text.splitlines()) == len(EMPTY_SUMMARY)
 
 
 class TestHistogramStats:

@@ -7,8 +7,9 @@ import tracemalloc
 import pytest
 
 import repro.telemetry.collector as collector_module
+from repro.lang import compile_source
 from repro.machine.config import BranchMode, Discipline, MachineConfig
-from repro.machine.simulator import simulate
+from repro.machine.simulator import prepare_workload, simulate
 from repro.stats.aggregate import histogram_stats, telemetry_report
 from repro.telemetry import (
     ATTRIBUTION_BUCKETS,
@@ -38,6 +39,27 @@ STATIC_CONFIG = MachineConfig(
     memory="E",
     branch_mode=BranchMode.SINGLE,
 )
+
+#: The event classes a dynamic point on an enlarged program emits.
+HOOK_CLASSES = {"issue.slot", "window.occupancy", "mem.load", "mem.store",
+                "branch.resolve", "block.fault", "block.retire"}
+
+#: A short program whose dynamic trace still holds every hook class: a
+#: one-in-five branch in a loop makes the enlarged program fault.
+SHORT_SOURCE = """
+int data[256];
+
+int main() {
+    int i;
+    int s = 0;
+    for (i = 0; i < 256; i++) data[i] = (i * 7) & 31;
+    for (i = 0; i < 256; i++) {
+        if (data[i] % 5 == 0) s += data[i];
+        else s ^= i;
+    }
+    return s & 255;
+}
+"""
 
 #: Every SimResult field that must not depend on telemetry being on.
 _COMPARED_FIELDS = (
@@ -109,6 +131,22 @@ def traced_dynamic(request):
 
 
 @pytest.fixture(scope="module")
+def short_prepared():
+    """The short program, prepared once per module."""
+    return prepare_workload("short", compile_source(SHORT_SOURCE),
+                            {0: b""}, {0: b""})
+
+
+@pytest.fixture(scope="module")
+def traced_short(short_prepared):
+    """(SimResult, TraceCollector) for one dynamic point on the short
+    program: cheap to export, and every hook class is in it."""
+    collector = TraceCollector()
+    result = simulate(short_prepared, DYN_CONFIG, collector=collector)
+    return result, collector
+
+
+@pytest.fixture(scope="module")
 def traced_static(request):
     prepared = request.getfixturevalue("grep_prepared")
     collector = TraceCollector()
@@ -136,12 +174,16 @@ class TestEnginesUnchangedByTracing:
         simulate(grep_prepared, DYN_CONFIG)
         simulate(grep_prepared, STATIC_CONFIG)
 
-    def test_null_path_makes_no_telemetry_allocations(self, grep_prepared):
+    def test_null_path_makes_no_telemetry_allocations(self, short_prepared,
+                                                      traced_short):
         """The per-cycle hot loops allocate nothing in telemetry code."""
-        simulate(grep_prepared, DYN_CONFIG)  # warm every lazy cache
+        # The short program reaches every hook class.
+        _result, collector = traced_short
+        assert HOOK_CLASSES <= {event[2] for event in collector.events}
+        simulate(short_prepared, DYN_CONFIG)  # warm every lazy cache
         tracemalloc.start()
         try:
-            simulate(grep_prepared, DYN_CONFIG)
+            simulate(short_prepared, DYN_CONFIG)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
@@ -162,8 +204,7 @@ class TestTraceContents:
     def test_dynamic_trace_covers_all_hook_classes(self, traced_dynamic):
         _result, collector = traced_dynamic
         names = {event[2] for event in collector.events}
-        assert {"issue.slot", "window.occupancy", "mem.load", "mem.store",
-                "branch.resolve", "block.fault", "block.retire"} <= names
+        assert HOOK_CLASSES <= names
 
     def test_static_trace_has_no_window_events(self, traced_static):
         _result, collector = traced_static
@@ -205,10 +246,10 @@ class TestTraceContents:
 
 
 class TestChromeExporter:
-    def test_document_is_valid_and_monotonic(self, traced_dynamic):
-        _result, collector = traced_dynamic
+    def test_document_is_valid_and_monotonic(self, traced_short):
+        _result, collector = traced_short
         buffer = io.StringIO()
-        write_chrome_trace(collector, buffer, benchmark="grep",
+        write_chrome_trace(collector, buffer, benchmark="short",
                            config=str(DYN_CONFIG))
         document = json.loads(buffer.getvalue())
         events = document["traceEvents"]
@@ -222,8 +263,8 @@ class TestChromeExporter:
             if event["ph"] == "X":
                 assert event["dur"] >= 1
 
-    def test_slot_events_become_counter_track(self, traced_dynamic):
-        _result, collector = traced_dynamic
+    def test_slot_events_become_counter_track(self, traced_short):
+        _result, collector = traced_short
         document = chrome_trace(collector)
         names = {e["name"] for e in document["traceEvents"]}
         assert "issue.slots" in names
@@ -232,8 +273,8 @@ class TestChromeExporter:
                       if e["name"] == "issue.slots")
         assert set(sample["args"]) == {"alu", "mem"}
 
-    def test_writes_to_path(self, traced_static, tmp_path):
-        _result, collector = traced_static
+    def test_writes_to_path(self, traced_short, tmp_path):
+        _result, collector = traced_short
         out = tmp_path / "trace.json"
         write_chrome_trace(collector, str(out))
         document = json.loads(out.read_text())
@@ -241,8 +282,8 @@ class TestChromeExporter:
 
 
 class TestJsonlExporter:
-    def test_lines_are_json_and_monotonic(self, traced_dynamic):
-        _result, collector = traced_dynamic
+    def test_lines_are_json_and_monotonic(self, traced_short):
+        _result, collector = traced_short
         lines = list(jsonl_lines(collector))
         assert lines
         records = [json.loads(line) for line in lines]
@@ -250,8 +291,8 @@ class TestJsonlExporter:
         assert all(a <= b for a, b in zip(timestamps, timestamps[1:]))
         assert {r["name"] for r in records} <= EVENT_NAMES
 
-    def test_writes_to_path(self, traced_dynamic, tmp_path):
-        _result, collector = traced_dynamic
+    def test_writes_to_path(self, traced_short, tmp_path):
+        _result, collector = traced_short
         out = tmp_path / "trace.jsonl"
         write_jsonl(collector, str(out))
         first = out.read_text().splitlines()[0]
