@@ -29,7 +29,7 @@ from ..harness.backend import make_backend
 from ..harness.checkpoint import SweepCheckpoint, default_checkpoint_path
 from ..harness.executor import ExecutionPolicy
 from ..harness.runner import SweepRunner
-from ..harness.sweep import grid_tasks, run_sweep
+from ..harness.sweep import grid_tasks, run_checkpointed
 from ..telemetry.collector import Collector, MetricsCollector, NULL_COLLECTOR
 from ..telemetry.logging import get_logger
 from ..workloads.base import clear_prepared_cache
@@ -119,28 +119,12 @@ def _run_sweep_arm(workdir: str, benchmarks: Tuple[str, ...], scale: int,
         clear_prepared_cache()
         runner = SweepRunner(benchmarks=list(benchmarks), scale=scale,
                              collector=collector)
-        backend = make_backend(runner, _chaos_policy(), jobs=1)
         checkpoint = SweepCheckpoint(
             default_checkpoint_path(), benchmarks=list(benchmarks),
             scale=scale, total=len(tasks), save_interval=10,
         )
-
-        def mark(outcome, _tally) -> None:
-            if outcome.ok:
-                checkpoint.mark_done(outcome.task.key)
-            else:
-                checkpoint.mark_failed(outcome.task.key, outcome.failure)
-
-        try:
-            run_sweep(runner, backend, tasks, mark)
-        finally:
-            backend.close()
-            try:
-                if runner.cache is not None:
-                    runner.cache.flush()
-            except OSError:
-                pass
-            checkpoint.save()
+        run_checkpointed(runner, make_backend(runner, _chaos_policy()),
+                         tasks, checkpoint)
         arm.failures += len(runner.failures)
     cache_path = os.path.join(workdir, "results.json")
     if os.path.exists(cache_path):

@@ -262,10 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--retries", type=int, default=2,
                        help="extra attempts for transient point failures"
                             " (exponential backoff; default 2)")
-    sweep.add_argument("--max-cycles", type=int, default=None,
-                       help="engine watchdog: abort a point past this many"
-                            " simulated cycles (default REPRO_MAX_CYCLES"
-                            " or ~8.6e9)")
     sweep.add_argument("--resume", action="store_true",
                        help="resume from sweep.state.json: skip points"
                             " recorded as failed, reuse all cached results")
@@ -313,9 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="wall-clock budget per point attempt")
     serve.add_argument("--retries", type=int, default=2,
                        help="extra attempts for transient point failures")
-    serve.add_argument("--max-cycles", type=int, default=None,
-                       help="engine watchdog: abort a point past this many"
-                            " simulated cycles")
     serve.add_argument("--validate", action="store_true",
                        help="run the validation oracle over each finished"
                             " job (per-job report in the job document)")
@@ -637,8 +630,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     checkpoint manifest and the telemetry document; execution backends
     (serial, or a process pool under ``--jobs N``) only produce
     ``PointOutcome`` messages.  Every settled point feeds the validation
-    oracle: per-result invariants as it merges, then the dominance
+    oracle: per-result invariants as it settles, then the dominance
     orders and, under ``--check``, golden-baseline drift over the grid.
+    The engine watchdog's limit comes from ``REPRO_MAX_CYCLES``.
     ``--record`` snapshots the grid's metrics as its golden baseline --
     refused when the oracle found errors or a point failed, so a broken
     simulator cannot be enshrined as truth.
@@ -652,8 +646,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .harness.backend import make_backend
     from .harness.checkpoint import SweepCheckpoint, default_checkpoint_path
     from .harness.executor import ExecutionPolicy
-    from .harness.runner import reset_zero_ipc_warning
-    from .harness.sweep import grid_tasks, run_sweep
+    from .harness.sweep import grid_tasks, run_checkpointed
     from .telemetry import MetricsCollector, ProgressLine
     from .validate import default_baseline_path, record_baseline, run_oracle
 
@@ -669,17 +662,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
 
-    reset_zero_ipc_warning()
     benchmarks = _benchmarks_from_args(args)
     collector = MetricsCollector() if args.metrics_out else None
     runner = SweepRunner(benchmarks=benchmarks, scale=args.scale,
-                         collector=collector, max_cycles=args.max_cycles,
-                         validate=True)
-    policy = ExecutionPolicy(
-        timeout_s=args.timeout,
-        retries=args.retries,
-        max_cycles=args.max_cycles,
-    )
+                         collector=collector, validate=True)
+    policy = ExecutionPolicy(timeout_s=args.timeout, retries=args.retries)
     backend = make_backend(runner, policy, jobs=args.jobs)
     tasks = grid_tasks(args.grid, runner.benchmarks, runner.scale)
     total = len(tasks)
@@ -711,8 +698,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     progress = ProgressLine(total) if sys.stderr.isatty() else None
 
-    def handle(outcome, tally) -> None:
-        """Checkpoint and progress accounting for one settled point."""
+    def show(outcome, tally) -> None:
+        """Progress accounting for one settled point."""
         done = tally.resolved
         task = outcome.task
         if outcome.source == "carried":
@@ -720,14 +707,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 progress.update(done, f"skip {task.benchmark} {task.config}")
             return
         if outcome.failure is not None:
-            checkpoint.mark_failed(task.key, outcome.failure)
             line = f"FAILED({outcome.failure.kind}) {task.benchmark} {task.config}"
             if progress is not None:
                 progress.update(done, line)
             else:
                 print(f"[{done}/{total}] {line}", file=sys.stderr)
             return
-        checkpoint.mark_done(task.key)
         if progress is not None:
             progress.update(done, f"{task.benchmark} {task.config}")
         elif outcome.source == "fresh" and (done % 50 == 0 or done == total):
@@ -736,22 +721,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         try:
-            tally = run_sweep(runner, backend, tasks, handle,
-                              limit=args.limit, carried=carried)
+            tally = run_checkpointed(runner, backend, tasks, checkpoint,
+                                     show, limit=args.limit, carried=carried)
         finally:
-            # A killed or crashing sweep must still leave a resumable
-            # manifest behind, and pool workers must not outlive it.
-            backend.close()
-            if runner.cache is not None:
-                try:
-                    # Dirty entries survive a failed mid-sweep flush
-                    # (ENOSPC and friends); this terminal retry is their
-                    # last chance to land before the process exits.
-                    runner.cache.flush()
-                except OSError as exc:
-                    print(f"warning: final cache flush failed: {exc}",
-                          file=sys.stderr)
-            checkpoint.save()
             if progress is not None:
                 progress.finish()
     except Exception as exc:  # noqa: BLE001 - deterministic exit code 1
@@ -814,10 +786,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("fatal: --jobs must be >= 1", file=sys.stderr)
         return 1
     collector = MetricsCollector()
-    runner = SweepRunner(scale=args.scale, collector=collector,
-                         max_cycles=args.max_cycles)
-    policy = ExecutionPolicy(timeout_s=args.timeout, retries=args.retries,
-                             max_cycles=args.max_cycles)
+    runner = SweepRunner(scale=args.scale, collector=collector)
+    policy = ExecutionPolicy(timeout_s=args.timeout, retries=args.retries)
     scheduler = JobScheduler(
         runner, policy=policy, jobs=args.jobs,
         max_queued_jobs=args.max_queued,

@@ -11,11 +11,11 @@ against one small surface, :class:`ExecutionBackend`:
   has produced an outcome;
 * :meth:`~ExecutionBackend.close` releases workers.
 
-:class:`SerialBackend` is today's fail-safe path verbatim: each task
-runs through the same :class:`PointExecutor` the serial sweep always
-used, in submission order, in this process -- so serial results,
-cache keys and telemetry are bit-identical whether or not the backend
-layer is in the middle.
+Backends only run points and return outcomes: the sweep loop settles
+each one (cache write, oracle, failure list, checkpoint).
+
+:class:`SerialBackend` runs each task through a :class:`PointExecutor`
+in submission order, in this process.
 
 :class:`ProcessPoolBackend` (``--jobs N``) fans tasks out across a
 ``concurrent.futures.ProcessPoolExecutor``.  The merge discipline is
@@ -23,8 +23,8 @@ strict single-writer: workers never touch the result cache, the
 checkpoint manifest or ``telemetry.json`` -- each worker runs its point
 through its own :class:`PointExecutor` (same timeout/retry machinery as
 serial) and mails back one picklable message ``(result-or-failure,
-telemetry snapshot)``; the parent merges snapshots into its collector,
-performs the cache write, and the sweep loop updates the checkpoint.
+telemetry snapshot)``; the parent merges snapshots into its collector
+and hands the outcome to the sweep loop.
 Prepare is hoisted: before a benchmark's first point dispatches, the
 parent materializes its artifacts (:meth:`SweepRunner.prepare_artifacts`)
 so workers load them from the artifact store instead of re-compiling
@@ -47,7 +47,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from ..chaos.inject import fire as chaos_fire
 from ..machine.config import MachineConfig
@@ -92,6 +92,14 @@ class PointOutcome:
     def ok(self) -> bool:
         return self.failure is None
 
+    @classmethod
+    def of(cls, task: PointTask,
+           value: Union[SimResult, PointFailure]) -> "PointOutcome":
+        """The fresh outcome of what an executor returned for ``task``."""
+        if isinstance(value, PointFailure):
+            return cls(task, failure=value)
+        return cls(task, result=value)
+
 
 class ExecutionBackend:
     """Protocol: where sweep points run (see module docstring)."""
@@ -116,19 +124,15 @@ class SerialBackend(ExecutionBackend):
 
     def __init__(self, runner: SweepRunner,
                  policy: Optional[ExecutionPolicy] = None):
-        self.runner = runner
         self.executor = PointExecutor(runner, policy)
 
     def submit(self, task: PointTask) -> Iterator[PointOutcome]:
         # Dispatch only tolerates latency: a raised fault here would
         # abort the whole sweep, not one point.
         chaos_fire("backend.dispatch")
-        outcome = self.executor.execute(task.benchmark, task.config)
-        if isinstance(outcome, PointFailure):
-            yield PointOutcome(task, failure=outcome)
-        else:
-            self.runner.observe_result(outcome)
-            yield PointOutcome(task, result=outcome)
+        yield PointOutcome.of(
+            task, self.executor.execute(task.benchmark, task.config)
+        )
 
     def finish(self) -> Iterator[PointOutcome]:
         return iter(())
@@ -145,7 +149,6 @@ class _WorkerJob:
     timeout_s: Optional[float]
     retries: int
     backoff_s: float
-    max_cycles: Optional[int]
     retry_kinds: Tuple[str, ...] = ()
 
 
@@ -162,12 +165,11 @@ def _pool_point(job: _WorkerJob) -> Tuple[object, Optional[dict]]:
     collector = MetricsCollector() if job.telemetry else None
     runner = SweepRunner(
         benchmarks=[job.benchmark], scale=job.scale, use_cache=False,
-        collector=collector, max_cycles=job.max_cycles,
+        collector=collector,
     )
     executor = PointExecutor(runner, ExecutionPolicy(
         timeout_s=job.timeout_s, retries=job.retries,
-        backoff_s=job.backoff_s, max_cycles=job.max_cycles,
-        retry_kinds=job.retry_kinds,
+        backoff_s=job.backoff_s, retry_kinds=job.retry_kinds,
     ))
     outcome = executor.execute(job.benchmark, job.config)
     snapshot = collector.snapshot() if collector is not None else None
@@ -293,7 +295,6 @@ class ProcessPoolBackend(ExecutionBackend):
             timeout_s=policy.timeout_s,
             retries=policy.retries,
             backoff_s=policy.backoff_s,
-            max_cycles=self.runner.max_cycles,
             retry_kinds=policy.retry_kinds,
         )
 
@@ -332,23 +333,9 @@ class ProcessPoolBackend(ExecutionBackend):
                     "phase.merge", time.perf_counter() - merge_start,
                     benchmark=pending.task.benchmark,
                 )
-            if isinstance(outcome, PointFailure):
-                # Worker-side telemetry already counted this failure;
-                # the parent only records it for reporting/exit codes.
-                self.runner.failures.append(outcome)
-                yield PointOutcome(pending.task, failure=outcome)
-                continue
-            try:
-                self.runner.cache_store(outcome)
-            except Exception:  # noqa: BLE001 - a cache write must not
-                self.runner.collector.count(  # lose the result
-                    "sweep.cache.store_error"
-                )
-            # Validation happens on the parent side of the merge (the
-            # worker's runner never has the oracle enabled), so the
-            # finding set is identical to a serial run of this grid.
-            self.runner.observe_result(outcome)
-            yield PointOutcome(pending.task, result=outcome)
+            # Worker-side telemetry already counted a failure; the
+            # sweep loop settles either kind of outcome.
+            yield PointOutcome.of(pending.task, outcome)
         if broken:
             self._rebuild_pool()
 
@@ -411,10 +398,10 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _degrade(self, task: PointTask, kind: str, message: str,
                  attempts: int = 1, elapsed: float = 0.0) -> PointOutcome:
-        """Record a parent-detected failure through the executor's path."""
+        """Count a parent-detected failure through the executor's path."""
         return PointOutcome(task, failure=record_failure(
-            self.runner, task.benchmark, task.config, kind, message,
-            attempts, elapsed,
+            self.runner.collector, task.benchmark, task.config, kind,
+            message, attempts, elapsed,
         ))
 
 

@@ -114,10 +114,6 @@ class SweepCheckpoint:
         self.done.discard(key)
         self.save()
 
-    def failed_point(self, key: str) -> Optional[PointFailure]:
-        """The recorded failure for a point, if any."""
-        return self.failures.get(key)
-
     # ------------------------------------------------------------------
     def save(self) -> None:
         """Write the manifest atomically (temp file + ``os.replace``).

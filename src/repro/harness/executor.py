@@ -13,10 +13,14 @@ process-pool backend's job (``--jobs N``; see
 
 Transient failures (see :func:`repro.harness.errors.is_transient`) are
 retried with exponential backoff up to ``retries`` times.  Every failed
-point, raised here or detected by the process-pool parent, is settled
-by :func:`record_failure`.  Telemetry: ``sweep.point.retried``,
-``sweep.point.timeout``, ``sweep.point.failed`` counters, plus a
-per-point record flagged ``failed=True``.
+point, raised here or detected by the process-pool parent, is counted
+and logged by :func:`record_failure`.  Telemetry:
+``sweep.point.retried``, ``sweep.point.timeout``, ``sweep.point.failed``
+counters, plus a per-point record flagged ``failed=True``.
+
+The executor only runs points: the sweep loop
+(:func:`repro.harness.sweep.run_sweep`) writes results to the cache,
+feeds the oracle and collects failures.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from typing import Optional, Tuple, Union
 from ..chaos.inject import recovered as chaos_recovered
 from ..machine.config import MachineConfig
 from ..stats.results import SimResult
-from .errors import PointFailure, PointTimeout, classify_error, is_transient
+from ..telemetry.collector import Collector
 from ..telemetry.logging import get_logger
+from .errors import PointFailure, PointTimeout, classify_error, is_transient
 from .runner import SweepRunner
 
 _LOG = get_logger("executor")
@@ -46,8 +51,6 @@ class ExecutionPolicy:
     retries: int = 2
     #: first backoff delay; doubles per retry.
     backoff_s: float = 0.05
-    #: engine watchdog override (None: REPRO_MAX_CYCLES or the default).
-    max_cycles: Optional[int] = None
     #: failure kinds (classify_error names) granted retries on top of the
     #: transient set -- e.g. ("timeout", "hang") under the chaos harness,
     #: where those are injected and recoverable rather than systematic.
@@ -82,32 +85,28 @@ def _call_with_timeout(fn, timeout_s: float, benchmark: str,
     return payload
 
 
-def record_failure(runner: SweepRunner, benchmark: str,
+def record_failure(collector: Collector, benchmark: str,
                    config: MachineConfig, kind: str, message: str,
                    attempts: int = 1, elapsed: float = 0.0) -> PointFailure:
-    """Count, log and record one failed point on ``runner``.
+    """Count and log one failed point; returns its record.
 
-    The one failure path: the executor calls it for failures a point
-    raises, the process-pool backend for failures the parent detects
-    (prepare, worker-crash, backstop timeout).
+    The executor calls it for failures a point raises, the process-pool
+    backend for failures the parent detects (prepare, worker-crash,
+    backstop timeout).
     """
-    collector = runner.collector
     if kind == "timeout":
         collector.count("sweep.point.timeout")
     collector.count("sweep.point.failed")
-    failure = PointFailure(
+    _LOG.error("point_failed", benchmark=benchmark, config=str(config),
+               kind=kind, attempts=attempts, elapsed_s=round(elapsed, 3))
+    collector.record_point(
+        benchmark=benchmark, config=str(config), cached=False,
+        failed=True, error=kind, attempts=attempts, wall_s=elapsed,
+    )
+    return PointFailure(
         benchmark=benchmark, config=str(config), kind=kind,
         message=message, attempts=attempts, elapsed_s=round(elapsed, 6),
     )
-    _LOG.error("point_failed", benchmark=benchmark, config=str(config),
-               kind=kind, attempts=attempts, elapsed_s=round(elapsed, 3))
-    if collector.enabled:
-        collector.record_point(
-            benchmark=benchmark, config=str(config), cached=False,
-            failed=True, error=kind, attempts=attempts, wall_s=elapsed,
-        )
-    runner.failures.append(failure)
-    return failure
 
 
 class PointExecutor:
@@ -118,8 +117,6 @@ class PointExecutor:
         self.runner = runner
         self.policy = policy or ExecutionPolicy()
         self.collector = runner.collector
-        if self.policy.max_cycles is not None:
-            runner.max_cycles = self.policy.max_cycles
 
     # ------------------------------------------------------------------
     def execute(self, benchmark: str,
@@ -157,13 +154,9 @@ class PointExecutor:
                     time.sleep(policy.backoff_s * (2 ** (attempts - 1)))
                     continue
                 return record_failure(
-                    runner, benchmark, config, classify_error(exc),
+                    collector, benchmark, config, classify_error(exc),
                     str(exc), attempts, time.perf_counter() - start,
                 )
             if attempts > 1:
                 chaos_recovered("executor.retry")
-            try:
-                runner.cache_store(result)
-            except Exception:  # noqa: BLE001 - a cache write must not
-                collector.count("sweep.cache.store_error")  # lose the result
             return result

@@ -59,7 +59,6 @@ class SweepRunner:
                  scale: Optional[int] = None, use_cache: bool = True,
                  verbose: bool = False,
                  collector: Optional[Collector] = None,
-                 max_cycles: Optional[int] = None,
                  validate: bool = False):
         self.benchmarks = list(benchmarks) if benchmarks else default_benchmarks()
         unknown = [name for name in self.benchmarks if name not in WORKLOADS]
@@ -71,10 +70,7 @@ class SweepRunner:
             ResultCache(collector=self.collector) if use_cache else None
         )
         self.verbose = verbose
-        #: engine watchdog limit (None: REPRO_MAX_CYCLES or the default).
-        self.max_cycles = max_cycles
-        #: PointFailure records accumulated by fault-tolerant execution
-        #: (see repro.harness.executor and the sweep loop).
+        #: every PointFailure the sweep loop settled, carried ones included.
         self.failures: List[PointFailure] = []
         #: validation oracle hook (see repro.validate): when enabled the
         #: runner keeps every result it serves and checks per-result
@@ -120,10 +116,10 @@ class SweepRunner:
     def observe_result(self, result: SimResult) -> None:
         """Feed one served result to the validation oracle (if enabled).
 
-        Called exactly once per point by every path that delivers a
-        result to the sweep's parent process: cache hits here in
-        :meth:`cache_lookup`, fresh serial results by the execution
-        backends, and parallel results by the pool harvest.  Invariant
+        :meth:`settle_result` calls it once per point, for cache hits
+        and fresh results alike, always in the sweep's parent process:
+        pool workers mail their results back, so serial and parallel
+        sweeps of one grid collect identical findings.  Invariant
         findings are collected eagerly; dominance and baseline layers
         run over :attr:`results` once the grid is complete.
         """
@@ -137,16 +133,12 @@ class SweepRunner:
             return
         self._observed_keys.add(key)
         self.results.append(result)
-        collector = self.collector
-        if collector.enabled:
-            check_start = time.perf_counter()
-            found = check_result(result)
-            collector.add_span(
-                "phase.validate", time.perf_counter() - check_start,
-                benchmark=result.benchmark, config=str(result.config),
-            )
-        else:
-            found = check_result(result)
+        check_start = time.perf_counter()
+        found = check_result(result)
+        self.collector.add_span(
+            "phase.validate", time.perf_counter() - check_start,
+            benchmark=result.benchmark, config=str(result.config),
+        )
         if found:
             self.findings.extend(found)
             self.collector.count("validate.invariant.violations", len(found))
@@ -157,61 +149,67 @@ class SweepRunner:
         if self.cache is None:
             return None
         hit = self.cache.get(benchmark, config, self.scale)
-        if hit is None:
-            return None
-        if self.collector.enabled:
+        if hit is not None:
             self.collector.count("sweep.cache.hit")
             self.collector.record_point(
                 benchmark=benchmark, config=str(config),
                 cached=True, wall_s=0.0,
                 ipc=hit.retired_per_cycle,
             )
-        self.observe_result(hit)
         return hit
 
     def simulate_point(self, benchmark: str,
                        config: MachineConfig) -> SimResult:
-        """Prepare and simulate one point, bypassing the result cache."""
+        """Prepare and simulate one point, bypassing the result cache.
+
+        The engine watchdog's limit comes from ``REPRO_MAX_CYCLES``,
+        which pool workers and the daemon inherit; only the chaos
+        ``engine.budget`` rule passes a budget of its own.
+        """
         chaos_fire("point.simulate")
         collector = self.collector
         start = time.perf_counter()
         workload = self.workload(benchmark)
         prepared_at = time.perf_counter()
-        max_cycles = self.max_cycles
         rule = chaos_fire("engine.budget")
-        if rule is not None:
-            max_cycles = rule.budget
-        if collector.enabled:
-            point = str(config)
-            result = simulate(workload, config, collector=collector,
-                              max_cycles=max_cycles)
-            end = time.perf_counter()
-            collector.count("sweep.cache.miss")
-            collector.observe("sweep.point.prepare_s", prepared_at - start)
-            collector.observe("sweep.point.simulate_s", end - prepared_at)
-            collector.observe("sweep.point.wall_s", end - start)
-            collector.add_span("phase.prepare", prepared_at - start,
-                               benchmark=benchmark, config=point)
-            collector.add_span("phase.simulate", end - prepared_at,
-                               benchmark=benchmark, config=point)
-            collector.record_point(
-                benchmark=benchmark, config=point, cached=False,
-                wall_s=end - start, prepare_s=prepared_at - start,
-                simulate_s=end - prepared_at,
-                ipc=result.retired_per_cycle,
-            )
-        else:
-            result = simulate(workload, config, max_cycles=max_cycles)
+        result = simulate(workload, config, collector=collector,
+                          max_cycles=None if rule is None else rule.budget)
+        end = time.perf_counter()
+        point = str(config)
+        collector.count("sweep.cache.miss")
+        collector.observe("sweep.point.prepare_s", prepared_at - start)
+        collector.observe("sweep.point.simulate_s", end - prepared_at)
+        collector.observe("sweep.point.wall_s", end - start)
+        collector.add_span("phase.prepare", prepared_at - start,
+                           benchmark=benchmark, config=point)
+        collector.add_span("phase.simulate", end - prepared_at,
+                           benchmark=benchmark, config=point)
+        collector.record_point(
+            benchmark=benchmark, config=point, cached=False,
+            wall_s=end - start, prepare_s=prepared_at - start,
+            simulate_s=end - prepared_at,
+            ipc=result.retired_per_cycle,
+        )
         if self.verbose:
-            _LOG.info("point", benchmark=benchmark, config=str(config),
+            _LOG.info("point", benchmark=benchmark, config=point,
                       ipc=round(result.retired_per_cycle, 4),
                       cycles=result.cycles)
         return result
 
-    def cache_store(self, result: SimResult) -> None:
-        """Persist one freshly simulated result."""
-        if self.cache is not None:
-            self.cache.put(result, self.scale)
+    def settle_result(self, result: SimResult, fresh: bool) -> None:
+        """Cache a fresh result, then feed any result to the oracle.
+
+        Only the sweep loop's settle step and :meth:`run_point` call
+        this, so each point reaches the cache and the oracle once, in
+        the parent process.  A failed cache write counts as
+        ``sweep.cache.store_error`` and the result is kept.
+        """
+        if fresh and self.cache is not None:
+            try:
+                self.cache.put(result, self.scale)
+            except Exception:  # noqa: BLE001 - a cache write must not
+                self.collector.count("sweep.cache.store_error")  # lose the result
+        self.observe_result(result)
 
     def run_point(self, benchmark: str, config: MachineConfig) -> SimResult:
         """One simulation, served from cache when available.
@@ -223,15 +221,14 @@ class SweepRunner:
 
         This is the fail-fast path: errors propagate.  For graceful
         degradation (timeouts, retries, structured ``PointFailure``
-        records) wrap the runner in a
-        :class:`repro.harness.executor.PointExecutor`.
+        records) run the point through
+        :func:`repro.harness.sweep.run_sweep`.
         """
-        hit = self.cache_lookup(benchmark, config)
-        if hit is not None:
-            return hit
-        result = self.simulate_point(benchmark, config)
-        self.cache_store(result)
-        self.observe_result(result)
+        result = self.cache_lookup(benchmark, config)
+        fresh = result is None
+        if fresh:
+            result = self.simulate_point(benchmark, config)
+        self.settle_result(result, fresh)
         return result
 
     # ------------------------------------------------------------------
@@ -260,10 +257,11 @@ _ZERO_IPC_WARNED = False
 
 
 def reset_zero_ipc_warning() -> None:
-    """Re-arm the once-per-sweep zero-IPC stderr warning.
+    """Re-arm the once-per-process zero-IPC stderr warning.
 
-    The sweep/report entry points call this so each run warns exactly
-    once however many means it computes.
+    A fresh process starts armed, so one ``report`` run warns at most
+    once however many means it computes; callers that compute several
+    independent sets of means in one process re-arm it between them.
     """
     global _ZERO_IPC_WARNED
     _ZERO_IPC_WARNED = False
@@ -277,7 +275,7 @@ def geometric_mean(values: Sequence[float],
     A zero IPC means a degraded or failed point, and silently flooring
     it would bury that in the mean -- so every floored value is counted
     under the ``sweep.zero_ipc`` telemetry counter, and the first
-    occurrence per sweep is warned about on stderr (see
+    occurrence per process is warned about on stderr (see
     :func:`reset_zero_ipc_warning`).
     """
     if not values:

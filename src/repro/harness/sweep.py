@@ -1,4 +1,4 @@
-"""The sweep loop: probe, dispatch and drain a list of grid points.
+"""The sweep loop: probe, dispatch, drain and settle a list of grid points.
 
 Every caller that runs grid points -- ``repro-sim sweep``, the chaos
 drill and the service's job scheduler -- drives :func:`run_sweep`.  Per point, in task order:
@@ -10,11 +10,19 @@ drill and the service's job scheduler -- drives :func:`run_sweep`.  Per point, i
 4. a ``claim`` hook may decline the dispatch (the caller already has the
    point in flight elsewhere and will settle it itself);
 5. otherwise the point goes to the :class:`ExecutionBackend`, whose
-   outcomes are reported as they arrive.
+   outcomes are settled as they arrive.
 
 Unless ``stop`` asked it to end early, the loop then drains the backend.
-What differs between callers -- checkpoint marks, progress lines, job
-bookkeeping -- lives in the ``on_outcome`` callback.
+
+Settling is the loop's alone: backends and the executor only run points
+and return outcomes.  The settle step writes each fresh result to the
+result cache, feeds every cached or fresh result to the validation
+oracle (both through :meth:`SweepRunner.settle_result`), and appends
+every failure, fresh or carried, to ``runner.failures``.  What differs
+between callers -- checkpoint marks, progress lines, job bookkeeping --
+lives in the ``on_outcome`` callback; :func:`run_checkpointed` adds the
+checkpoint marks and the shutdown that ``repro-sim sweep`` and the
+chaos drill share.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence
 from ..machine.config import grid_configs
 from .backend import ExecutionBackend, PointOutcome, PointTask
 from .cache import result_key
+from .checkpoint import SweepCheckpoint
 from .errors import PointFailure
 from .runner import SweepRunner
 
@@ -76,6 +85,9 @@ def run_sweep(runner: SweepRunner, backend: ExecutionBackend,
         tally.resolved += 1
         if outcome.failure is not None:
             tally.failed += 1
+            runner.failures.append(outcome.failure)
+        else:
+            runner.settle_result(outcome.result, outcome.source == "fresh")
         on_outcome(outcome, tally)
 
     for task in tasks:
@@ -83,7 +95,6 @@ def run_sweep(runner: SweepRunner, backend: ExecutionBackend,
             break
         prior = carried.get(task.key) if carried else None
         if prior is not None:
-            runner.failures.append(prior)
             runner.collector.count("sweep.point.skipped_failed")
             settle(PointOutcome(task, failure=prior, source="carried"))
             continue
@@ -103,3 +114,40 @@ def run_sweep(runner: SweepRunner, backend: ExecutionBackend,
         for outcome in backend.finish():
             settle(outcome)
     return tally
+
+
+def run_checkpointed(runner: SweepRunner, backend: ExecutionBackend,
+                     tasks: Iterable[PointTask], checkpoint: SweepCheckpoint,
+                     on_outcome: Optional[
+                         Callable[[PointOutcome, SweepTally], None]] = None,
+                     limit: Optional[int] = None,
+                     carried: Optional[Mapping[str, PointFailure]] = None,
+                     ) -> SweepTally:
+    """:func:`run_sweep` with checkpoint marks and a clean shutdown.
+
+    Every settled point except a carried failure (already in the
+    manifest) is marked in ``checkpoint`` before ``on_outcome`` sees
+    it.  However the loop ends, the backend's workers are released,
+    the result cache gets a last flush (dirty entries survive a failed
+    mid-sweep write; a failure here is logged by the cache) and the
+    manifest is saved, so a killed or crashing sweep stays resumable.
+    """
+    def mark(outcome: PointOutcome, tally: SweepTally) -> None:
+        if outcome.failure is None:
+            checkpoint.mark_done(outcome.task.key)
+        elif outcome.source != "carried":
+            checkpoint.mark_failed(outcome.task.key, outcome.failure)
+        if on_outcome is not None:
+            on_outcome(outcome, tally)
+
+    try:
+        return run_sweep(runner, backend, tasks, mark, limit=limit,
+                         carried=carried)
+    finally:
+        backend.close()
+        if runner.cache is not None:
+            try:
+                runner.cache.flush()
+            except OSError:
+                pass
+        checkpoint.save()

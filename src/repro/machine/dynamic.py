@@ -66,7 +66,7 @@ class DynamicEngine:
     def __init__(self, templates: Dict[str, BlockTemplate], trace: Trace,
                  config: MachineConfig, benchmark: str = "",
                  collector: Collector = NULL_COLLECTOR,
-                 max_cycles: Optional[int] = None, self_check: bool = True):
+                 max_cycles: Optional[int] = None):
         self.templates = templates
         self.trace = trace
         self.config = config
@@ -82,8 +82,6 @@ class DynamicEngine:
         self.value_spec = config.value_predictor != "none"
         #: watchdog: raise SimulationHang past this simulated cycle.
         self.max_cycles = resolve_max_cycles(max_cycles)
-        #: verify engine accounting against the functional trace.
-        self.self_check = self_check
         #: the trace's streams; ``simulate`` shares its prepared
         #: workload's, and ``run`` builds its own when left None.
         self.streams: Optional[TraceStreams] = None
@@ -526,7 +524,7 @@ class DynamicEngine:
         # Cross-engine invariant: every trace block either retires or
         # faults, so the retired datapath-node count must match the
         # functional run's.  A divergence means the replay is wrong.
-        if self.self_check and retired_nodes != trace.retired_nodes:
+        if retired_nodes != trace.retired_nodes:
             raise EngineDivergence(
                 self.benchmark, str(config), retired_nodes,
                 trace.retired_nodes,

@@ -179,8 +179,7 @@ def prepare_workload(
 
 def simulate(prepared: PreparedWorkload, config: MachineConfig,
              collector: Collector = NULL_COLLECTOR,
-             max_cycles: Optional[int] = None,
-             self_check: bool = True) -> SimResult:
+             max_cycles: Optional[int] = None) -> SimResult:
     """Run one timing simulation of a prepared workload.
 
     ``collector`` receives per-cycle pipeline events when it is a
@@ -188,10 +187,10 @@ def simulate(prepared: PreparedWorkload, config: MachineConfig,
     collector records nothing and costs nothing.
 
     ``max_cycles`` bounds the engine's simulated clock (watchdog; see
-    :mod:`repro.machine.errors`), raising ``SimulationHang`` instead of
-    spinning forever; ``self_check`` verifies the engine's retired-node
-    accounting against the functional trace, raising
-    ``EngineDivergence`` on mismatch.
+    :mod:`repro.machine.errors`; default ``REPRO_MAX_CYCLES``), raising
+    ``SimulationHang`` instead of spinning forever.  The engine always
+    checks its retired-node accounting against the functional trace,
+    raising ``EngineDivergence`` on mismatch.
     """
     templates = prepared.templates_for(config.branch_mode)
     trace = prepared.trace_for(config.branch_mode)
@@ -199,13 +198,12 @@ def simulate(prepared: PreparedWorkload, config: MachineConfig,
         engine = StaticEngine(
             templates, prepared.schedules_for(config, collector), trace, config,
             benchmark=prepared.name, collector=collector,
-            max_cycles=max_cycles, self_check=self_check,
+            max_cycles=max_cycles,
         )
     else:
         engine = DynamicEngine(
             templates, trace, config, benchmark=prepared.name,
             collector=collector, max_cycles=max_cycles,
-            self_check=self_check,
         )
     engine.streams = prepared.streams_for(config.branch_mode)
     result = engine.run()

@@ -47,7 +47,7 @@ class StaticEngine:
                  schedules: Dict[str, ScheduledBlock], trace: Trace,
                  config: MachineConfig, benchmark: str = "",
                  collector: Collector = NULL_COLLECTOR,
-                 max_cycles: Optional[int] = None, self_check: bool = True):
+                 max_cycles: Optional[int] = None):
         self.templates = templates
         self.schedules = schedules
         self.trace = trace
@@ -56,8 +56,6 @@ class StaticEngine:
         self.collector = collector
         #: watchdog: raise SimulationHang past this simulated cycle.
         self.max_cycles = resolve_max_cycles(max_cycles)
-        #: verify engine accounting against the functional trace.
-        self.self_check = self_check
         #: the trace's streams; ``simulate`` shares its prepared
         #: workload's, and ``run`` builds its own when left None.
         self.streams: Optional[TraceStreams] = None
@@ -264,7 +262,7 @@ class StaticEngine:
 
         # Cross-engine invariant (see DynamicEngine.run): retired work
         # must match the functional trace exactly.
-        if self.self_check and retired_nodes != trace.retired_nodes:
+        if retired_nodes != trace.retired_nodes:
             raise EngineDivergence(
                 self.benchmark, str(config), retired_nodes,
                 trace.retired_nodes,

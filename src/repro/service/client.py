@@ -203,10 +203,6 @@ class ServiceClient:
     def health(self) -> Dict[str, Any]:
         return self._request("GET", "/healthz")
 
-    def metrics(self) -> Dict[str, Any]:
-        """The JSON counter snapshot (``/metrics.json``)."""
-        return self._request("GET", "/metrics.json")
-
     def metrics_text(self) -> str:
         """The raw Prometheus text exposition (``/metrics``)."""
         request = urllib.request.Request(

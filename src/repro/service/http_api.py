@@ -6,7 +6,7 @@ own thread, but every handler only calls the thread-safe surface of
 snapshots), so the scheduler thread remains the single writer of the
 cache, the checkpointed journal and the telemetry collector.
 
-Routes (all JSON):
+Routes:
 
 ==========================================  ===============================
 ``POST /jobs``                              submit a grid spec -> 202 job
@@ -16,10 +16,11 @@ Routes (all JSON):
 ``POST /jobs/{id}/cancel``                  request cancellation
 ``GET /healthz``                            liveness + queue depths
 ``GET /metrics``                            Prometheus text exposition
-``GET /metrics.json``                       telemetry counter snapshot
 ==========================================  ===============================
 
-(``/metrics`` is plain text for scrapers; every other route is JSON.)
+(``/metrics`` is plain text for scrapers and the one metrics endpoint:
+it carries every counter, and ``/healthz`` the service block; every
+other route is JSON.)
 
 Errors: 400 malformed spec, 404 unknown job, 429/503 typed admission
 rejections (body carries the machine-readable ``reason``; queue-full
@@ -145,8 +146,6 @@ class _Handler(BaseHTTPRequestHandler):
             elif path == "/metrics":
                 self._send_text(200, self.scheduler.metrics_text(),
                                 _PROM_CONTENT_TYPE)
-            elif path == "/metrics.json":
-                self._send(200, self.scheduler.metrics())
             elif path == "/jobs":
                 self._send(200, {"jobs": self.scheduler.jobs()})
             elif _JOB_ROUTE.match(path):

@@ -8,10 +8,13 @@ and read snapshots -- they never touch the cache or the collector.
 
 Execution of one job is the batch sweep loop itself
 (:func:`~repro.harness.sweep.run_sweep`): cache probe first, then
-dispatch onto the shared :class:`~repro.harness.backend.ExecutionBackend`,
-whose serial and pool variants own the cache-store/observe/merge
-discipline; this module adds only job bookkeeping, deduplication and
-cancellation through the loop's hooks.  Because the runner, the
+dispatch onto the shared :class:`~repro.harness.backend.ExecutionBackend`;
+the loop's settle step writes the cache and feeds the oracle, and this
+module adds only job bookkeeping, deduplication and cancellation
+through the loop's hooks.  When the daemon is idle with points still
+in flight (a cancelled job's leftovers that no successor claimed), the
+same loop drains them with no tasks, so they settle like any other
+outcome and their results reach the cache.  Because the runner, the
 in-process prepared-workload cache and the pool survive between jobs,
 the first job pays preparation once and every later job that touches
 the same benchmarks starts warm -- the service's whole reason to exist.
@@ -45,6 +48,7 @@ from ..harness.backend import (
 from ..harness.executor import ExecutionPolicy
 from ..harness.runner import SweepRunner
 from ..harness.sweep import SweepTally, run_sweep
+from ..stats.aggregate import span_totals
 from ..stats.results import SimResult
 from ..telemetry import prometheus
 from ..telemetry.logging import get_logger
@@ -356,31 +360,16 @@ class JobScheduler:
                 "stopping": self._stop_requested,
             }
 
-    def metrics(self) -> Dict[str, Any]:
-        """Counter snapshot for ``/metrics.json``.
-
-        Collector counters come from the scheduler thread's last
-        refresh (never a live read of a dict another thread is
-        writing); admission counters are merged in under the lock.
-        """
-        with self._cond:
-            counters = dict(self._counters_view)
-            for name, value in self.stats.items():
-                counters[f"service.{name}"] = value
-            return {
-                "schema": "repro.service.metrics/1",
-                "counters": dict(sorted(counters.items())),
-                "service": self.health(),
-            }
-
     def metrics_text(self) -> str:
         """The ``/metrics`` body: Prometheus text exposition (0.0.4).
 
         Counters and latency histograms come from scheduler-thread
         snapshot views (counters per point resolution, histograms per
-        job boundary); queue depth, in-flight points and uptime ride as
-        gauges so a scraper sees service pressure without parsing the
-        JSON health document.
+        job boundary), never a live read of a dict another thread is
+        writing; admission counters are merged in under the lock.
+        Queue depth, in-flight points and uptime ride as gauges so a
+        scraper sees service pressure without parsing the JSON health
+        document.
         """
         with self._cond:
             counters = dict(self._counters_view)
@@ -506,8 +495,8 @@ class JobScheduler:
             if drain:
                 # Idle with leftovers (a cancelled job's in-flight
                 # points): settle them so their results reach the cache.
-                for outcome in self.backend.finish():
-                    self._deliver(outcome)
+                run_sweep(self.runner, self.backend, (),
+                          lambda outcome, _tally: self._deliver(outcome))
                 continue
             assert job is not None
             if job.cancel_requested:
@@ -528,12 +517,11 @@ class JobScheduler:
                                        "state": JOB_RUNNING})
             self._emit(job, "job.running",
                        queue_wait_s=round(queue_wait_s, 6))
-        if collector.enabled:
-            collector.observe("service.job.queue_wait_s", queue_wait_s)
+        collector.observe("service.job.queue_wait_s", queue_wait_s)
         log.info("job_running", queue_wait_s=round(queue_wait_s, 3),
                  points=job.points_total)
-        snap0 = dict(collector.counters) if collector.enabled else {}
-        spans0 = len(collector.spans) if collector.enabled else 0
+        snap0 = dict(collector.counters)
+        spans0 = len(collector.spans)
         run_start = time.perf_counter()
 
         def settle(outcome: PointOutcome, _tally: SweepTally) -> None:
@@ -557,30 +545,19 @@ class JobScheduler:
                 self._finish_locked(job, JOB_FAILED)
                 self._refresh_histograms_locked()
             return
-        if collector.enabled:
-            deltas = {
-                name: value - snap0.get(name, 0)
-                for name, value in collector.counters.items()
-                if value != snap0.get(name, 0)
-            }
-            collector.add_span("job.run",
-                               time.perf_counter() - run_start,
-                               job_id=job.job_id)
-            # Aggregate the phase spans this job produced and stream
-            # them over the job's event feed, one event per phase.
-            phase_totals: Dict[str, List[float]] = {}
-            for span in collector.spans[spans0:]:
-                entry = phase_totals.setdefault(span["name"], [0.0, 0])
-                entry[0] += span["dur_s"]
-                entry[1] += 1
-            with self._cond:
-                for name in sorted(phase_totals):
-                    total_s, count = phase_totals[name]
-                    self._emit(job, "span", name=name,
-                               total_s=round(total_s, 6), count=count)
-                self._refresh_histograms_locked()
-        else:
-            deltas = {}
+        deltas = {
+            name: value - snap0.get(name, 0)
+            for name, value in collector.counters.items()
+            if value != snap0.get(name, 0)
+        }
+        collector.add_span("job.run", time.perf_counter() - run_start,
+                           job_id=job.job_id)
+        # Stream the phase spans this job produced over the job's event
+        # feed, one event per phase.
+        with self._cond:
+            for name, totals in span_totals(collector.spans[spans0:]).items():
+                self._emit(job, "span", name=name, **totals)
+            self._refresh_histograms_locked()
         self._flush_cache_safe()
         report = None
         if (self.validate and not job.cancel_requested and job.sim_results):
@@ -644,11 +621,11 @@ class JobScheduler:
             return True
 
     def _deliver(self, outcome: PointOutcome) -> None:
-        """Route one backend outcome to every job subscribed to its key.
+        """Route one settled outcome to every job subscribed to its key.
 
-        The backend already performed the cache store and
-        ``observe_result`` under the single-writer discipline; this
-        layer only does job bookkeeping.
+        The sweep loop already wrote the cache and fed the oracle under
+        the single-writer discipline; this layer only does job
+        bookkeeping.
         """
         with self._cond:
             subscribers = self._inflight.pop(outcome.task.key, [])
@@ -726,18 +703,14 @@ class JobScheduler:
                   error=job.error)
 
     def _refresh_counters_locked(self) -> None:
-        collector = self.runner.collector
-        if collector.enabled:
-            self._counters_view = dict(collector.counters)
+        self._counters_view = dict(self.runner.collector.counters)
 
     def _refresh_histograms_locked(self) -> None:
         """Scheduler-thread only: histograms copy whole sample lists."""
-        collector = self.runner.collector
-        if collector.enabled:
-            self._histograms_view = {
-                name: list(values)
-                for name, values in collector.histograms.items()
-            }
+        self._histograms_view = {
+            name: list(values)
+            for name, values in self.runner.collector.histograms.items()
+        }
 
     def _emit(self, job: SweepJob, kind: str, **payload: Any) -> None:
         """Append one event to a job's stream (lock held) and wake waiters."""

@@ -2,9 +2,7 @@
 
 from .aggregate import (
     TELEMETRY_SCHEMA,
-    geometric_mean_ipc,
     histogram_stats,
-    mean_redundancy,
     schedule_summary,
     telemetry_report,
 )
@@ -13,9 +11,7 @@ from .results import SimResult
 __all__ = [
     "SimResult",
     "TELEMETRY_SCHEMA",
-    "geometric_mean_ipc",
     "histogram_stats",
-    "mean_redundancy",
     "schedule_summary",
     "telemetry_report",
 ]

@@ -1,13 +1,11 @@
-"""Aggregation helpers: means over results and the ``telemetry.json``
-document built from a collector."""
+"""Aggregation helpers: the ``telemetry.json`` document built from a
+collector, and the span folds the service streams."""
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..telemetry.collector import Collector
-from .results import SimResult
 
 #: Version tag of the ``telemetry.json`` document layout.
 TELEMETRY_SCHEMA = "repro.telemetry/2"
@@ -16,21 +14,6 @@ TELEMETRY_SCHEMA = "repro.telemetry/2"
 #: attribution (``cycles.<engine>.<bucket>``; see
 #: ``repro.telemetry.collector.ATTRIBUTION_BUCKETS``).
 _ATTRIBUTION_PREFIX = "cycles."
-
-
-def geometric_mean_ipc(results: Sequence[SimResult]) -> float:
-    """Geometric mean of retired-nodes-per-cycle over results."""
-    if not results:
-        return 0.0
-    total = sum(math.log(max(r.retired_per_cycle, 1e-12)) for r in results)
-    return math.exp(total / len(results))
-
-
-def mean_redundancy(results: Sequence[SimResult]) -> float:
-    """Arithmetic mean redundancy over results."""
-    if not results:
-        return 0.0
-    return sum(r.redundancy for r in results) / len(results)
 
 
 def histogram_stats(values: Sequence[float]) -> Dict[str, float]:

@@ -3,10 +3,12 @@
 The collector API is designed around one invariant: **when telemetry is
 off, the instrumented code must do no extra work**.  The base
 :class:`Collector` is itself the null object -- every method is a no-op
-and its read-side views are empty -- and the timing engines additionally
-guard each per-cycle ``event()`` call behind the plain-attribute
-``tracing`` flag, so the disabled path costs one attribute read at engine
-start and nothing per cycle (no calls, no allocations).
+and its read-side views are empty, so the harness calls it
+unconditionally, a few no-op calls per point -- and the timing engines
+additionally guard each per-cycle ``event()`` call behind the
+plain-attribute ``tracing`` flag, so the disabled path costs one
+attribute read at engine start and nothing per cycle (no calls, no
+allocations).
 
 Three tiers:
 
@@ -95,10 +97,10 @@ def finalize_attribution(buckets: Dict[str, int], total_cycles: int,
 class Collector:
     """The telemetry API; the base class is the null implementation.
 
-    ``enabled`` gates harness-level instrumentation (counters, spans,
-    per-point records); ``tracing`` gates per-cycle event recording.
-    Both are plain class attributes so hot loops can hoist them into a
-    local bool once.
+    ``enabled`` says whether counters, spans and per-point records are
+    kept (the engines gate cycle attribution on it); ``tracing`` gates
+    per-cycle event recording.  Both are plain class attributes so hot
+    loops can hoist them into a local bool once.
     """
 
     __slots__ = ()

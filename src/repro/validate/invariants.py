@@ -11,7 +11,7 @@ violated invariant means the *simulator* is wrong, not the workload, so
 every check emits an ``error``-severity finding.
 
 These checks are deliberately independent of the engines' own
-``self_check`` (which raises :class:`EngineDivergence` inline): the
+retired-node check (which raises :class:`EngineDivergence` inline): the
 oracle re-derives each relationship from the recorded counters alone, so
 it also catches results corrupted between simulation and reporting
 (cache decode bugs, bad merges from parallel workers).

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.harness.backend import PointTask, ProcessPoolBackend
+from repro.harness.backend import PointTask, ProcessPoolBackend, SerialBackend
 from repro.harness.cache import atomic_write_json, result_key
 from repro.harness.checkpoint import SweepCheckpoint
 from repro.harness.errors import (
@@ -34,6 +34,7 @@ from repro.harness.runner import (
     geometric_mean,
     reset_zero_ipc_warning,
 )
+from repro.harness.sweep import run_sweep
 from repro.interp.trace import Trace
 from repro.machine.config import (
     BranchMode,
@@ -142,16 +143,6 @@ class TestEngineSelfCheck:
             engine.run()
         assert info.value.trace_retired == bad_trace.retired_nodes
 
-    def test_self_check_can_be_disabled(self, grep_prepared):
-        config = make_config()
-        bad_trace = clone_trace(grep_prepared.trace_for(config.branch_mode))
-        bad_trace.retired_nodes += 1
-        engine = DynamicEngine(
-            grep_prepared.templates_for(config.branch_mode), bad_trace,
-            config, benchmark="grep", self_check=False,
-        )
-        assert engine.run().cycles > 0
-
 
 # ----------------------------------------------------------------------
 def _stub_runner(monkeypatch, simulate_point, tmp_path=None):
@@ -212,8 +203,13 @@ class TestExecutorRetry:
             raise RuntimeError("deterministic modelling bug")
 
         runner = _stub_runner(monkeypatch, broken)
-        executor = PointExecutor(runner, ExecutionPolicy(retries=5))
-        outcome = executor.execute("grep", config)
+        backend = SerialBackend(runner, ExecutionPolicy(retries=5))
+        task = PointTask("grep", config,
+                         result_key("grep", config, runner.scale))
+        settled = []
+        run_sweep(runner, backend, [task],
+                  lambda done, _tally: settled.append(done))
+        outcome = settled[0].failure
         assert isinstance(outcome, PointFailure)
         assert outcome.kind == "unexpected"
         assert len(calls) == 1  # no retry for non-transient errors
@@ -276,8 +272,10 @@ class TestIsolatedExecution:
         backend = ProcessPoolBackend(
             runner, ExecutionPolicy(timeout_s=timeout_s), jobs=2
         )
+        outcomes = []
         try:
-            outcomes = list(backend.submit(task)) + list(backend.finish())
+            run_sweep(runner, backend, [task],
+                      lambda outcome, _tally: outcomes.append(outcome))
         finally:
             backend.close()
         assert len(outcomes) == 1
@@ -445,7 +443,7 @@ class TestCheckpoint:
         assert loaded.compatible_with(["grep"], 1)
         assert not loaded.compatible_with(["sort"], 1)
         assert "key-a" in loaded.done
-        assert loaded.failed_point("key-b").kind == "hang"
+        assert loaded.failures["key-b"].kind == "hang"
 
     def test_success_clears_recorded_failure(self, tmp_path):
         path = str(tmp_path / "sweep.state.json")
@@ -455,7 +453,7 @@ class TestCheckpoint:
         )
         checkpoint.mark_done("key")
         checkpoint.save()
-        assert SweepCheckpoint.load(path).failed_point("key") is None
+        assert "key" not in SweepCheckpoint.load(path).failures
 
     def test_corrupt_manifest_ignored(self, tmp_path):
         path = tmp_path / "sweep.state.json"

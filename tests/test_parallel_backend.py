@@ -29,9 +29,9 @@ from repro.harness.backend import (
     SerialBackend,
     make_backend,
 )
-from repro.harness.cache import result_key
+from repro.harness.cache import ResultCache, result_key
 from repro.harness.errors import WorkloadPrepareError
-from repro.harness.runner import SweepRunner
+from repro.harness.runner import SweepRunner, default_scale
 from repro.harness.sweep import grid_tasks
 from repro.machine.config import (
     BranchMode,
@@ -224,6 +224,50 @@ class TestSerialParallelEquivalence:
         assert document["counters"]["sweep.cache.hit"] == 5
         assert "sweep.cache.miss" not in document["counters"]
         assert document["context"] == {"backend": "serial", "jobs": 1}
+
+
+# ----------------------------------------------------------------------
+@fork_only
+class TestOneSettleStep:
+    """Whichever backend ran a point, the sweep loop settles it once."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_one_put_per_fresh_point_and_one_observe_per_point(
+            self, tmp_path, monkeypatch, capsys, jobs):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        _install_stub_simulation(monkeypatch, fake_result)
+        puts, observed = [], []
+        real_put = ResultCache.put
+        real_observe = SweepRunner.observe_result
+
+        def counting_put(cache, result, scale):
+            puts.append(result_key(result.benchmark, result.config, scale))
+            real_put(cache, result, scale)
+
+        def counting_observe(runner, result):
+            observed.append(
+                result_key(result.benchmark, result.config, runner.scale)
+            )
+            real_observe(runner, result)
+
+        monkeypatch.setattr(ResultCache, "put", counting_put)
+        monkeypatch.setattr(SweepRunner, "observe_result", counting_observe)
+        keys = sorted(task.key for task in
+                      grid_tasks("full", ["grep"], default_scale(), 5))
+
+        assert main(["sweep", "--benchmarks", "grep", "--limit", "5",
+                     "--jobs", jobs]) == 0
+        assert sorted(puts) == keys
+        assert sorted(observed) == keys
+
+        # Warm: the five cache hits feed the oracle once each and are
+        # not written back.
+        del puts[:], observed[:]
+        assert main(["sweep", "--benchmarks", "grep", "--limit", "0",
+                     "--jobs", jobs]) == 0
+        capsys.readouterr()
+        assert puts == []
+        assert sorted(observed) == keys
 
 
 # ----------------------------------------------------------------------

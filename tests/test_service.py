@@ -32,6 +32,7 @@ import pytest
 from repro.cli import main
 from repro.harness.artifacts import default_artifact_root
 from repro.harness.backend import SerialBackend
+from repro.harness.cache import ResultCache
 from repro.harness.runner import SweepRunner
 from repro.machine.config import BranchMode, Discipline
 from repro.service import (
@@ -47,7 +48,7 @@ from repro.service import (
 from repro.service.client import AdmissionRejected, JobNotFound, ServiceError
 from repro.service.jobs import TERMINAL_STATES
 from repro.stats.results import SimResult
-from repro.telemetry import MetricsCollector
+from repro.telemetry import MetricsCollector, prometheus
 
 
 def fake_result(config, benchmark="grep", cycles=1000):
@@ -508,6 +509,41 @@ class TestInflightDedup:
         assert scheduler.stats["points.deduped"] == 2
         assert len(stub_sim) == 2
 
+    def test_idle_drain_caches_a_cancelled_jobs_points(
+            self, tmp_path, monkeypatch, stub_sim):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "svc"))
+        runner = SweepRunner(benchmarks=["grep"],
+                             collector=MetricsCollector())
+        backend = GatedBackend(runner, hold_after=2)
+        scheduler = JobScheduler(
+            runner, backend=backend,
+            journal_path=str(tmp_path / "svc" / "journal.jsonl"),
+        )
+        scheduler.start()
+        spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 2})
+        job_id = scheduler.submit(spec)["job_id"]
+        deadline = time.monotonic() + 30.0
+        while len(backend.dispatched) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        scheduler.cancel(job_id)
+        backend.gate.set()
+        # No successor claims the two in-flight points, so the idle
+        # scheduler drains them.
+        while scheduler.health()["inflight_points"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        job = scheduler.job(job_id)
+        scheduler.stop()
+
+        assert job["state"] == "cancelled"
+        assert job["points"]["resolved"] == 0
+        assert len(stub_sim) == 2
+        cache = ResultCache()
+        for task in spec.points(runner.scale):
+            assert cache.get(task.benchmark, task.config,
+                             runner.scale) is not None
+
 
 # ----------------------------------------------------------------------
 @pytest.fixture
@@ -551,9 +587,11 @@ class TestHTTPAPI:
 
         listed = {job["job_id"] for job in client.jobs()}
         assert {accepted["job_id"], warm["job_id"]} <= listed
-        metrics = client.metrics()
-        assert metrics["counters"]["service.jobs.accepted"] == 2
-        assert metrics["counters"]["sweep.cache.hit"] == 2
+        metrics = prometheus.parse_exposition(client.metrics_text())
+        for name, value in (("service.jobs.accepted", 2),
+                            ("sweep.cache.hit", 2)):
+            metric = prometheus.sanitize(name)
+            assert metrics[metric]["samples"][metric] == value
 
     def test_unknown_job_is_404(self, http_service):
         _, client = http_service
