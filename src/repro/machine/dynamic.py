@@ -17,6 +17,16 @@ of blocks each wrong path fetches; each load's value-prediction
 outcome; and each block's issue-word offsets.  Function-unit slots are
 bytearrays indexed by cycle.
 
+Windows of one and four blocks without value speculation memoise block
+transfers under the null collector (:mod:`.memo`).  The state, relative
+to the cycle the block opens at once its window gate has passed, is
+the pending registers, the window entries still to free and the slot
+use from the next cycle on; the key adds the block inputs
+(:class:`.streams.BlockInputs`) and its memory words' store and load
+times.  A 256-block window's state rarely repeats, value speculation
+keeps poison the state does not hold, and attribution and tracing need
+every node, so those points run the loop alone.
+
 Modelling notes (documented deltas from real hardware, see DESIGN.md):
 
 * cache probes happen in issue order rather than execution order;
@@ -43,6 +53,7 @@ from ..telemetry.collector import (
 )
 from .config import BranchMode, MachineConfig
 from .errors import EngineDivergence, SimulationHang, resolve_max_cycles
+from .memo import TransferMemo
 from .streams import (
     MEM_WB_HIT,
     VALUE_CONFIRMED,
@@ -58,6 +69,14 @@ REDIRECT_PENALTY = 1
 
 #: Initial length of the per-cycle slot tables (they double on demand).
 _SLOT_TABLE_CYCLES = 1 << 16
+
+#: The widest window the transfer memo serves.  A 256-block window
+#: carries up to 256 entries and thousands of cycles of slot use in its
+#: state, so few block instances repeat one.
+MEMO_MAX_WINDOW = 4
+
+#: ``reg_ready`` with no register pending, for rebuilding it.
+_NOTHING_PENDING = [0] * 64
 
 
 class DynamicEngine:
@@ -223,9 +242,76 @@ class DynamicEngine:
         # count what it discards) or for attribution (its straggler).
         exec_times: List[int] = []
 
+        # Transfer memo (module docstring).  The state, relative to the
+        # cycle the next block opens at once its window gate has passed:
+        # (pending registers as (register, ready - fetch), window entries
+        # still to free as entry - fetch with every entry before fetch
+        # read as -1, ALU and memory slot use from fetch + 1 on).  The
+        # key adds each memory word's store and load time past fetch + 1.
+        memo = None
+        recording = False  # whether the block just run missed the memo
+        if (window_size <= MEMO_MAX_WINDOW and not value_spec
+                and not attributing and not tracing):
+            inputs = streams.inputs(
+                memory_config,
+                None if perfect else (config.predictor, config.static_hints))
+            input_ids = inputs.ids
+            mem_nodes = inputs.mem_nodes
+            memo = TransferMemo(len(mem_nodes))
+            rows = memo.rows
+            states = memo.states
+            state = memo.state_id(((), (), b"", b""))
+            synced = True  # whether the engine's own state holds it
+            store_get = store_time.get
+            load_get = load_time.get
+
         watchdog_limit = self.max_cycles
 
         for position in range(len(block_ids)):
+            if recording:
+                # The block code leaves by several paths, so a missed
+                # block's transfer is stored here, as the next starts,
+                # with that block's window gate read ahead of it.
+                gate = fetch_cycle
+                waiting = list(window_retires)
+                if len(waiting) >= window_size:
+                    opens = waiting.pop(0) + 1
+                    if opens > gate:
+                        gate = opens
+                since = gate + 1
+                after = memo.state_id((
+                    tuple([(reg, ready - gate)
+                           for reg, ready in enumerate(reg_ready)
+                           if ready > since]),
+                    tuple([entry - gate if entry >= gate else -1
+                           for entry in waiting]),
+                    bytes(alu_used[since:top + 1].rstrip(b"\0")),
+                    bytes(mem_used[since:top + 1].rstrip(b"\0")),
+                ))
+                load_writes = []
+                store_writes = []
+                k = 0
+                for node in plan.nodes:
+                    if node[0] == T_LOAD:
+                        load_writes.append(
+                            (k, load_time[mem_words[k]] - block_start))
+                        k += 1
+                    elif node[0] == T_STORE:
+                        store_writes.append(
+                            (k, store_time[mem_words[k]] - block_start))
+                        k += 1
+                memo.store(input_id, key, [
+                    gate - block_start, after,
+                    (fault_time if faulting else block_complete)
+                    - block_start,
+                    block_complete - block_start, load_writes, store_writes,
+                    retired_nodes - before[0], discarded_nodes - before[1],
+                    faults - before[2], window_block_cycles - before[3],
+                    words, plan.n_datapath,
+                ])
+                state = after
+                fetch_cycle = gate
+                recording = False
             plan = plan_of[block_ids[position]]
 
             # Watchdog: one comparison per block bounds any runaway
@@ -235,6 +321,69 @@ class DynamicEngine:
                     self.benchmark, str(config), fetch_cycle,
                     watchdog_limit,
                 )
+
+            if memo is not None:
+                input_id = input_ids[position]
+                count = mem_nodes[input_id]
+                if count:
+                    mem_words = []
+                    times = []
+                    since = fetch_cycle + 1
+                    for address in addresses[mem_cursor:mem_cursor + count]:
+                        word = address >> 2
+                        mem_words.append(word)
+                        st = store_get(word, 0) - since
+                        times.append(st if st > 0 else 0)
+                        lt = load_get(word, 0) - since
+                        times.append(lt if lt > 0 else 0)
+                    key = (state, tuple(times))
+                else:
+                    key = state
+                transfer = rows[input_id].get(key)
+                if transfer is not None:
+                    for k, ready in transfer[4]:
+                        load_time[mem_words[k]] = fetch_cycle + ready
+                    for k, ready in transfer[5]:
+                        store_time[mem_words[k]] = fetch_cycle + ready
+                    peak = fetch_cycle + transfer[2]
+                    if peak > max_cycle:
+                        max_cycle = peak
+                    peak = fetch_cycle + transfer[3]
+                    if peak > top:
+                        top = peak
+                    fetch_cycle += transfer[0]
+                    state = transfer[1]
+                    mem_cursor += count
+                    transfer[-1] += 1
+                    synced = False
+                    continue
+
+            # Grown ahead of the window gate, which moves fetch to at
+            # most `top` (a freed entry is an execution cycle before a
+            # completion), so the horizon still covers the block.
+            horizon = (top if top > fetch_cycle else fetch_cycle) + slack
+            if horizon >= size:
+                while horizon >= size:
+                    size *= 2
+                alu_used.extend(bytes(size - len(alu_used)))
+                mem_used.extend(bytes(size - len(mem_used)))
+
+            if memo is not None:
+                if not synced:
+                    regs, window, alu_use, mem_use = states[state]
+                    reg_ready[:] = _NOTHING_PENDING
+                    for reg, ready in regs:
+                        reg_ready[reg] = fetch_cycle + ready
+                    window_retires.clear()
+                    window_retires.extend(
+                        [fetch_cycle + entry for entry in window])
+                    since = fetch_cycle + 1
+                    alu_used[since:since + len(alu_use)] = alu_use
+                    mem_used[since:since + len(mem_use)] = mem_use
+                    synced = True
+                recording = True
+                before = (retired_nodes, discarded_nodes, faults,
+                          window_block_cycles)
 
             # Window gating: a new block may not begin issue until the
             # block `window_size` older has retired (or been squashed).
@@ -265,12 +414,6 @@ class DynamicEngine:
                 del exec_times[:]
             if value_spec:
                 replay_nodes.clear()
-            horizon = (top if top > fetch_cycle else fetch_cycle) + slack
-            if horizon >= size:
-                while horizon >= size:
-                    size *= 2
-                alu_used.extend(bytes(size - len(alu_used)))
-                mem_used.extend(bytes(size - len(mem_used)))
 
             # Each basic block is issued as its own unit of work: a new
             # issue word opens at every block boundary.  Small blocks
@@ -520,6 +663,15 @@ class DynamicEngine:
                     max(block_complete - block_start, 1), TID_CONTROL,
                     {"block": label, "nodes": plan.n_datapath},
                 )
+
+        if memo is not None:
+            replayed = memo.replayed(6, 6)
+            retired_nodes += replayed[0]
+            discarded_nodes += replayed[1]
+            faults += replayed[2]
+            window_block_cycles += replayed[3]
+            issue_words += replayed[4]
+            issued_slots += replayed[5]
 
         # Cross-engine invariant: every trace block either retires or
         # faults, so the retired datapath-node count must match the

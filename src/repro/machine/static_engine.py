@@ -12,8 +12,14 @@ The engine runs over flattened word plans (each word's de-duplicated
 source registers and its nodes) and reads mispredictions from the
 trace's branch stream (:mod:`.streams`), shared with the dynamic engine.
 Cache probes stay per point: they follow schedule order and stop at a
-faulting word, so they depend on the schedule.  A perfect memory needs
+faulting word, so they depend on the schedule.  Each block's probes run
+ahead of its words, which read their latencies.  A perfect memory needs
 no probe at all.
+
+Under the null collector the engine memoises block transfers
+(:mod:`.memo`): the state is the registers still pending after the
+last issued word, relative to its issue cycle; the key adds the block
+inputs (:class:`.streams.BlockInputs`) and the block's probe latencies.
 """
 
 from __future__ import annotations
@@ -32,12 +38,16 @@ from ..telemetry.collector import (
 from .cache import MemorySystem
 from .config import MachineConfig
 from .errors import EngineDivergence, SimulationHang, resolve_max_cycles
+from .memo import TransferMemo
 from .streams import TraceStreams, WordPlan
 from .templates import BlockTemplate, T_LOAD, T_STORE, T_SYSCALL
 from ..sched.list_scheduler import ScheduledBlock
 
 #: Issue cycles lost redirecting fetch after a squash.
 REDIRECT_PENALTY = 2
+
+#: ``reg_ready`` with no register pending, for rebuilding it.
+_NOTHING_PENDING = [0] * 64
 
 
 class StaticEngine:
@@ -80,6 +90,8 @@ class StaticEngine:
         hit_latency = memory_config.hit_cycles
         memsys = (None if memory_config.is_perfect
                   else MemorySystem(memory_config))
+        load_latency = memsys.load_latency if memsys is not None else None
+        store_access = memsys.store_access if memsys is not None else None
         collector = self.collector
         tracing = collector.tracing
         attributing = collector.enabled
@@ -104,10 +116,41 @@ class StaticEngine:
         issue_words = 0
         issued_slots = 0
         loads = stores = 0  # perfect memory only; a cache counts its own
+        # Each load's latency and write-buffer hit, in schedule order.
+        latencies: List[int] = []
+        wb_flags: List[bool] = []
+
+        # Transfer memo (module docstring): the state is the registers
+        # still pending after `cycle`, as (register, ready - cycle).
+        memo = None
+        recording = False  # whether the block just run missed the memo
+        if not attributing and not tracing:
+            inputs = streams.inputs(
+                None, (config.predictor, config.static_hints))
+            input_ids = inputs.ids
+            memo = TransferMemo(len(inputs.mem_nodes))
+            rows = memo.rows
+            states = memo.states
+            state = memo.state_id(())
+            synced = True  # whether reg_ready holds the state
 
         watchdog_limit = self.max_cycles
 
         for position in range(len(block_ids)):
+            if recording:
+                # The block code leaves by several paths, so a missed
+                # block's transfer is stored here, as the next starts.
+                pending = cycle + 1
+                after = memo.state_id(tuple([
+                    (reg, ready - cycle) for reg, ready in enumerate(reg_ready)
+                    if ready > pending]))
+                memo.store(input_id, key, [
+                    cycle - start, after,
+                    (cycle if fault is not None else block_complete) - start,
+                    retired_nodes - before[0], discarded_nodes - before[1],
+                    faults - before[2], len(words), issued_datapath])
+                state = after
+                recording = False
             # Watchdog: bounds any runaway issue loop at block granularity.
             if cycle > watchdog_limit:
                 raise SimulationHang(
@@ -131,9 +174,56 @@ class StaticEngine:
                 loads += plan.loads
                 stores += plan.stores
 
+            # Cache probes, in schedule order through the last issued
+            # word, ahead of the words that read their latencies.
+            if addressing:
+                del latencies[:]
+                del wb_flags[:]
+                probes = plan.probes
+                if fault is not None:
+                    probes = probes[:fault[2] + fault[3]]
+                for rank, is_load in probes:
+                    if memsys is None:  # tracing a perfect memory
+                        if is_load:
+                            latencies.append(hit_latency)
+                            wb_flags.append(False)
+                    elif not is_load:
+                        store_access(addresses[addr_base + rank])
+                    elif tracing:
+                        wb_before = memsys.wb_hits
+                        latencies.append(
+                            load_latency(addresses[addr_base + rank]))
+                        wb_flags.append(memsys.wb_hits != wb_before)
+                    else:
+                        latencies.append(
+                            load_latency(addresses[addr_base + rank]))
+
+            if memo is not None:
+                key = (state, tuple(latencies)) if addressing else state
+                input_id = input_ids[position]
+                record = rows[input_id].get(key)
+                if record is not None:
+                    peak = cycle + record[2]
+                    if peak > max_cycle:
+                        max_cycle = peak
+                    cycle += record[0]
+                    state = record[1]
+                    record[-1] += 1
+                    synced = False
+                    continue
+                if not synced:
+                    reg_ready[:] = _NOTHING_PENDING
+                    for reg, ready in states[state]:
+                        reg_ready[reg] = cycle + ready
+                    synced = True
+                recording = True
+                start = cycle
+                before = (retired_nodes, discarded_nodes, faults)
+
             branch_exec = -1
             block_complete = 0
             block_start = cycle + 1
+            load_rank = 0
 
             for srcs, ops, holds_branch in words:
                 issue = cycle + 1
@@ -161,33 +251,24 @@ class StaticEngine:
                 for cls, dest, rank in ops:
                     if cls == T_LOAD:
                         if addressing:
-                            addr = addresses[addr_base + rank]
-                            if memsys is None:
-                                lat = hit_latency
-                                wb_hit = False
-                            else:
-                                wb_before = memsys.wb_hits
-                                lat = memsys.load_latency(addr)
-                                wb_hit = memsys.wb_hits != wb_before
+                            lat = latencies[load_rank]
                             if tracing:
                                 collector.event(
                                     "mem.load", issue, lat, TID_MEM,
-                                    {"addr": addr, "miss": lat > hit_latency,
-                                     "wb_hit": wb_hit},
+                                    {"addr": addresses[addr_base + rank],
+                                     "miss": lat > hit_latency,
+                                     "wb_hit": wb_flags[load_rank]},
                                 )
+                            load_rank += 1
                         else:
                             lat = hit_latency
                         done = issue + lat
                     elif cls == T_STORE:
-                        if addressing:
-                            addr = addresses[addr_base + rank]
-                            if memsys is not None:
-                                memsys.store_access(addr)
-                            if tracing:
-                                collector.event(
-                                    "mem.store", issue, 1, TID_MEM,
-                                    {"addr": addr},
-                                )
+                        if tracing:
+                            collector.event(
+                                "mem.store", issue, 1, TID_MEM,
+                                {"addr": addresses[addr_base + rank]},
+                            )
                         done = issue + 1
                     else:
                         done = issue + 1
@@ -259,6 +340,14 @@ class StaticEngine:
                     if attributing and cycle > acct:
                         b_recover += cycle - acct
                         acct = cycle
+
+        if memo is not None:
+            replayed = memo.replayed(3, 5)
+            retired_nodes += replayed[0]
+            discarded_nodes += replayed[1]
+            faults += replayed[2]
+            issue_words += replayed[3]
+            issued_slots += replayed[4]
 
         # Cross-engine invariant (see DynamicEngine.run): retired work
         # must match the functional trace exactly.

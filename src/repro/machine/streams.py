@@ -22,6 +22,12 @@ computed once here and read by every point that shares it:
   count -- depend on (templates, issue model); **word plans** -- each
   scheduled word's de-duplicated source registers and its nodes --
   depend on (templates, schedules).
+* **block inputs** -- an interned id per trace position naming what a
+  block instance brings to a timing engine besides the machine state:
+  its block, fault index and wrong-path chain, which of its memory
+  nodes miss, and which of them share a word -- depend on (trace,
+  memory, predictor).  The engines' transfer memos (:mod:`.memo`) key
+  on them.
 
 :class:`TraceStreams` memoises all of them for one (templates, trace)
 pair; :meth:`PreparedWorkload.streams_for` keeps one per translated
@@ -31,6 +37,7 @@ directly builds its own with the same functions.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -67,6 +74,10 @@ VALUE_SQUASHED = 2
 
 #: A wrong path: the labels of the blocks fetch would follow, in order.
 Chain = Tuple[str, ...]
+
+#: Folds memory-stream outcomes to 1 for a miss and 0 otherwise (a
+#: write-buffer hit costs a hit's latency).
+_MISS_ONLY = bytes(code == MEM_MISS for code in range(256))
 
 
 class MemoryStream(NamedTuple):
@@ -238,6 +249,65 @@ def value_stream(templates: Dict[str, BlockTemplate], trace: Trace,
     return ValueStream(outcomes, vp.predictions, vp.confirmed, vp.squashed)
 
 
+class BlockInputs(NamedTuple):
+    """Every block instance's inputs, interned to small ids.
+
+    ``ids[position]`` is the same for two block instances exactly when
+    they share their block, fault index and wrong-path chain, the miss
+    pattern of their memory nodes, and which of those nodes address
+    the same word.  ``mem_nodes[id]`` is that block's memory-node count.
+    """
+
+    ids: array
+    mem_nodes: List[int]
+
+
+def block_inputs(templates: Dict[str, BlockTemplate], trace: Trace,
+                 misses: Optional[bytes],
+                 wrong_paths: Dict[int, Chain]) -> BlockInputs:
+    """Intern every trace position's inputs (see :class:`BlockInputs`).
+
+    ``misses`` holds 1 for every memory node that misses (None for a
+    perfect memory); ``wrong_paths`` is a branch stream's chains (empty
+    under perfect prediction).
+    """
+    n_mem = [templates[label].n_mem for label in trace.labels]
+    addresses = trace.addresses
+    fault_indices = trace.fault_indices
+    chain_at = wrong_paths.get
+    block_ids = trace.block_ids
+    ids = array("i", [0]) * len(block_ids)
+    interned: Dict[tuple, int] = {}
+    mem_nodes: List[int] = []
+    cursor = 0
+    for position, block_id in enumerate(block_ids):
+        count = n_mem[block_id]
+        aliases = missed = None
+        if count:
+            end = cursor + count
+            if count > 1:
+                words = [address >> 2 for address in addresses[cursor:end]]
+                if len(set(words)) < count:
+                    aliases = tuple([words.index(word) for word in words])
+            if misses is not None:
+                missed = misses[cursor:end]
+            cursor = end
+        key = (block_id, fault_indices[position], chain_at(position),
+               aliases, missed)
+        found = interned.get(key)
+        if found is None:
+            found = interned[key] = len(mem_nodes)
+            mem_nodes.append(count)
+        ids[position] = found
+    # A trace has few distinct inputs: keep the ids in the narrowest
+    # array that holds them.
+    for typecode in "BH":
+        if len(mem_nodes) <= 1 << (8 * array(typecode).itemsize):
+            ids = array(typecode, ids)
+            break
+    return BlockInputs(ids, mem_nodes)
+
+
 class IssuePlan:
     """One block's dynamic issue shape under one issue model.
 
@@ -296,13 +366,15 @@ class WordPlan:
     ``(cls, dest, mem_rank)`` in word order (``cls`` folded as in
     :class:`IssuePlan`; ``mem_rank`` indexes the block's trace
     addresses, -1 for non-memory nodes), and whether the word holds the
-    block's branch.  ``faults`` maps each assert's node index to
-    ``(words, datapath, loads, stores)``: the words issued through the
-    one holding it, and the nodes of each kind those words carry.
+    block's branch.  ``probes`` lists the memory nodes as ``(mem_rank,
+    is_load)`` in schedule order.  ``faults`` maps each assert's node
+    index to ``(words, datapath, loads, stores)``: the words issued
+    through the one holding it, and the nodes of each kind those words
+    carry (so its first ``loads + stores`` probes).
     """
 
     __slots__ = ("words", "n_datapath", "n_mem", "loads", "stores",
-                 "has_branch", "faults", "first_word_nodes")
+                 "has_branch", "faults", "first_word_nodes", "probes")
 
     def __init__(self, tmpl: BlockTemplate, sched: ScheduledBlock):
         self.n_datapath = tmpl.n_datapath
@@ -311,6 +383,7 @@ class WordPlan:
         self.first_word_nodes = len(sched.words[0]) if sched.words else 0
         nodes = tmpl.nodes
         words = []
+        probes = []
         faults = {}
         datapath = loads = stores = 0
         for word in sched.words:
@@ -321,6 +394,7 @@ class WordPlan:
                 srcs.update(dict.fromkeys(node_srcs))
                 if cls == T_LOAD or cls == T_STORE:
                     ops.append((cls, dest, sched.mem_rank[index]))
+                    probes.append((sched.mem_rank[index], cls == T_LOAD))
                     loads += cls == T_LOAD
                     stores += cls == T_STORE
                 else:
@@ -332,6 +406,7 @@ class WordPlan:
                 if nodes[index][0] == T_ASSERT:
                     faults[index] = (len(words), datapath, loads, stores)
         self.words = tuple(words)
+        self.probes = tuple(probes)
         self.loads = loads
         self.stores = stores
         self.faults = faults
@@ -346,6 +421,7 @@ class TraceStreams:
         self._memory: Dict[str, MemoryStream] = {}
         self._branches: Dict[Tuple[str, bool], BranchStream] = {}
         self._values: Dict[str, ValueStream] = {}
+        self._inputs: Dict[tuple, BlockInputs] = {}
         self._issue_plans: Dict[int, Dict[str, IssuePlan]] = {}
         #: id(schedules) -> (schedules, plans); holding the schedules
         #: keeps their id from being reused by another dict.
@@ -374,6 +450,26 @@ class TraceStreams:
             stream = value_stream(self.templates, self.trace, kind)
             self._values[kind] = stream
         return stream
+
+    def inputs(self, memory: Optional[MemoryConfig],
+               branch: Optional[Tuple[str, bool]]) -> BlockInputs:
+        """Block inputs under ``memory`` (None: no misses) and the
+        ``(predictor, static hints)`` branch stream (None: no wrong
+        paths)."""
+        cached = memory is not None and not memory.is_perfect
+        key = (memory.letter if cached else None, branch)
+        found = self._inputs.get(key)
+        if found is None:
+            misses = None
+            if cached:
+                misses = bytes(self.memory(memory).outcomes).translate(
+                    _MISS_ONLY)
+            wrong_paths = (self.branches(*branch).wrong_paths
+                           if branch is not None else {})
+            found = block_inputs(self.templates, self.trace, misses,
+                                 wrong_paths)
+            self._inputs[key] = found
+        return found
 
     def issue_plans(self, issue: IssueModel) -> Dict[str, IssuePlan]:
         plans = self._issue_plans.get(issue.index)

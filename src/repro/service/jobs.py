@@ -170,7 +170,9 @@ class SweepJob:
     validation: Optional[Dict[str, Any]] = None
     #: one summary record per resolved point, in resolution order.
     results: List[Dict[str, Any]] = field(default_factory=list)
-    #: SimResult objects for this job (validation input; not serialized).
+    #: SimResult objects for the per-job oracle, collected only under
+    #: ``serve --validate`` and released when the job finishes (not
+    #: serialized).
     sim_results: List[Any] = field(default_factory=list)
 
     @property

@@ -497,13 +497,17 @@ class JobScheduler:
                 # points): settle them so their results reach the cache.
                 run_sweep(self.runner, self.backend, (),
                           lambda outcome, _tally: self._deliver(outcome))
-                continue
-            assert job is not None
-            if job.cancel_requested:
-                with self._cond:
-                    self._finish_locked(job, JOB_CANCELLED)
-                continue
-            self._execute(job)
+            else:
+                assert job is not None
+                if job.cancel_requested:
+                    with self._cond:
+                        self._finish_locked(job, JOB_CANCELLED)
+                    continue
+                self._execute(job)
+            # Jobs count their failures through their outcomes; the
+            # runner's list, which the sweep loop appends to, would
+            # otherwise grow for the daemon's lifetime.
+            del self.runner.failures[:]
 
     def _execute(self, job: SweepJob) -> None:
         collector = self.runner.collector
@@ -665,7 +669,7 @@ class JobScheduler:
                 job.points_failed += 1
             else:
                 job.points_fresh += 1
-            if result is not None:
+            if result is not None and self.validate:
                 job.sim_results.append(result)
             job.results.append(record)
             self._refresh_counters_locked()
@@ -675,6 +679,9 @@ class JobScheduler:
     def _finish_locked(self, job: SweepJob, state: str) -> None:
         """Terminal transition (lock held): journal, stats, final event."""
         job.state = state
+        # Only the per-job oracle reads the results, and it never runs
+        # past here: a finished job keeps its point records, not them.
+        job.sim_results = []
         job.finished_s = time.time()
         stat = {JOB_DONE: "jobs.done", JOB_FAILED: "jobs.failed",
                 JOB_CANCELLED: "jobs.cancelled"}[state]

@@ -14,6 +14,13 @@ workload, at two configurations.
 
 No committed baseline covers the sequential issue model or memories B,
 F and G; these tests are their only check.
+
+The engines memoise block transfers on points under the null collector
+(every static point; dynamic windows 1 and 4 without value
+speculation).  The generated programs run too few rounds to revisit
+many states, so grep points on the memoised lines and a loop whose
+enlarged blocks fault at several different asserts check the memo,
+and a spy on its miss path makes sure it served the block instances.
 """
 
 import dataclasses
@@ -29,6 +36,7 @@ from repro.lang import compile_source
 from repro.machine import BranchMode, Discipline, MachineConfig
 from repro.machine.config import ISSUE_MODELS, MEMORY_CONFIGS, WINDOW_SIZES
 from repro.machine.dynamic import _SLOT_TABLE_CYCLES
+from repro.machine.memo import TransferMemo
 from repro.machine.predictor import PREDICTOR_KINDS
 from repro.machine.simulator import PreparedWorkload, simulate
 from repro.profiles import annotate_static_hints, build_profile
@@ -186,3 +194,166 @@ def test_engines_match_reference_on_grep(grep_prepared, config):
     assert collector.counters == expected_collector.counters
     if config.discipline is Discipline.DYNAMIC:
         assert result.cycles > _SLOT_TABLE_CYCLES
+
+
+#: Points the transfer memo serves, one per memoised line kind: static
+#: at a cached memory, window 1 at the sequential model, window 4 with
+#: a realistic and with a perfect predictor.
+MEMOISED = (
+    MachineConfig(Discipline.STATIC, 2, "E", BranchMode.ENLARGED),
+    MachineConfig(Discipline.DYNAMIC, 1, "A", BranchMode.SINGLE,
+                  window_blocks=1),
+    MachineConfig(Discipline.DYNAMIC, 2, "C", BranchMode.ENLARGED,
+                  window_blocks=4),
+    MachineConfig(Discipline.DYNAMIC, 8, "A", BranchMode.PERFECT,
+                  window_blocks=4),
+)
+
+
+@pytest.fixture
+def memo_misses(monkeypatch):
+    """Record the input id of every transfer the memo had to compute."""
+    misses = []
+    store = TransferMemo.store
+
+    def spy(self, input_id, key, record):
+        misses.append(input_id)
+        store(self, input_id, key, record)
+
+    monkeypatch.setattr(TransferMemo, "store", spy)
+    return misses
+
+
+def assert_memo_matches_reference(prepared, config, misses, served):
+    """The memoised point equals the reference's, and the memo served at
+    least the fraction ``served`` of the point's block instances."""
+    result = simulate(prepared, config)
+    expected = reference_result(prepared, config, NULL_COLLECTOR)
+    assert dataclasses.asdict(result) == dataclasses.asdict(expected)
+    blocks = len(prepared.trace_for(config.branch_mode).block_ids)
+    assert 0 < len(misses) <= blocks * (1 - served)
+
+
+@pytest.mark.parametrize("config", MEMOISED, ids=str)
+def test_memoised_points_match_reference_on_grep(grep_prepared, memo_misses,
+                                                 config):
+    assert_memo_matches_reference(grep_prepared, config, memo_misses, 0.9)
+
+
+#: Each round the inner loop's rare arm falls at a different unrolled
+#: copy of its enlarged body, so those blocks fault at several asserts.
+SEVERAL_FAULTS = """
+int data[64];
+
+int main() {
+    int i;
+    int s = 0;
+    int round;
+    for (i = 0; i < 64; i++) {
+        data[i] = (i * 7) & 15;
+    }
+    for (round = 0; round < 30; round++) {
+        for (i = 0; i < 20; i++) {
+            if (data[(i + round) & 63] == 3) {
+                s = s - 1;
+            } else {
+                s = s + data[i];
+            }
+        }
+    }
+    return s & 127;
+}
+"""
+
+
+@pytest.mark.parametrize("config", [
+    MachineConfig(Discipline.STATIC, 2, "A", BranchMode.ENLARGED),
+    MachineConfig(Discipline.STATIC, 5, "D", BranchMode.ENLARGED),
+    MachineConfig(Discipline.DYNAMIC, 1, "A", BranchMode.ENLARGED,
+                  window_blocks=1),
+    MachineConfig(Discipline.DYNAMIC, 5, "C", BranchMode.ENLARGED,
+                  window_blocks=4),
+    MachineConfig(Discipline.DYNAMIC, 8, "A", BranchMode.PERFECT,
+                  window_blocks=4),
+], ids=str)
+def test_memo_tells_a_blocks_faulting_asserts_apart(memo_misses, config):
+    prepared = prepare(SEVERAL_FAULTS)
+    trace = prepared.enlarged_trace
+    asserts = {}
+    for block_id, fault_index in zip(trace.block_ids, trace.fault_indices):
+        if fault_index >= 0:
+            asserts.setdefault(block_id, set()).add(fault_index)
+    assert max(len(found) for found in asserts.values()) >= 5
+    assert_memo_matches_reference(prepared, config, memo_misses, 0.5)
+
+
+#: The store's value comes late and the load's address early: when the
+#: load reads the word the store just wrote (every fourth iteration) it
+#: waits for the store, otherwise it runs ahead.
+STORE_THEN_LOAD = """
+int hist[16];
+
+int main() {
+    int i;
+    int s = 0;
+    int round;
+    int v = 1;
+    for (round = 0; round < 20; round++) {
+        for (i = 0; i < 60; i++) {
+            v = (v * 3 + s) & 1023;
+            hist[i & 7] = v * v;
+            s = s + hist[(i * 3) & 7];
+        }
+    }
+    return s & 127;
+}
+"""
+
+
+@pytest.mark.parametrize("config", [
+    MachineConfig(Discipline.DYNAMIC, 8, "A", BranchMode.SINGLE,
+                  window_blocks=1),
+    MachineConfig(Discipline.DYNAMIC, 5, "C", BranchMode.SINGLE,
+                  window_blocks=4),
+    MachineConfig(Discipline.DYNAMIC, 5, "A", BranchMode.ENLARGED,
+                  window_blocks=1),
+], ids=str)
+def test_memo_tells_aliasing_words_apart(memo_misses, config):
+    assert_memo_matches_reference(prepare(STORE_THEN_LOAD), config,
+                                  memo_misses, 0.5)
+
+
+#: A program ``repeating_program`` drew: each round stores grid[0][0]
+#: and the next loads it, so a load can wait on a store of an earlier
+#: block whose operands no longer sit in any register.
+LOOP_CARRIED_STORE = _PRELUDE + """int main() {
+    int a = 3;
+    int b = -7;
+    int c = 11;
+    int k0;
+    int k1;
+    int round;
+    for (round = 0; round < 33; round++) {
+        c = c + grid[0][0];
+        grid[0][0] = round / 6;
+        b = b + grid[b & 1][grid[1][b & 1] & 1];
+        if ((c >> 0) & 1) { a = a - b; }
+        a = a + round;
+        b = ((-69 & c) ^ a);
+    }
+    return (a ^ b ^ c ^ grid[1][1]) & 127;
+}
+"""
+
+
+@pytest.mark.parametrize("config", [
+    MachineConfig(Discipline.DYNAMIC, 5, "C", BranchMode.ENLARGED,
+                  window_blocks=1),
+    MachineConfig(Discipline.DYNAMIC, 8, "A", BranchMode.ENLARGED,
+                  window_blocks=4),
+    MachineConfig(Discipline.DYNAMIC, 5, "C", BranchMode.PERFECT,
+                  window_blocks=4),
+], ids=str)
+def test_memo_keys_on_earlier_stores(memo_misses, config):
+    assert_memo_matches_reference(prepare(LOOP_CARRIED_STORE), config,
+                                  memo_misses, 0.2)

@@ -34,6 +34,7 @@ from repro.harness.artifacts import default_artifact_root
 from repro.harness.backend import SerialBackend
 from repro.harness.cache import ResultCache
 from repro.harness.runner import SweepRunner
+from repro.machine.errors import SimulationHang
 from repro.machine.config import BranchMode, Discipline
 from repro.service import (
     AdmissionError,
@@ -48,6 +49,7 @@ from repro.service import (
 from repro.service.client import AdmissionRejected, JobNotFound, ServiceError
 from repro.service.jobs import TERMINAL_STATES
 from repro.stats.results import SimResult
+from repro.validate import run_oracle
 from repro.telemetry import MetricsCollector, prometheus
 
 
@@ -433,6 +435,63 @@ class TestRestartReplay:
         assert restored["points"]["fresh"] == 2
         second.stop()
         assert journal.read_bytes() == before
+
+
+class TestDaemonHoldsNoHistory:
+    """A long-lived daemon must not keep per-point state of past jobs."""
+
+    def test_failed_jobs_leave_the_runners_failures_bounded(
+            self, tmp_path, monkeypatch, stub_sim):
+        def hang(workload, config, collector=None, max_cycles=None,
+                 **kwargs):
+            raise SimulationHang("grep", str(config), 101, 100)
+
+        monkeypatch.setattr("repro.harness.runner.simulate", hang)
+        scheduler = make_scheduler(tmp_path, monkeypatch)
+        scheduler.start()
+        spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 3})
+        held = []
+        for _ in range(5):
+            job = run_job(scheduler, spec)
+            assert job["state"] == "failed"
+            assert job["points"]["failed"] == 3
+            held.append(len(scheduler.runner.failures))
+        scheduler.stop()
+        # At most the job that just finished, never the history.
+        assert max(held) <= 3
+        assert scheduler.runner.failures == []
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_finished_jobs_hold_no_results(self, tmp_path, monkeypatch,
+                                           stub_sim, validate):
+        scheduler = make_scheduler(tmp_path, monkeypatch, validate=validate)
+        scheduler.start()
+        spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 4})
+        collected = []
+        resolve = scheduler._resolve
+
+        def spy(job, *args, **kwargs):
+            resolve(job, *args, **kwargs)
+            collected.append(len(job.sim_results))
+
+        monkeypatch.setattr(scheduler, "_resolve", spy)
+        jobs = [run_job(scheduler, spec) for _ in range(3)]
+        held = [len(scheduler._jobs[job["job_id"]].sim_results)
+                for job in jobs]
+        scheduler.stop()
+        assert [job["state"] for job in jobs] == ["done"] * 3
+        assert held == [0, 0, 0]
+        if validate:
+            # Each job's oracle still reads all four of its results.
+            assert collected == [1, 2, 3, 4] * 3
+            expected = run_oracle(
+                [fake_result(task.config) for task in spec.points(1)],
+                scale=1).to_dict()
+            assert expected["checked_results"] == 4
+            assert all(job["validation"] == expected for job in jobs)
+        else:
+            assert collected == [0] * 12
+            assert all("validation" not in job for job in jobs)
 
 
 # ----------------------------------------------------------------------
