@@ -123,9 +123,9 @@ def _run_sweep_arm(workdir: str, benchmarks: Tuple[str, ...], scale: int,
             default_checkpoint_path(), benchmarks=list(benchmarks),
             scale=scale, total=len(tasks), save_interval=10,
         )
-        run_checkpointed(runner, make_backend(runner, _chaos_policy()),
-                         tasks, checkpoint)
-        arm.failures += len(runner.failures)
+        tally = run_checkpointed(runner, make_backend(runner, _chaos_policy()),
+                                 tasks, checkpoint)
+        arm.failures += len(tally.failures)
     cache_path = os.path.join(workdir, "results.json")
     if os.path.exists(cache_path):
         with open(cache_path, "rb") as handle:

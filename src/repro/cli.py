@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from .harness.figures import (
@@ -629,9 +630,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     The sweep loop is the single writer of the result cache, the
     checkpoint manifest and the telemetry document; execution backends
     (serial, or a process pool under ``--jobs N``) only produce
-    ``PointOutcome`` messages.  Every settled point feeds the validation
-    oracle: per-result invariants as it settles, then the dominance
-    orders and, under ``--check``, golden-baseline drift over the grid.
+    ``PointOutcome`` messages.  After the loop the validation oracle
+    runs over every point it settled (the loop's tally): per-result
+    invariants, the dominance orders and, under ``--check``,
+    golden-baseline drift.
     The engine watchdog's limit comes from ``REPRO_MAX_CYCLES``.
     ``--record`` snapshots the grid's metrics as its golden baseline --
     refused when the oracle found errors or a point failed, so a broken
@@ -665,7 +667,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     benchmarks = _benchmarks_from_args(args)
     collector = MetricsCollector() if args.metrics_out else None
     runner = SweepRunner(benchmarks=benchmarks, scale=args.scale,
-                         collector=collector, validate=True)
+                         collector=collector)
     policy = ExecutionPolicy(timeout_s=args.timeout, retries=args.retries)
     backend = make_backend(runner, policy, jobs=args.jobs)
     tasks = grid_tasks(args.grid, runner.benchmarks, runner.scale)
@@ -734,22 +736,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"limit reached: {tally.resolved}/{total} points in cache")
     else:
         print(f"sweep complete: {total} points ({tally.dispatched} newly"
-              f" simulated, {tally.failed} failed)")
+              f" simulated, {len(tally.failures)} failed)")
     baseline = args.baseline or default_baseline_path(
         runner.benchmarks, grid=args.grid
     )
+    results = list(tally.results.values())
+    validate_start = time.perf_counter()
     report = run_oracle(
-        runner.results, rel_tol=args.rel_tol,
+        results, rel_tol=args.rel_tol,
         baseline_path=baseline if args.check else None,
-        scale=runner.scale, invariant_findings=runner.findings,
+        scale=runner.scale,
     )
+    runner.collector.add_span("phase.validate",
+                              time.perf_counter() - validate_start)
     for line in report.summary_lines():
         print(line)
     if args.record:
-        if report.ok and not runner.failures:
-            record_baseline(runner.results, runner.scale, baseline)
+        if report.ok and not tally.failures:
+            record_baseline(results, runner.scale, baseline)
             print(f"recorded golden baseline: {baseline}"
-                  f" ({len(runner.results)} points)")
+                  f" ({len(results)} points)")
         else:
             print("refusing to record a golden baseline from a run the"
                   " oracle rejected or with failed points", file=sys.stderr)
@@ -759,9 +765,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             context={"backend": backend.name, "jobs": args.jobs},
             validation=report.to_dict(),
         )
-    if runner.failures:
-        kinds = sorted({failure.kind for failure in runner.failures})
-        print(f"sweep: {len(runner.failures)} point(s) failed"
+    if tally.failures:
+        kinds = sorted({failure.kind for failure in tally.failures})
+        print(f"sweep: {len(tally.failures)} point(s) failed"
               f" ({', '.join(kinds)}); details in {checkpoint_path}",
               file=sys.stderr)
         return 3
@@ -872,8 +878,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     wall = (final["finished_s"] - final["started_s"]
             if final.get("finished_s") and final.get("started_s") else 0.0)
     print(f"job {job_id} done: {points['total']} point(s)"
-          f" ({points['cached']} cached, {points['fresh']} simulated,"
-          f" {points['deduped']} deduped) in {wall:.2f}s")
+          f" ({points['cached']} cached, {points['fresh']} simulated)"
+          f" in {wall:.2f}s")
     validation = final.get("validation")
     if validation is not None:
         severities = validation.get("severities", {})

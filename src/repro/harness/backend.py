@@ -12,7 +12,7 @@ against one small surface, :class:`ExecutionBackend`:
 * :meth:`~ExecutionBackend.close` releases workers.
 
 Backends only run points and return outcomes: the sweep loop settles
-each one (cache write, oracle, failure list, checkpoint).
+each one (cache write, tally, checkpoint).
 
 :class:`SerialBackend` runs each task through a :class:`PointExecutor`
 in submission order, in this process.

@@ -2,7 +2,9 @@
 
 Prepared workloads (compile + profile + enlarge + functional traces) are
 cached in-process; timing results are cached on disk so interrupted or
-repeated sweeps resume where they left off.
+repeated sweeps resume where they left off.  The runner holds no record
+of a run: what one sweep settled lives in the sweep loop's tally
+(:class:`repro.harness.sweep.SweepTally`).
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ from ..machine.simulator import PreparedWorkload, simulate
 from ..stats.results import SimResult
 from ..telemetry.collector import Collector, NULL_COLLECTOR
 from ..telemetry.logging import get_logger
-from ..validate.findings import ValidationFinding
-from ..validate.invariants import check_result
 from ..workloads import PAPER_WORKLOAD_NAMES, WORKLOADS, prepared
 from ..workloads.base import ensure_artifacts
-from .cache import ResultCache, result_key
-from .errors import PointFailure, WorkloadPrepareError
+from .cache import ResultCache
+from .errors import WorkloadPrepareError
 
 _LOG = get_logger("sweep")
 
@@ -58,8 +58,7 @@ class SweepRunner:
     def __init__(self, benchmarks: Optional[Sequence[str]] = None,
                  scale: Optional[int] = None, use_cache: bool = True,
                  verbose: bool = False,
-                 collector: Optional[Collector] = None,
-                 validate: bool = False):
+                 collector: Optional[Collector] = None):
         self.benchmarks = list(benchmarks) if benchmarks else default_benchmarks()
         unknown = [name for name in self.benchmarks if name not in WORKLOADS]
         if unknown:
@@ -70,18 +69,6 @@ class SweepRunner:
             ResultCache(collector=self.collector) if use_cache else None
         )
         self.verbose = verbose
-        #: every PointFailure the sweep loop settled, carried ones included.
-        self.failures: List[PointFailure] = []
-        #: validation oracle hook (see repro.validate): when enabled the
-        #: runner keeps every result it serves and checks per-result
-        #: invariants eagerly.  Only the sweep's parent process enables
-        #: this -- pool workers mail results back and the parent observes
-        #: them under the single-writer merge, so serial and parallel
-        #: sweeps of one grid collect identical findings.
-        self.validate = validate
-        self.results: List[SimResult] = []
-        self.findings: List[ValidationFinding] = []
-        self._observed_keys: set = set()
 
     # ------------------------------------------------------------------
     def workload(self, name: str) -> PreparedWorkload:
@@ -112,36 +99,6 @@ class SweepRunner:
             ensure_artifacts(WORKLOADS[name], scale=self.scale)
         except Exception as exc:
             raise WorkloadPrepareError(name, exc) from exc
-
-    def observe_result(self, result: SimResult) -> None:
-        """Feed one served result to the validation oracle (if enabled).
-
-        :meth:`settle_result` calls it once per point, for cache hits
-        and fresh results alike, always in the sweep's parent process:
-        pool workers mail their results back, so serial and parallel
-        sweeps of one grid collect identical findings.  Invariant
-        findings are collected eagerly; dominance and baseline layers
-        run over :attr:`results` once the grid is complete.
-        """
-        if not self.validate:
-            return
-        key = result_key(result.benchmark, result.config, self.scale)
-        if key in self._observed_keys:
-            # A point can reach the parent twice (e.g. a benchmark
-            # listed twice); one grid point contributes one result to
-            # the oracle.
-            return
-        self._observed_keys.add(key)
-        self.results.append(result)
-        check_start = time.perf_counter()
-        found = check_result(result)
-        self.collector.add_span(
-            "phase.validate", time.perf_counter() - check_start,
-            benchmark=result.benchmark, config=str(result.config),
-        )
-        if found:
-            self.findings.extend(found)
-            self.collector.count("validate.invariant.violations", len(found))
 
     def cache_lookup(self, benchmark: str,
                      config: MachineConfig) -> Optional[SimResult]:
@@ -196,20 +153,19 @@ class SweepRunner:
                       cycles=result.cycles)
         return result
 
-    def settle_result(self, result: SimResult, fresh: bool) -> None:
-        """Cache a fresh result, then feed any result to the oracle.
+    def settle_result(self, result: SimResult) -> None:
+        """Write one fresh result to the result cache.
 
         Only the sweep loop's settle step and :meth:`run_point` call
-        this, so each point reaches the cache and the oracle once, in
-        the parent process.  A failed cache write counts as
+        this, so each fresh point reaches the cache once, in the parent
+        process.  A failed cache write counts as
         ``sweep.cache.store_error`` and the result is kept.
         """
-        if fresh and self.cache is not None:
+        if self.cache is not None:
             try:
                 self.cache.put(result, self.scale)
             except Exception:  # noqa: BLE001 - a cache write must not
                 self.collector.count("sweep.cache.store_error")  # lose the result
-        self.observe_result(result)
 
     def run_point(self, benchmark: str, config: MachineConfig) -> SimResult:
         """One simulation, served from cache when available.
@@ -225,10 +181,9 @@ class SweepRunner:
         :func:`repro.harness.sweep.run_sweep`.
         """
         result = self.cache_lookup(benchmark, config)
-        fresh = result is None
-        if fresh:
+        if result is None:
             result = self.simulate_point(benchmark, config)
-        self.settle_result(result, fresh)
+            self.settle_result(result)
         return result
 
     # ------------------------------------------------------------------

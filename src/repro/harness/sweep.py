@@ -6,31 +6,34 @@ drill and the service's job scheduler -- drives :func:`run_sweep`.  Per point, i
 1. a failure carried from an earlier run settles the point without
    re-attempting it;
 2. a result-cache hit settles it without dispatch;
-3. past the ``limit`` of dispatched points the loop stops;
-4. a ``claim`` hook may decline the dispatch (the caller already has the
-   point in flight elsewhere and will settle it itself);
-5. otherwise the point goes to the :class:`ExecutionBackend`, whose
+3. past the ``limit`` of dispatched points, or once ``stop`` says so,
+   dispatch ends;
+4. otherwise the point goes to the :class:`ExecutionBackend`, whose
    outcomes are settled as they arrive.
 
-Unless ``stop`` asked it to end early, the loop then drains the backend.
+However dispatch ended, the loop then drains the backend, so every
+point it dispatched is settled before it returns.
 
 Settling is the loop's alone: backends and the executor only run points
 and return outcomes.  The settle step writes each fresh result to the
-result cache, feeds every cached or fresh result to the validation
-oracle (both through :meth:`SweepRunner.settle_result`), and appends
-every failure, fresh or carried, to ``runner.failures``.  What differs
-between callers -- checkpoint marks, progress lines, job bookkeeping --
-lives in the ``on_outcome`` callback; :func:`run_checkpointed` adds the
-checkpoint marks and the shutdown that ``repro-sim sweep`` and the
-chaos drill share.
+result cache (through :meth:`SweepRunner.settle_result`) and records the
+run in the returned :class:`SweepTally`: one result per point key,
+cached or fresh, and every failure, fresh or carried.  The tally is the
+run's record; callers read it after the loop (the validation oracle
+runs over ``tally.results``, exit codes read ``tally.failures``).  What
+differs between callers -- checkpoint marks, progress lines, job
+bookkeeping -- lives in the ``on_outcome`` callback;
+:func:`run_checkpointed` adds the checkpoint marks and the shutdown that
+``repro-sim sweep`` and the chaos drill share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..machine.config import grid_configs
+from ..stats.results import SimResult
 from .backend import ExecutionBackend, PointOutcome, PointTask
 from .cache import result_key
 from .checkpoint import SweepCheckpoint
@@ -54,16 +57,18 @@ def grid_tasks(grid: str, benchmarks: Sequence[str], scale: int,
 
 @dataclass
 class SweepTally:
-    """What one :func:`run_sweep` call has settled so far."""
+    """The record of one :func:`run_sweep` call: what it has settled."""
 
     #: points settled: cached, simulated, failed or carried.
     resolved: int = 0
     #: points handed to the backend.
     dispatched: int = 0
-    #: settled points that failed, carried failures included.
-    failed: int = 0
     #: whether the loop stopped at ``limit`` dispatched points.
     limited: bool = False
+    #: point key -> its result, cached or fresh; the first settle wins.
+    results: Dict[str, SimResult] = field(default_factory=dict)
+    #: every settled failure, carried ones included.
+    failures: List[PointFailure] = field(default_factory=list)
 
 
 def run_sweep(runner: SweepRunner, backend: ExecutionBackend,
@@ -71,23 +76,22 @@ def run_sweep(runner: SweepRunner, backend: ExecutionBackend,
               on_outcome: Callable[[PointOutcome, SweepTally], None],
               limit: Optional[int] = None,
               carried: Optional[Mapping[str, PointFailure]] = None,
-              claim: Optional[Callable[[PointTask], bool]] = None,
               stop: Optional[Callable[[], bool]] = None) -> SweepTally:
     """Run ``tasks`` through ``backend``; see the module docstring.
 
-    ``on_outcome`` sees every outcome the loop settles, including those
-    of points an earlier run of the loop left in flight on the same
-    backend (the service routes them to the jobs that claimed them).
+    ``on_outcome`` sees every outcome the loop settles, after the tally
+    has recorded it.
     """
     tally = SweepTally()
 
     def settle(outcome: PointOutcome) -> None:
         tally.resolved += 1
         if outcome.failure is not None:
-            tally.failed += 1
-            runner.failures.append(outcome.failure)
+            tally.failures.append(outcome.failure)
         else:
-            runner.settle_result(outcome.result, outcome.source == "fresh")
+            if outcome.source == "fresh":
+                runner.settle_result(outcome.result)
+            tally.results.setdefault(outcome.task.key, outcome.result)
         on_outcome(outcome, tally)
 
     for task in tasks:
@@ -105,14 +109,11 @@ def run_sweep(runner: SweepRunner, backend: ExecutionBackend,
         if limit is not None and tally.dispatched >= limit:
             tally.limited = True
             break
-        if claim is not None and not claim(task):
-            continue
         tally.dispatched += 1
         for outcome in backend.submit(task):
             settle(outcome)
-    if stop is None or not stop():
-        for outcome in backend.finish():
-            settle(outcome)
+    for outcome in backend.finish():
+        settle(outcome)
     return tally
 
 

@@ -27,7 +27,8 @@ computed once here and read by every point that shares it:
   its block, fault index and wrong-path chain, which of its memory
   nodes miss, and which of them share a word -- depend on (trace,
   memory, predictor).  The engines' transfer memos (:mod:`.memo`) key
-  on them.
+  on them.  Which nodes share a word depends on the trace alone, so
+  those **alias patterns** are interned once per trace.
 
 :class:`TraceStreams` memoises all of them for one (templates, trace)
 pair; :meth:`PreparedWorkload.streams_for` keeps one per translated
@@ -249,6 +250,45 @@ def value_stream(templates: Dict[str, BlockTemplate], trace: Trace,
     return ValueStream(outcomes, vp.predictions, vp.confirmed, vp.squashed)
 
 
+def _narrow(ids: array, distinct: int) -> array:
+    """``ids`` in the narrowest array that holds ``distinct`` ids.
+
+    A trace has few distinct block inputs or alias patterns.
+    """
+    for typecode in "BH":
+        if distinct <= 1 << (8 * array(typecode).itemsize):
+            return array(typecode, ids)
+    return ids
+
+
+def alias_patterns(templates: Dict[str, BlockTemplate],
+                   trace: Trace) -> array:
+    """Intern which memory nodes share a word, per trace position.
+
+    ``patterns[position]`` is 0 when the block instance's memory nodes
+    address distinct words; otherwise it names the tuple that maps each
+    node to the first node addressing its word.
+    """
+    n_mem = [templates[label].n_mem for label in trace.labels]
+    addresses = trace.addresses
+    ids = array("i", [0]) * len(trace.block_ids)
+    interned: Dict[Optional[tuple], int] = {None: 0}
+    cursor = 0
+    for position, block_id in enumerate(trace.block_ids):
+        count = n_mem[block_id]
+        if count > 1:
+            words = [address >> 2
+                     for address in addresses[cursor:cursor + count]]
+            if len(set(words)) < count:
+                pattern = tuple([words.index(word) for word in words])
+                found = interned.get(pattern)
+                if found is None:
+                    found = interned[pattern] = len(interned)
+                ids[position] = found
+        cursor += count
+    return _narrow(ids, len(interned))
+
+
 class BlockInputs(NamedTuple):
     """Every block instance's inputs, interned to small ids.
 
@@ -263,16 +303,16 @@ class BlockInputs(NamedTuple):
 
 
 def block_inputs(templates: Dict[str, BlockTemplate], trace: Trace,
-                 misses: Optional[bytes],
+                 aliases: array, misses: Optional[bytes],
                  wrong_paths: Dict[int, Chain]) -> BlockInputs:
     """Intern every trace position's inputs (see :class:`BlockInputs`).
 
-    ``misses`` holds 1 for every memory node that misses (None for a
-    perfect memory); ``wrong_paths`` is a branch stream's chains (empty
-    under perfect prediction).
+    ``aliases`` is the trace's :func:`alias_patterns`; ``misses`` holds
+    1 for every memory node that misses (None for a perfect memory);
+    ``wrong_paths`` is a branch stream's chains (empty under perfect
+    prediction).
     """
     n_mem = [templates[label].n_mem for label in trace.labels]
-    addresses = trace.addresses
     fault_indices = trace.fault_indices
     chain_at = wrong_paths.get
     block_ids = trace.block_ids
@@ -282,30 +322,18 @@ def block_inputs(templates: Dict[str, BlockTemplate], trace: Trace,
     cursor = 0
     for position, block_id in enumerate(block_ids):
         count = n_mem[block_id]
-        aliases = missed = None
-        if count:
-            end = cursor + count
-            if count > 1:
-                words = [address >> 2 for address in addresses[cursor:end]]
-                if len(set(words)) < count:
-                    aliases = tuple([words.index(word) for word in words])
-            if misses is not None:
-                missed = misses[cursor:end]
-            cursor = end
+        missed = None
+        if count and misses is not None:
+            missed = misses[cursor:cursor + count]
+        cursor += count
         key = (block_id, fault_indices[position], chain_at(position),
-               aliases, missed)
+               aliases[position], missed)
         found = interned.get(key)
         if found is None:
             found = interned[key] = len(mem_nodes)
             mem_nodes.append(count)
         ids[position] = found
-    # A trace has few distinct inputs: keep the ids in the narrowest
-    # array that holds them.
-    for typecode in "BH":
-        if len(mem_nodes) <= 1 << (8 * array(typecode).itemsize):
-            ids = array(typecode, ids)
-            break
-    return BlockInputs(ids, mem_nodes)
+    return BlockInputs(_narrow(ids, len(mem_nodes)), mem_nodes)
 
 
 class IssuePlan:
@@ -422,6 +450,7 @@ class TraceStreams:
         self._branches: Dict[Tuple[str, bool], BranchStream] = {}
         self._values: Dict[str, ValueStream] = {}
         self._inputs: Dict[tuple, BlockInputs] = {}
+        self._aliases: Optional[array] = None
         self._issue_plans: Dict[int, Dict[str, IssuePlan]] = {}
         #: id(schedules) -> (schedules, plans); holding the schedules
         #: keeps their id from being reused by another dict.
@@ -466,8 +495,10 @@ class TraceStreams:
                     _MISS_ONLY)
             wrong_paths = (self.branches(*branch).wrong_paths
                            if branch is not None else {})
-            found = block_inputs(self.templates, self.trace, misses,
-                                 wrong_paths)
+            if self._aliases is None:
+                self._aliases = alias_patterns(self.templates, self.trace)
+            found = block_inputs(self.templates, self.trace, self._aliases,
+                                 misses, wrong_paths)
             self._inputs[key] = found
         return found
 

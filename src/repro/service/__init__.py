@@ -2,7 +2,7 @@
 
 The batch entry point (``sweep``) pays the
 expensive half of every run -- compiling, profiling, enlarging and
-tracing workloads -- on each invocation, and throw the warm state away
+tracing workloads -- on each invocation, and throws the warm state away
 on exit.  The service keeps all of it resident: prepared workloads stay
 in the in-process cache, the result cache stays loaded, and (under
 ``--jobs N``) the worker pool stays up, so overlapping grid queries are
@@ -15,8 +15,8 @@ Layers (see DESIGN.md "Service layer"):
   JSONL job journal that survives daemon restarts;
 * :mod:`~repro.service.scheduler` -- FIFO :class:`JobScheduler` fanning
   job points onto an :class:`~repro.harness.backend.ExecutionBackend`,
-  with admission control (typed :class:`AdmissionError` rejections),
-  in-flight point deduplication and cancellation;
+  each job as one run of the batch sweep loop, with admission control
+  (typed :class:`AdmissionError` rejections) and cancellation;
 * :mod:`~repro.service.http_api` -- a stdlib-only HTTP front end
   (``http.server``): submit, status, long-poll events, health, metrics;
 * :mod:`~repro.service.client` -- the :class:`ServiceClient` used by

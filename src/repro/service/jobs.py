@@ -159,9 +159,6 @@ class SweepJob:
     points_cached: int = 0
     points_fresh: int = 0
     points_failed: int = 0
-    #: points this job did not dispatch because an identical point was
-    #: already in flight for another job (it shares that outcome).
-    points_deduped: int = 0
     cancel_requested: bool = False
     error: Optional[str] = None
     #: per-job telemetry counter deltas, stamped at completion.
@@ -170,10 +167,6 @@ class SweepJob:
     validation: Optional[Dict[str, Any]] = None
     #: one summary record per resolved point, in resolution order.
     results: List[Dict[str, Any]] = field(default_factory=list)
-    #: SimResult objects for the per-job oracle, collected only under
-    #: ``serve --validate`` and released when the job finishes (not
-    #: serialized).
-    sim_results: List[Any] = field(default_factory=list)
 
     @property
     def points_resolved(self) -> int:
@@ -196,7 +189,6 @@ class SweepJob:
                 "cached": self.points_cached,
                 "fresh": self.points_fresh,
                 "failed": self.points_failed,
-                "deduped": self.points_deduped,
             },
             "created_s": self.created_s,
             "started_s": self.started_s,

@@ -6,29 +6,27 @@ execution backend), preserving the single-writer discipline of batch
 sweeps exactly: HTTP threads only parse specs, take the admission lock
 and read snapshots -- they never touch the cache or the collector.
 
-Execution of one job is the batch sweep loop itself
+Each job is one plain batch sweep loop
 (:func:`~repro.harness.sweep.run_sweep`): cache probe first, then
 dispatch onto the shared :class:`~repro.harness.backend.ExecutionBackend`;
-the loop's settle step writes the cache and feeds the oracle, and this
-module adds only job bookkeeping, deduplication and cancellation
-through the loop's hooks.  When the daemon is idle with points still
-in flight (a cancelled job's leftovers that no successor claimed), the
-same loop drains them with no tasks, so they settle like any other
-outcome and their results reach the cache.  Because the runner, the
-in-process prepared-workload cache and the pool survive between jobs,
-the first job pays preparation once and every later job that touches
-the same benchmarks starts warm -- the service's whole reason to exist.
+the loop's settle step writes the cache, its tally is the job's record
+(the per-job oracle of ``serve --validate`` reads it), and this module
+adds only job bookkeeping and cancellation through the loop's
+``on_outcome`` and ``stop`` hooks.  Cancelling a running job stops its
+dispatch; the loop still drains the points already in flight (at most
+``2 x jobs``), so they reach the cache and count on the cancelled job.
+Because the runner, the in-process prepared-workload cache and the pool
+survive between jobs, the first job pays preparation once and every
+later job that touches the same benchmarks starts warm -- the service's
+whole reason to exist.  Between jobs the daemon holds no per-point
+state: a finished job keeps its point records, and the collector drops
+its per-point records and spans (its counters and histograms feed
+``/metrics``).
 
 Admission control is typed: :class:`AdmissionError` carries a machine
 -readable reason (``queue-full``, ``job-too-large``, ``scale-mismatch``,
 ``stopped``) and the HTTP status it maps to, so clients can distinguish
 "retry later" from "fix your request".
-
-Deduplication: a point key is in flight at most once daemon-wide.  The
-common cross-job case resolves through the result cache (an earlier
-job's finished point is a later job's cache hit); the in-flight map
-covers the live window -- most visibly the points a cancelled job left
-running, which a successor job subscribes to instead of re-dispatching.
 """
 
 from __future__ import annotations
@@ -39,17 +37,11 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..chaos.inject import recovered as chaos_recovered
-from ..harness.backend import (
-    ExecutionBackend,
-    PointOutcome,
-    PointTask,
-    make_backend,
-)
+from ..harness.backend import ExecutionBackend, PointOutcome, make_backend
 from ..harness.executor import ExecutionPolicy
 from ..harness.runner import SweepRunner
-from ..harness.sweep import SweepTally, run_sweep
+from ..harness.sweep import run_sweep
 from ..stats.aggregate import span_totals
-from ..stats.results import SimResult
 from ..telemetry import prometheus
 from ..telemetry.logging import get_logger
 from .jobs import (
@@ -123,8 +115,6 @@ class JobScheduler:
         self._order: List[str] = []  # acceptance order, for listings
         self._queue: Deque[str] = deque()
         self._events: Dict[str, List[Dict[str, Any]]] = {}
-        #: point key -> job ids awaiting its outcome (daemon-wide dedup).
-        self._inflight: Dict[str, List[str]] = {}
         self._seq = 0
         self._stop_requested = False
         self._thread: Optional[threading.Thread] = None
@@ -141,7 +131,6 @@ class JobScheduler:
             "jobs.done": 0,
             "jobs.failed": 0,
             "jobs.cancelled": 0,
-            "points.deduped": 0,
         }
         #: scheduler-thread refresh of the collector's counters, so
         #: ``/metrics`` reads never race collector writes.  Histograms
@@ -171,10 +160,10 @@ class JobScheduler:
     def stop(self, timeout_s: float = 60.0, cancel_pending: bool = True) -> None:
         """Stop the loop, optionally cancelling queued/running jobs.
 
-        In-flight points of the running job are abandoned with the
-        backend (their results, if any completed, are already in the
-        cache); accepted-but-unfinished jobs stay journaled and re-queue
-        on the next start.
+        A cancelled running job still settles its in-flight points into
+        the cache, which the join waits for (bounded by ``timeout_s``);
+        accepted-but-unfinished jobs stay journaled and re-queue on the
+        next start.
         """
         with self._cond:
             self._stop_requested = True
@@ -353,7 +342,6 @@ class JobScheduler:
                 "ok": True,
                 "uptime_s": round(time.time() - self.started_at, 3),
                 "queued": len(self._queue),
-                "inflight_points": len(self._inflight),
                 "jobs": states,
                 "scale": self.runner.scale,
                 "backend": self.backend.name,
@@ -367,9 +355,8 @@ class JobScheduler:
         snapshot views (counters per point resolution, histograms per
         job boundary), never a live read of a dict another thread is
         writing; admission counters are merged in under the lock.
-        Queue depth, in-flight points and uptime ride as gauges so a
-        scraper sees service pressure without parsing the JSON health
-        document.
+        Queue depth and uptime ride as gauges so a scraper sees service
+        pressure without parsing the JSON health document.
         """
         with self._cond:
             counters = dict(self._counters_view)
@@ -381,7 +368,6 @@ class JobScheduler:
             }
             gauges = {
                 "service.queue.depth": float(len(self._queue)),
-                "service.points.inflight": float(len(self._inflight)),
                 "service.uptime_seconds": round(
                     time.time() - self.started_at, 3
                 ),
@@ -459,7 +445,6 @@ class JobScheduler:
                     job.points_cached = int(points.get("cached", 0))
                     job.points_fresh = int(points.get("fresh", 0))
                     job.points_failed = int(points.get("failed", 0))
-                    job.points_deduped = int(points.get("deduped", 0))
                 compacted.append({key: value
                                   for key, value in state_record.items()
                                   if key != "v"})
@@ -479,35 +464,25 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         while True:
-            job: Optional[SweepJob] = None
-            drain = False
             with self._cond:
                 while not self._queue and not self._stop_requested:
-                    if self._inflight:
-                        drain = True
-                        break
-                    self._cond.wait(timeout=0.2)
-                if not drain:
-                    if self._stop_requested and not self._queue:
-                        return
-                    job_id = self._queue.popleft()
-                    job = self._jobs[job_id]
-            if drain:
-                # Idle with leftovers (a cancelled job's in-flight
-                # points): settle them so their results reach the cache.
-                run_sweep(self.runner, self.backend, (),
-                          lambda outcome, _tally: self._deliver(outcome))
-            else:
-                assert job is not None
-                if job.cancel_requested:
-                    with self._cond:
-                        self._finish_locked(job, JOB_CANCELLED)
-                    continue
+                    self._cond.wait()
+                if not self._queue:
+                    return
+                job = self._jobs[self._queue.popleft()]
+            if job.cancel_requested:
+                with self._cond:
+                    self._finish_locked(job, JOB_CANCELLED)
+                continue
+            collector = self.runner.collector
+            try:
                 self._execute(job)
-            # Jobs count their failures through their outcomes; the
-            # runner's list, which the sweep loop appends to, would
-            # otherwise grow for the daemon's lifetime.
-            del self.runner.failures[:]
+            finally:
+                # The daemon keeps no per-point telemetry: a job's span
+                # events are already on its stream, and /metrics reads
+                # only counters and histograms.
+                del collector.points[:]
+                del collector.spans[:]
 
     def _execute(self, job: SweepJob) -> None:
         collector = self.runner.collector
@@ -525,23 +500,14 @@ class JobScheduler:
         log.info("job_running", queue_wait_s=round(queue_wait_s, 3),
                  points=job.points_total)
         snap0 = dict(collector.counters)
-        spans0 = len(collector.spans)
         run_start = time.perf_counter()
-
-        def settle(outcome: PointOutcome, _tally: SweepTally) -> None:
-            if outcome.source == "cached":
-                self._resolve(job, outcome.task.benchmark,
-                              str(outcome.task.config), "cached",
-                              outcome.result)
-            else:
-                self._deliver(outcome)
-
         try:
-            # Unless cancelled, the loop drains everything outstanding:
-            # this job's dispatches plus any leftovers it subscribed to.
-            run_sweep(self.runner, self.backend, job.spec.points(job.scale),
-                      settle, claim=lambda task: self._claim(job, task),
-                      stop=lambda: job.cancel_requested)
+            # Cancelling ends dispatch; the loop still settles the
+            # points in flight, onto this job.
+            tally = run_sweep(self.runner, self.backend,
+                              job.spec.points(job.scale),
+                              lambda outcome, _tally: self._resolve(job, outcome),
+                              stop=lambda: job.cancel_requested)
         except Exception as exc:  # noqa: BLE001 - a job must not kill the loop
             log.error("job_crashed", error=f"{type(exc).__name__}: {exc}")
             with self._cond:
@@ -559,15 +525,15 @@ class JobScheduler:
         # Stream the phase spans this job produced over the job's event
         # feed, one event per phase.
         with self._cond:
-            for name, totals in span_totals(collector.spans[spans0:]).items():
+            for name, totals in span_totals(collector.spans).items():
                 self._emit(job, "span", name=name, **totals)
             self._refresh_histograms_locked()
         self._flush_cache_safe()
         report = None
-        if (self.validate and not job.cancel_requested and job.sim_results):
+        if self.validate and not job.cancel_requested and tally.results:
             from ..validate import run_oracle
 
-            report = run_oracle(job.sim_results, scale=job.scale)
+            report = run_oracle(tally.results.values(), scale=job.scale)
         with self._cond:
             job.counters = deltas
             if report is not None:
@@ -612,56 +578,20 @@ class JobScheduler:
         except OSError:
             self.runner.collector.count("sweep.cache.store_error")
 
-    def _claim(self, job: SweepJob, task: PointTask) -> bool:
-        """Daemon-wide dedup: join an in-flight twin, or own the dispatch."""
-        with self._cond:
-            waiters = self._inflight.get(task.key)
-            if waiters is not None:
-                waiters.append(job.job_id)
-                job.points_deduped += 1
-                self.stats["points.deduped"] += 1
-                return False
-            self._inflight[task.key] = [job.job_id]
-            return True
-
-    def _deliver(self, outcome: PointOutcome) -> None:
-        """Route one settled outcome to every job subscribed to its key.
-
-        The sweep loop already wrote the cache and fed the oracle under
-        the single-writer discipline; this layer only does job
-        bookkeeping.
-        """
-        with self._cond:
-            subscribers = self._inflight.pop(outcome.task.key, [])
-        status = "failed" if outcome.failure is not None else "fresh"
-        for index, job_id in enumerate(subscribers):
-            job = self._jobs.get(job_id)
-            if job is None or job.terminal:
-                continue
-            self._resolve(
-                job, outcome.task.benchmark, str(outcome.task.config),
-                status, outcome.result,
-                error=(outcome.failure.kind
-                       if outcome.failure is not None else None),
-                deduped=index > 0,
-            )
-
-    def _resolve(self, job: SweepJob, benchmark: str, config: str,
-                 status: str, result: Optional[SimResult],
-                 error: Optional[str] = None, deduped: bool = False) -> None:
-        """Record one resolved point on one job and emit its event."""
+    def _resolve(self, job: SweepJob, outcome: PointOutcome) -> None:
+        """Record one settled point on ``job`` and emit its event."""
+        task, result = outcome.task, outcome.result
+        status = "failed" if outcome.failure is not None else outcome.source
         record: Dict[str, Any] = {
-            "benchmark": benchmark,
-            "config": config,
+            "benchmark": task.benchmark,
+            "config": str(task.config),
             "status": status,
         }
         if result is not None:
             record["ipc"] = result.retired_per_cycle
             record["cycles"] = result.cycles
-        if error is not None:
-            record["error"] = error
-        if deduped:
-            record["deduped"] = True
+        if outcome.failure is not None:
+            record["error"] = outcome.failure.kind
         with self._cond:
             if status == "cached":
                 job.points_cached += 1
@@ -669,8 +599,6 @@ class JobScheduler:
                 job.points_failed += 1
             else:
                 job.points_fresh += 1
-            if result is not None and self.validate:
-                job.sim_results.append(result)
             job.results.append(record)
             self._refresh_counters_locked()
             self._emit(job, "point", resolved=job.points_resolved,
@@ -679,9 +607,6 @@ class JobScheduler:
     def _finish_locked(self, job: SweepJob, state: str) -> None:
         """Terminal transition (lock held): journal, stats, final event."""
         job.state = state
-        # Only the per-job oracle reads the results, and it never runs
-        # past here: a finished job keeps its point records, not them.
-        job.sim_results = []
         job.finished_s = time.time()
         stat = {JOB_DONE: "jobs.done", JOB_FAILED: "jobs.failed",
                 JOB_CANCELLED: "jobs.cancelled"}[state]
@@ -695,7 +620,6 @@ class JobScheduler:
                 "cached": job.points_cached,
                 "fresh": job.points_fresh,
                 "failed": job.points_failed,
-                "deduped": job.points_deduped,
             },
         })
         self._refresh_counters_locked()
@@ -706,8 +630,7 @@ class JobScheduler:
                            if job.started_s is not None else None))
         _LOG.info("job_" + state, job_id=job.job_id,
                   cached=job.points_cached, fresh=job.points_fresh,
-                  failed=job.points_failed, deduped=job.points_deduped,
-                  error=job.error)
+                  failed=job.points_failed, error=job.error)
 
     def _refresh_counters_locked(self) -> None:
         self._counters_view = dict(self.runner.collector.counters)

@@ -19,7 +19,7 @@ it also catches results corrupted between simulation and reporting
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from ..machine.config import BranchMode, Discipline
 from ..stats.results import SimResult
@@ -216,7 +216,7 @@ def check_result(result: SimResult,
     return findings
 
 
-def check_results(results, ) -> List[ValidationFinding]:
+def check_results(results: Iterable[SimResult]) -> List[ValidationFinding]:
     """Invariant findings over a batch of results, in input order."""
     findings: List[ValidationFinding] = []
     for result in results:

@@ -5,7 +5,9 @@ cross-configuration dominance, and (when a baseline path is given)
 golden-baseline drift -- into one :class:`ValidationReport` that is
 deterministic for a given result set regardless of the order results
 arrived in, so serial and ``--jobs N`` sweeps of the same grid report
-byte-identical findings.
+byte-identical findings.  Callers run it once over a finished result
+set: ``repro-sim sweep`` over its sweep loop's tally, ``serve
+--validate`` over each job's.
 """
 
 from __future__ import annotations
@@ -78,23 +80,14 @@ def run_oracle(results: Iterable[SimResult],
                rel_tol: Optional[float] = None,
                baseline_path: Optional[str] = None,
                tolerances: Optional[Dict[str, float]] = None,
-               scale: int = 1,
-               invariant_findings: Optional[
-                   Iterable[ValidationFinding]] = None,
-               ) -> ValidationReport:
+               scale: int = 1) -> ValidationReport:
     """Run every applicable validation layer over one result set.
 
-    ``invariant_findings`` carries findings already collected eagerly
-    (the sweep loop checks each result as it merges); when supplied the
-    invariant layer is not re-run.  ``baseline_path`` of None skips the
-    baseline layer entirely.
+    ``baseline_path`` of None skips the baseline layer entirely.
     """
     results = list(results)
     tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    if invariant_findings is None:
-        findings = check_results(results)
-    else:
-        findings = list(invariant_findings)
+    findings = check_results(results)
     findings.extend(check_dominance(results, rel_tol=tol))
     if baseline_path is not None:
         findings.extend(check_baseline(

@@ -207,13 +207,13 @@ class TestExecutorRetry:
         task = PointTask("grep", config,
                          result_key("grep", config, runner.scale))
         settled = []
-        run_sweep(runner, backend, [task],
-                  lambda done, _tally: settled.append(done))
+        tally = run_sweep(runner, backend, [task],
+                          lambda done, _tally: settled.append(done))
         outcome = settled[0].failure
         assert isinstance(outcome, PointFailure)
         assert outcome.kind == "unexpected"
         assert len(calls) == 1  # no retry for non-transient errors
-        assert runner.failures == [outcome]
+        assert tally.failures == [outcome]
 
     def test_hang_recorded_as_point_failure(self, monkeypatch):
         config = make_config()

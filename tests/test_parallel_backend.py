@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+import repro.validate
 from repro.cli import main
 from repro.harness.artifacts import default_artifact_root
 from repro.harness.backend import (
@@ -32,7 +33,7 @@ from repro.harness.backend import (
 from repro.harness.cache import ResultCache, result_key
 from repro.harness.errors import WorkloadPrepareError
 from repro.harness.runner import SweepRunner, default_scale
-from repro.harness.sweep import grid_tasks
+from repro.harness.sweep import grid_tasks, run_sweep
 from repro.machine.config import (
     BranchMode,
     Discipline,
@@ -238,20 +239,22 @@ class TestOneSettleStep:
         _install_stub_simulation(monkeypatch, fake_result)
         puts, observed = [], []
         real_put = ResultCache.put
-        real_observe = SweepRunner.observe_result
+        real_oracle = repro.validate.run_oracle
 
         def counting_put(cache, result, scale):
             puts.append(result_key(result.benchmark, result.config, scale))
             real_put(cache, result, scale)
 
-        def counting_observe(runner, result):
-            observed.append(
-                result_key(result.benchmark, result.config, runner.scale)
+        def counting_oracle(results, **kwargs):
+            results = list(results)
+            observed.extend(
+                result_key(result.benchmark, result.config, kwargs["scale"])
+                for result in results
             )
-            real_observe(runner, result)
+            return real_oracle(results, **kwargs)
 
         monkeypatch.setattr(ResultCache, "put", counting_put)
-        monkeypatch.setattr(SweepRunner, "observe_result", counting_observe)
+        monkeypatch.setattr(repro.validate, "run_oracle", counting_oracle)
         keys = sorted(task.key for task in
                       grid_tasks("full", ["grep"], default_scale(), 5))
 
@@ -268,6 +271,24 @@ class TestOneSettleStep:
         capsys.readouterr()
         assert puts == []
         assert sorted(observed) == keys
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_point_listed_twice_is_one_result(self, tmp_path, monkeypatch,
+                                               jobs):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        _install_stub_simulation(monkeypatch, fake_result)
+        runner = SweepRunner(benchmarks=["grep"])
+        [task] = grid_tasks("smoke", ["grep"], runner.scale, 1)
+        backend = make_backend(runner, jobs=jobs)
+        try:
+            tally = run_sweep(runner, backend, [task, task],
+                              lambda _outcome, _tally: None)
+        finally:
+            backend.close()
+        assert tally.resolved == 2
+        assert list(tally.results) == [task.key]
+        assert repro.validate.run_oracle(
+            tally.results.values()).checked_results == 1
 
 
 # ----------------------------------------------------------------------

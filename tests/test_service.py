@@ -12,9 +12,10 @@ The contracts under test (see DESIGN.md "Service layer"):
 * a daemon restart replays the journal -- finished jobs reappear for
   status queries, unfinished jobs re-queue and settle as cache hits
   instead of duplicating completed points;
-* a point key is in flight at most once daemon-wide: a successor job
-  subscribes to a cancelled job's outstanding points rather than
-  re-dispatching them.
+* cancelling a running job stops its dispatch, and the points already
+  in flight still settle: into the result cache and onto the cancelled
+  job;
+* the daemon keeps no per-point state of finished jobs.
 
 Most tests stub the simulation (same pattern as
 test_parallel_backend.py) so a 3-point job resolves in milliseconds;
@@ -266,9 +267,9 @@ class TestScheduler:
         scheduler.stop()
 
         assert first["points"] == {"total": 3, "resolved": 3, "cached": 0,
-                                   "fresh": 3, "failed": 0, "deduped": 0}
+                                   "fresh": 3, "failed": 0}
         assert second["points"] == {"total": 3, "resolved": 3, "cached": 3,
-                                    "fresh": 0, "failed": 0, "deduped": 0}
+                                    "fresh": 0, "failed": 0}
         assert len(stub_sim) == 3  # the second job re-simulated nothing
         # Per-job telemetry counter deltas say the same thing.
         assert first["counters"]["sweep.cache.miss"] == 3
@@ -450,16 +451,15 @@ class TestDaemonHoldsNoHistory:
         scheduler = make_scheduler(tmp_path, monkeypatch)
         scheduler.start()
         spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 3})
-        held = []
         for _ in range(5):
             job = run_job(scheduler, spec)
             assert job["state"] == "failed"
             assert job["points"]["failed"] == 3
-            held.append(len(scheduler.runner.failures))
         scheduler.stop()
-        # At most the job that just finished, never the history.
-        assert max(held) <= 3
-        assert scheduler.runner.failures == []
+        # Each job counted its own failures; the daemon's collector kept
+        # no per-point record or span of any of them.
+        assert scheduler.runner.collector.points == []
+        assert scheduler.runner.collector.spans == []
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_finished_jobs_hold_no_results(self, tmp_path, monkeypatch,
@@ -467,30 +467,22 @@ class TestDaemonHoldsNoHistory:
         scheduler = make_scheduler(tmp_path, monkeypatch, validate=validate)
         scheduler.start()
         spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 4})
-        collected = []
-        resolve = scheduler._resolve
-
-        def spy(job, *args, **kwargs):
-            resolve(job, *args, **kwargs)
-            collected.append(len(job.sim_results))
-
-        monkeypatch.setattr(scheduler, "_resolve", spy)
         jobs = [run_job(scheduler, spec) for _ in range(3)]
-        held = [len(scheduler._jobs[job["job_id"]].sim_results)
-                for job in jobs]
         scheduler.stop()
         assert [job["state"] for job in jobs] == ["done"] * 3
-        assert held == [0, 0, 0]
+        assert [job["points"]["cached"] for job in jobs] == [0, 4, 4]
+        # After a cold and two warm jobs the collector holds no
+        # per-point record and no span.
+        assert scheduler.runner.collector.points == []
+        assert scheduler.runner.collector.spans == []
         if validate:
-            # Each job's oracle still reads all four of its results.
-            assert collected == [1, 2, 3, 4] * 3
+            # Each job's oracle reads all four of its results.
             expected = run_oracle(
                 [fake_result(task.config) for task in spec.points(1)],
                 scale=1).to_dict()
             assert expected["checked_results"] == 4
             assert all(job["validation"] == expected for job in jobs)
         else:
-            assert collected == [0] * 12
             assert all("validation" not in job for job in jobs)
 
 
@@ -499,8 +491,8 @@ class GatedBackend:
     """Wraps a SerialBackend: buffers dispatches, executes on finish().
 
     ``submit`` blocks (on ``gate``) once ``hold_after`` tasks are in,
-    letting a test cancel the owning job and race a second one in while
-    points are provably still in flight.
+    letting a test cancel the owning job while points are provably
+    still in flight.
     """
 
     name = "gated"
@@ -529,8 +521,8 @@ class GatedBackend:
         self.inner.close()
 
 
-class TestInflightDedup:
-    def test_successor_subscribes_to_cancelled_jobs_points(
+class TestCancellation:
+    def test_cancelled_job_settles_its_inflight_points(
             self, tmp_path, monkeypatch, stub_sim):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "svc"))
         runner = SweepRunner(benchmarks=["grep"],
@@ -541,67 +533,37 @@ class TestInflightDedup:
             journal_path=str(tmp_path / "svc" / "journal.jsonl"),
         )
         scheduler.start()
-        spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 2})
-        first_id = scheduler.submit(spec)["job_id"]
-        # Wait until both points are dispatched (the scheduler thread is
-        # now parked inside the gate with both keys in flight).
-        deadline = time.monotonic() + 30.0
-        while len(backend.dispatched) < 2:
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        scheduler.cancel(first_id)
-        second_id = scheduler.submit(spec)["job_id"]
-        backend.gate.set()
-
-        second = wait_job(scheduler, second_id)
-        first = scheduler.job(first_id)
-        scheduler.stop()
-
-        assert first["state"] == "cancelled"
-        assert second["state"] == "done"
-        # Every point reached the successor through subscription, not
-        # re-dispatch: each key was dispatched exactly once daemon-wide.
-        assert sorted(backend.dispatched) == sorted(set(backend.dispatched))
-        assert len(backend.dispatched) == 2
-        assert second["points"]["deduped"] == 2
-        assert second["points"]["resolved"] == 2
-        assert scheduler.stats["points.deduped"] == 2
-        assert len(stub_sim) == 2
-
-    def test_idle_drain_caches_a_cancelled_jobs_points(
-            self, tmp_path, monkeypatch, stub_sim):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "svc"))
-        runner = SweepRunner(benchmarks=["grep"],
-                             collector=MetricsCollector())
-        backend = GatedBackend(runner, hold_after=2)
-        scheduler = JobScheduler(
-            runner, backend=backend,
-            journal_path=str(tmp_path / "svc" / "journal.jsonl"),
-        )
-        scheduler.start()
-        spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 2})
+        spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 3})
         job_id = scheduler.submit(spec)["job_id"]
+        # Wait until two points are dispatched (the scheduler thread is
+        # now parked inside the gate with both in flight).
         deadline = time.monotonic() + 30.0
         while len(backend.dispatched) < 2:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         scheduler.cancel(job_id)
         backend.gate.set()
-        # No successor claims the two in-flight points, so the idle
-        # scheduler drains them.
-        while scheduler.health()["inflight_points"]:
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        job = scheduler.job(job_id)
-        scheduler.stop()
+        job = wait_job(scheduler, job_id)
 
+        # Cancelling stopped dispatch before the third point; the two in
+        # flight settled onto the cancelled job and into the cache.
         assert job["state"] == "cancelled"
-        assert job["points"]["resolved"] == 0
+        assert job["points"] == {"total": 3, "resolved": 2, "cached": 0,
+                                 "fresh": 2, "failed": 0}
+        assert len(backend.dispatched) == 2
         assert len(stub_sim) == 2
         cache = ResultCache()
-        for task in spec.points(runner.scale):
+        for task in spec.points(runner.scale)[:2]:
             assert cache.get(task.benchmark, task.config,
                              runner.scale) is not None
+
+        later = run_job(scheduler, GridSpec.from_dict(
+            {"benchmarks": ["grep"], "limit": 2}
+        ))
+        scheduler.stop()
+        assert later["state"] == "done"
+        assert later["points"]["cached"] == 2
+        assert len(stub_sim) == 2
 
 
 # ----------------------------------------------------------------------
