@@ -121,7 +121,7 @@ def _run_sweep_arm(workdir: str, benchmarks: Tuple[str, ...], scale: int,
                              collector=collector)
         checkpoint = SweepCheckpoint(
             default_checkpoint_path(), benchmarks=list(benchmarks),
-            scale=scale, total=len(tasks), save_interval=10,
+            scale=scale,
         )
         tally = run_checkpointed(runner, make_backend(runner, _chaos_policy()),
                                  tasks, checkpoint)

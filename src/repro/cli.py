@@ -26,12 +26,12 @@ Performance is measured by ``python3 perfbench/run.py`` (see
 ``perfbench/README.md``), not by a verb of this tool.
 
 ``sweep``, ``report`` and ``chaos`` accept ``--metrics-out FILE``:
-collect counters, phase spans and cycle attribution, and write the
-aggregated ``telemetry.json``.  See the "Observability" section of
-DESIGN.md.  Function-level hot spots come from the standard library:
-``python -m cProfile -s tottime -m repro.cli run ...``.  The global
-``--log-json`` flag (or ``REPRO_LOG_JSON=1``) switches every diagnostic
-line to one structured JSON object per line.
+collect counters, phase-time histograms and cycle attribution, and
+write the aggregated ``telemetry.json``.  See the "Observability"
+section of DESIGN.md.  Function-level hot spots come from the standard
+library: ``python -m cProfile -s tottime -m repro.cli run ...``.  The
+global ``--log-json`` flag (or ``REPRO_LOG_JSON=1``) switches every
+diagnostic line to one structured JSON object per line.
 
 Exit codes: 0 success, 1 fatal harness error, 3 some sweep points
 failed (structured ``PointFailure`` records) or a submitted job
@@ -156,9 +156,9 @@ def _benchmarks_from_args(args: argparse.Namespace) -> Optional[List[str]]:
 def _add_metrics_argument(command: argparse.ArgumentParser) -> None:
     """``--metrics-out``: telemetry is collected only when it is given."""
     command.add_argument("--metrics-out", default=None, metavar="FILE",
-                         help="collect counters, phase spans and cycle"
-                              " attribution, and write the aggregated"
-                              " telemetry.json")
+                         help="collect counters, phase-time histograms"
+                              " and cycle attribution, and write the"
+                              " aggregated telemetry.json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -682,7 +682,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             runner.benchmarks, runner.scale
         ):
             checkpoint = loaded
-            checkpoint.total = total
             # Known-failed on a previous run: carry the failures forward
             # instead of burning time on deterministic re-failures (a
             # sweep without --resume re-attempts them).
@@ -691,12 +690,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print("resume: no compatible sweep.state.json; starting fresh",
                   file=sys.stderr)
     if checkpoint is None:
-        checkpoint = SweepCheckpoint(
-            checkpoint_path, runner.benchmarks, runner.scale, total,
-            backend=backend.name,
-        )
-    else:
-        checkpoint.backend = backend.name
+        checkpoint = SweepCheckpoint(checkpoint_path, runner.benchmarks,
+                                     runner.scale)
 
     progress = ProgressLine(total) if sys.stderr.isatty() else None
 
@@ -747,8 +742,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         baseline_path=baseline if args.check else None,
         scale=runner.scale,
     )
-    runner.collector.add_span("phase.validate",
-                              time.perf_counter() - validate_start)
+    runner.collector.observe("sweep.validate_s",
+                             time.perf_counter() - validate_start)
     for line in report.summary_lines():
         print(line)
     if args.record:

@@ -329,9 +329,8 @@ class ProcessPoolBackend(ExecutionBackend):
             if snapshot is not None:
                 merge_start = time.perf_counter()
                 self.runner.collector.merge(snapshot)
-                self.runner.collector.add_span(
-                    "phase.merge", time.perf_counter() - merge_start,
-                    benchmark=pending.task.benchmark,
+                self.runner.collector.observe(
+                    "sweep.point.merge_s", time.perf_counter() - merge_start
                 )
             # Worker-side telemetry already counted a failure; the
             # sweep loop settles either kind of outcome.

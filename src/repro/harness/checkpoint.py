@@ -1,15 +1,13 @@
 """Sweep checkpoint manifest: ``sweep.state.json``.
 
 A long sweep killed midway leaves its good points in the result cache,
-but nothing that records *which* points were attempted, which failed and
-why.  The checkpoint manifest fills that gap: the sweep command writes
-it atomically as points complete, and ``--resume`` reads it back to
-
-* skip re-attempting points recorded as permanently failed (their
-  :class:`PointFailure` records are carried forward into the new run's
-  report), and
-* restore progress accounting, while the result cache supplies the
-  completed points themselves.
+which is the record of done points, but nothing that records which
+points failed and why.  The checkpoint manifest fills that gap: the
+sweep command writes it atomically whenever its set of failures
+changes, and once more when the sweep ends, and ``--resume`` reads it
+back to skip re-attempting points recorded as permanently failed
+(their :class:`PointFailure` records are carried forward into the new
+run's report) while the result cache supplies the completed points.
 
 The manifest is keyed by the same ``result_key`` strings as the result
 cache (which embed ``CACHE_VERSION``), so a simulator-behaviour bump
@@ -42,29 +40,20 @@ def default_checkpoint_path() -> str:
 
 
 class SweepCheckpoint:
-    """Atomic, resumable record of one sweep's progress.
+    """Atomic, resumable record of one sweep's failed points.
 
     Single-writer: only the sweep's parent process writes the manifest.
     Parallel backends (``--jobs N``) mail point outcomes back to the
     parent, which folds them in here -- workers never open this file.
+    Keys are identical across backends, so a serial sweep resumes under
+    ``--jobs N`` and vice versa.
     """
 
-    def __init__(self, path: str, benchmarks: Sequence[str], scale: int,
-                 total: int, save_interval: int = 25,
-                 backend: str = "serial"):
+    def __init__(self, path: str, benchmarks: Sequence[str], scale: int):
         self.path = path
         self.benchmarks = list(benchmarks)
         self.scale = scale
-        self.total = total
-        #: Informational: which execution backend last wrote this
-        #: manifest.  Never part of compatibility -- keys are identical
-        #: across backends, so a serial sweep resumes under ``--jobs N``
-        #: and vice versa.
-        self.backend = backend
-        self.done: set = set()
         self.failures: Dict[str, PointFailure] = {}
-        self._save_interval = max(1, save_interval)
-        self._since_save = 0
         self._write_failed = False
 
     # ------------------------------------------------------------------
@@ -83,10 +72,7 @@ class SweepCheckpoint:
                 path=path,
                 benchmarks=list(raw["benchmarks"]),
                 scale=int(raw["scale"]),
-                total=int(raw["total"]),
-                backend=str(raw.get("backend", "serial")),
             )
-            checkpoint.done = set(raw.get("done", []))
             checkpoint.failures = {
                 str(entry["key"]): PointFailure.from_dict(entry["failure"])
                 for entry in raw.get("failures", [])
@@ -101,17 +87,17 @@ class SweepCheckpoint:
 
     # ------------------------------------------------------------------
     def mark_done(self, key: str) -> None:
-        """Record one completed point (by its result-cache key)."""
-        self.done.add(key)
-        self.failures.pop(key, None)
-        self._since_save += 1
-        if self._since_save >= self._save_interval:
+        """Forget a recorded failure of a point that now completed.
+
+        The result cache records the completed point itself, so the
+        manifest is written only when a failure was forgotten.
+        """
+        if self.failures.pop(key, None) is not None:
             self.save()
 
     def mark_failed(self, key: str, failure: PointFailure) -> None:
         """Record one failed point; failures always flush immediately."""
         self.failures[key] = failure
-        self.done.discard(key)
         self.save()
 
     # ------------------------------------------------------------------
@@ -120,16 +106,13 @@ class SweepCheckpoint:
 
         A failed write is tolerated: the manifest is an accelerator, not
         the source of truth (the result cache is), so the sweep keeps
-        going and the retained ``_since_save`` count retries the write at
-        the next completed point.
+        going and the next save -- at the next change of failures, or
+        when the sweep ends -- writes the whole manifest again.
         """
         document = {
             "version": CHECKPOINT_VERSION,
             "benchmarks": self.benchmarks,
             "scale": self.scale,
-            "total": self.total,
-            "backend": self.backend,
-            "done": sorted(self.done),
             "failures": [
                 {"key": key, "failure": failure.to_dict()}
                 for key, failure in sorted(self.failures.items())
@@ -147,7 +130,6 @@ class SweepCheckpoint:
             self._write_failed = False
             _LOG.info("checkpoint_save_recovered", path=self.path)
             chaos_recovered("checkpoint.write")
-        self._since_save = 0
 
     def remove(self) -> None:
         """Delete the manifest (a fully clean sweep needs no resume)."""

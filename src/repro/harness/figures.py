@@ -18,6 +18,8 @@ from ..machine.config import (
     Discipline,
     FIGURE4_MEMORY_ORDER,
     MachineConfig,
+    PAPER_ISSUE_MODELS,
+    SPEC_VALUE_PREDICTORS,
     scheduling_disciplines,
 )
 from .runner import SweepRunner
@@ -109,34 +111,30 @@ def figure2_data(runner: SweepRunner) -> Dict[str, List[float]]:
 # ----------------------------------------------------------------------
 # Figure 3: retired nodes/cycle vs issue model (memory A)
 # ----------------------------------------------------------------------
-def figure3_data(runner: SweepRunner,
-                 issue_models: Sequence[int] = tuple(range(1, 9)),
-                 ) -> Dict[str, List[float]]:
+def figure3_data(runner: SweepRunner) -> Dict[str, List[float]]:
     """Geometric-mean IPC per discipline line over the issue models."""
     data: Dict[str, List[float]] = {}
     for label, discipline, window, mode in discipline_lines():
         data[label] = [
             runner.mean_ipc(_config(discipline, window, mode, model, "A"))
-            for model in issue_models
+            for model in PAPER_ISSUE_MODELS
         ]
-    data["_issue_models"] = list(issue_models)
+    data["_issue_models"] = list(PAPER_ISSUE_MODELS)
     return data
 
 
 # ----------------------------------------------------------------------
 # Figure 4: retired nodes/cycle vs memory configuration (issue model 8)
 # ----------------------------------------------------------------------
-def figure4_data(runner: SweepRunner,
-                 memories: Sequence[str] = FIGURE4_MEMORY_ORDER,
-                 issue_model: int = 8) -> Dict[str, List[float]]:
+def figure4_data(runner: SweepRunner) -> Dict[str, List[float]]:
     """Geometric-mean IPC per discipline line over memory configs."""
     data: Dict[str, List[float]] = {}
     for label, discipline, window, mode in discipline_lines():
         data[label] = [
-            runner.mean_ipc(_config(discipline, window, mode, issue_model, memory))
-            for memory in memories
+            runner.mean_ipc(_config(discipline, window, mode, 8, memory))
+            for memory in FIGURE4_MEMORY_ORDER
         ]
-    data["_memories"] = list(memories)
+    data["_memories"] = list(FIGURE4_MEMORY_ORDER)
     return data
 
 
@@ -152,64 +150,57 @@ FIGURE5_COMPOSITES: Tuple[Tuple[int, str], ...] = (
 )
 
 
-def figure5_data(runner: SweepRunner,
-                 composites: Sequence[Tuple[int, str]] = FIGURE5_COMPOSITES,
-                 ) -> Dict[str, List[float]]:
+def figure5_data(runner: SweepRunner) -> Dict[str, List[float]]:
     """Per-benchmark IPC on dyn-window-4/enlarged over composite configs."""
     data: Dict[str, List[float]] = {}
     for name in runner.benchmarks:
         series = []
-        for issue_model, memory in composites:
+        for issue_model, memory in FIGURE5_COMPOSITES:
             config = _config(
                 Discipline.DYNAMIC, 4, BranchMode.ENLARGED, issue_model, memory
             )
             series.append(runner.run_point(name, config).retired_per_cycle)
         data[name] = series
-    data["_composites"] = [f"{model}{memory}" for model, memory in composites]
+    data["_composites"] = [f"{model}{memory}"
+                           for model, memory in FIGURE5_COMPOSITES]
     return data
 
 
 # ----------------------------------------------------------------------
 # Figure 6: operation redundancy vs issue model
 # ----------------------------------------------------------------------
-def figure6_data(runner: SweepRunner,
-                 issue_models: Sequence[int] = tuple(range(1, 9)),
-                 ) -> Dict[str, List[float]]:
+def figure6_data(runner: SweepRunner) -> Dict[str, List[float]]:
     """Mean redundancy (discarded/executed) per discipline line."""
     data: Dict[str, List[float]] = {}
     for label, discipline, window, mode in discipline_lines():
         data[label] = [
             runner.mean_redundancy(_config(discipline, window, mode, model, "A"))
-            for model in issue_models
+            for model in PAPER_ISSUE_MODELS
         ]
-    data["_issue_models"] = list(issue_models)
+    data["_issue_models"] = list(PAPER_ISSUE_MODELS)
     return data
 
 
 # ----------------------------------------------------------------------
 # Value speculation (beyond the paper): IPC per value-predictor kind
 # ----------------------------------------------------------------------
-def value_speculation_data(runner: SweepRunner,
-                           issue_models: Sequence[int] = (2, 8),
-                           memory: str = "C",
-                           kinds: Sequence[str] = (
-                               "none", "last", "stride", "context",
-                               "perfect",
-                           )) -> Dict[str, List[float]]:
-    """Geometric-mean IPC per value-predictor kind, dyn256/enlarged.
+def value_speculation_data(runner: SweepRunner) -> Dict[str, List[float]]:
+    """Geometric-mean IPC per value-predictor kind, dyn256/enlarged/C,
+    on issue models 2 and 8.
 
     Memory C (constant 3-cycle loads) is the slowest perfect memory in
     the grid -- the regime where hiding load latency behind a predicted
     operand pays the most, so the branch-only vs branch+value gap is
     clearest there.
     """
+    issue_models = (2, 8)
     data: Dict[str, List[float]] = {}
-    for kind in kinds:
+    for kind in SPEC_VALUE_PREDICTORS:
         data[kind] = [
             runner.mean_ipc(MachineConfig(
                 discipline=Discipline.DYNAMIC,
                 issue_model=model,
-                memory=memory,
+                memory="C",
                 branch_mode=BranchMode.ENLARGED,
                 window_blocks=256,
                 value_predictor=kind,

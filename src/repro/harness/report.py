@@ -24,31 +24,28 @@ from .plot import ascii_chart
 from .runner import SweepRunner
 
 
-def _md_table(columns: Sequence[str], rows: Dict[str, List[float]],
-              fmt: str = "{:.3f}") -> str:
+def _md_table(columns: Sequence[str], rows: Dict[str, List[float]]) -> str:
     header = "| line | " + " | ".join(str(c) for c in columns) + " |"
     rule = "|---" * (len(columns) + 1) + "|"
     lines = [header, rule]
     for label, values in rows.items():
         if label.startswith("_"):
             continue
-        cells = " | ".join(fmt.format(v) for v in values)
+        cells = " | ".join(f"{v:.3f}" for v in values)
         lines.append(f"| {label} | {cells} |")
     return "\n".join(lines)
 
 
-def report_data(runner: SweepRunner,
-                issue_models: Sequence[int] = tuple(range(1, 9)),
-                ) -> Dict[str, Any]:
+def report_data(runner: SweepRunner) -> Dict[str, Any]:
     """Everything the report prints and its claims read: the only part
     of the report that touches the runner (so runs missing simulations)."""
     return {
         "ratios": static_ratio_data(runner),
         "fig2": figure2_data(runner),
-        "fig3": figure3_data(runner, issue_models),
+        "fig3": figure3_data(runner),
         "fig4": figure4_data(runner),
         "fig5": figure5_data(runner),
-        "fig6": figure6_data(runner, issue_models),
+        "fig6": figure6_data(runner),
         "spec": value_speculation_data(runner),
         "spec_accuracy": _speculation_accuracy_line(runner),
         "sched": schedule_gap_data(runner),
@@ -56,7 +53,6 @@ def report_data(runner: SweepRunner,
 
 
 def generate_report(runner: Optional[SweepRunner] = None,
-                    issue_models: Sequence[int] = tuple(range(1, 9)),
                     ) -> Tuple[str, List[str]]:
     """Build the full EXPERIMENTS.md body (runs any missing simulations).
 
@@ -64,7 +60,7 @@ def generate_report(runner: Optional[SweepRunner] = None,
     hold; every claim holds when the list is empty.
     """
     runner = runner or SweepRunner()
-    data = report_data(runner, issue_models)
+    data = report_data(runner)
     sections: List[str] = []
     sections.append(
         "# EXPERIMENTS — paper vs. measured\n\n"

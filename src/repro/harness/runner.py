@@ -137,10 +137,6 @@ class SweepRunner:
         collector.observe("sweep.point.prepare_s", prepared_at - start)
         collector.observe("sweep.point.simulate_s", end - prepared_at)
         collector.observe("sweep.point.wall_s", end - start)
-        collector.add_span("phase.prepare", prepared_at - start,
-                           benchmark=benchmark, config=point)
-        collector.add_span("phase.simulate", end - prepared_at,
-                           benchmark=benchmark, config=point)
         collector.record_point(
             benchmark=benchmark, config=point, cached=False,
             wall_s=end - start, prepare_s=prepared_at - start,

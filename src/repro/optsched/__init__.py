@@ -168,17 +168,9 @@ class ProgramAnalysis:
         return 100.0 * (self.list_words - self.optimal_words) / self.list_words
 
 
-def analyze_program(
-    program: Program,
-    issue: IssueModel,
-    memory: MemoryConfig,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
-    loop_budget: int = DEFAULT_LOOP_BUDGET,
-) -> ProgramAnalysis:
+def analyze_program(program: Program, issue: IssueModel,
+                    memory: MemoryConfig) -> ProgramAnalysis:
     """Solve every block exactly and modulo-schedule every innermost loop."""
-    blocks = [
-        solve_block(block, issue, memory, budget_steps=block_budget)
-        for block in program
-    ]
-    loops = pipeline_program(program, issue, memory, budget_steps=loop_budget)
+    blocks = [solve_block(block, issue, memory) for block in program]
+    loops = pipeline_program(program, issue, memory)
     return ProgramAnalysis(blocks=blocks, loops=loops)

@@ -10,9 +10,10 @@ served at cache-hit speed after the first request.
 
 Layers (see DESIGN.md "Service layer"):
 
-* :mod:`~repro.service.jobs` -- typed :class:`SweepJob` records with
-  deterministic ids derived from result-cache keys, job states, and the
-  JSONL job journal that survives daemon restarts;
+* :mod:`~repro.service.jobs` -- typed :class:`SweepJob` records, each
+  holding its event stream, with deterministic ids derived from
+  result-cache keys, job states, and the JSONL job journal that
+  survives daemon restarts;
 * :mod:`~repro.service.scheduler` -- FIFO :class:`JobScheduler` fanning
   job points onto an :class:`~repro.harness.backend.ExecutionBackend`,
   each job as one run of the batch sweep loop, with admission control

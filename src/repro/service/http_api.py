@@ -93,8 +93,21 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, {"error": message, **extra})
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        """The request's JSON body; a missing ``Content-Length`` is empty.
+
+        A negative, non-numeric or over-limit length is refused before
+        any read.  The body then stays unread, so the connection cannot
+        carry another request and closes after the 400.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True
+            if length < 0:
+                raise SpecError(f"bad Content-Length: {header!r}")
             raise SpecError(f"request body over {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:

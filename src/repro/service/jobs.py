@@ -53,6 +53,12 @@ JOB_CANCELLED = "cancelled"
 JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 TERMINAL_STATES = frozenset({JOB_DONE, JOB_FAILED, JOB_CANCELLED})
 
+#: The fields of one point record, in order: a job's ``results`` are
+#: these fields of its ``point`` events (``ipc`` and ``cycles`` only
+#: when the point has a result, ``error`` only when it failed).
+POINT_RECORD_FIELDS = ("benchmark", "config", "status", "ipc", "cycles",
+                       "error")
+
 
 class SpecError(ValueError):
     """A malformed or unsatisfiable grid spec (the client's fault: 400)."""
@@ -165,8 +171,9 @@ class SweepJob:
     counters: Dict[str, int] = field(default_factory=dict)
     #: per-job validation oracle report (``serve --validate``).
     validation: Optional[Dict[str, Any]] = None
-    #: one summary record per resolved point, in resolution order.
-    results: List[Dict[str, Any]] = field(default_factory=list)
+    #: the job's progress stream; an event's ``seq`` is its 1-based
+    #: index, and the ``point`` events are the job's point records.
+    events: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def points_resolved(self) -> int:
@@ -201,7 +208,11 @@ class SweepJob:
         if self.validation is not None:
             document["validation"] = self.validation
         if include_results:
-            document["results"] = [dict(record) for record in self.results]
+            document["results"] = [
+                {name: event[name] for name in POINT_RECORD_FIELDS
+                 if name in event}
+                for event in self.events if event["kind"] == "point"
+            ]
         return document
 
 

@@ -19,9 +19,9 @@ Because the runner, the in-process prepared-workload cache and the pool
 survive between jobs, the first job pays preparation once and every
 later job that touches the same benchmarks starts warm -- the service's
 whole reason to exist.  Between jobs the daemon holds no per-point
-state: a finished job keeps its point records, and the collector drops
-its per-point records and spans (its counters and histograms feed
-``/metrics``).
+state: a finished job keeps its event stream, whose ``point`` events
+are its point records, and the collector drops its per-point records
+(its counters and histograms feed ``/metrics``).
 
 Admission control is typed: :class:`AdmissionError` carries a machine
 -readable reason (``queue-full``, ``job-too-large``, ``scale-mismatch``,
@@ -41,7 +41,6 @@ from ..harness.backend import ExecutionBackend, PointOutcome, make_backend
 from ..harness.executor import ExecutionPolicy
 from ..harness.runner import SweepRunner
 from ..harness.sweep import run_sweep
-from ..stats.aggregate import span_totals
 from ..telemetry import prometheus
 from ..telemetry.logging import get_logger
 from .jobs import (
@@ -57,10 +56,6 @@ from .jobs import (
     TERMINAL_STATES,
     default_journal_path,
 )
-
-#: Hard ceiling a job's event list may grow to; earlier point events are
-#: dropped (the job's ``results`` list keeps every record regardless).
-MAX_EVENTS_PER_JOB = 10_000
 
 _LOG = get_logger("service")
 
@@ -111,10 +106,9 @@ class JobScheduler:
         self.started_at = time.time()
 
         self._cond = threading.Condition()
+        #: every job, in acceptance order (recovered jobs first).
         self._jobs: Dict[str, SweepJob] = {}
-        self._order: List[str] = []  # acceptance order, for listings
         self._queue: Deque[str] = deque()
-        self._events: Dict[str, List[Dict[str, Any]]] = {}
         self._seq = 0
         self._stop_requested = False
         self._thread: Optional[threading.Thread] = None
@@ -134,8 +128,8 @@ class JobScheduler:
         }
         #: scheduler-thread refresh of the collector's counters, so
         #: ``/metrics`` reads never race collector writes.  Histograms
-        #: and spans are refreshed at job boundaries only (they copy
-        #: sample lists, which would be quadratic per point).
+        #: are refreshed at job boundaries only (they copy sample lists,
+        #: which would be quadratic per point).
         self._counters_view: Dict[str, int] = {}
         self._histograms_view: Dict[str, List[float]] = {}
 
@@ -267,8 +261,6 @@ class JobScheduler:
             "spec": job.spec.to_dict(),
         })
         self._jobs[job.job_id] = job
-        self._order.append(job.job_id)
-        self._events[job.job_id] = []
         self._queue.append(job.job_id)
         self._emit(job, "job.queued", queue_depth=len(self._queue))
 
@@ -302,10 +294,8 @@ class JobScheduler:
 
     def jobs(self) -> List[Dict[str, Any]]:
         with self._cond:
-            return [
-                self._jobs[job_id].to_dict(include_results=False)
-                for job_id in self._order
-            ]
+            return [job.to_dict(include_results=False)
+                    for job in self._jobs.values()]
 
     def wait_events(self, job_id: str, after: int = 0,
                     timeout_s: float = 25.0,
@@ -314,6 +304,8 @@ class JobScheduler:
 
         Returns ``(events, job snapshot)``; an empty event list means
         the timeout elapsed with nothing new (the client re-polls).
+        Events with ``seq > after`` are the list past index ``after``
+        (a negative ``after`` means the whole stream).
         """
         deadline = time.monotonic() + max(0.0, timeout_s)
         with self._cond:
@@ -321,11 +313,7 @@ class JobScheduler:
                 job = self._jobs.get(job_id)
                 if job is None:
                     raise UnknownJobError(job_id)
-                events = self._events[job_id]
-                # Filter by seq, not list index: the front of a very
-                # long stream may have been truncated.
-                fresh = [dict(event) for event in events
-                         if event["seq"] > after]
+                fresh = [dict(event) for event in job.events[max(after, 0):]]
                 if fresh or job.terminal:
                     return fresh, job.to_dict(include_results=False)
                 remaining = deadline - time.monotonic()
@@ -454,8 +442,6 @@ class JobScheduler:
                 job.state = JOB_QUEUED
                 self._queue.append(job_id)
             self._jobs[job_id] = job
-            self._order.append(job_id)
-            self._events[job_id] = []
             if job.state == JOB_QUEUED:
                 self._emit(job, "job.requeued", recovered=True)
 
@@ -474,15 +460,12 @@ class JobScheduler:
                 with self._cond:
                     self._finish_locked(job, JOB_CANCELLED)
                 continue
-            collector = self.runner.collector
             try:
                 self._execute(job)
             finally:
-                # The daemon keeps no per-point telemetry: a job's span
-                # events are already on its stream, and /metrics reads
-                # only counters and histograms.
-                del collector.points[:]
-                del collector.spans[:]
+                # The daemon keeps no per-point telemetry: /metrics
+                # reads only counters and histograms.
+                del self.runner.collector.points[:]
 
     def _execute(self, job: SweepJob) -> None:
         collector = self.runner.collector
@@ -520,13 +503,8 @@ class JobScheduler:
             for name, value in collector.counters.items()
             if value != snap0.get(name, 0)
         }
-        collector.add_span("job.run", time.perf_counter() - run_start,
-                           job_id=job.job_id)
-        # Stream the phase spans this job produced over the job's event
-        # feed, one event per phase.
+        collector.observe("service.job.run_s", time.perf_counter() - run_start)
         with self._cond:
-            for name, totals in span_totals(collector.spans).items():
-                self._emit(job, "span", name=name, **totals)
             self._refresh_histograms_locked()
         self._flush_cache_safe()
         report = None
@@ -599,7 +577,6 @@ class JobScheduler:
                 job.points_failed += 1
             else:
                 job.points_fresh += 1
-            job.results.append(record)
             self._refresh_counters_locked()
             self._emit(job, "point", resolved=job.points_resolved,
                        total=job.points_total, **record)
@@ -644,16 +621,11 @@ class JobScheduler:
 
     def _emit(self, job: SweepJob, kind: str, **payload: Any) -> None:
         """Append one event to a job's stream (lock held) and wake waiters."""
-        events = self._events[job.job_id]
-        # Derive seq from the last event, not the list length: truncation
-        # shrinks the list but the stream's numbering must stay monotonic.
-        events.append({
-            "seq": (events[-1]["seq"] + 1) if events else 1,
+        job.events.append({
+            "seq": len(job.events) + 1,
             "ts": time.time(),
             "kind": kind,
             "job_id": job.job_id,
             **payload,
         })
-        if len(events) > MAX_EVENTS_PER_JOB:
-            del events[: len(events) - MAX_EVENTS_PER_JOB]
         self._cond.notify_all()

@@ -1,14 +1,14 @@
 """Aggregation helpers: the ``telemetry.json`` document built from a
-collector, and the span folds the service streams."""
+collector."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..telemetry.collector import Collector
 
 #: Version tag of the ``telemetry.json`` document layout.
-TELEMETRY_SCHEMA = "repro.telemetry/2"
+TELEMETRY_SCHEMA = "repro.telemetry/3"
 
 #: Counter-name prefix under which the engines publish cycle
 #: attribution (``cycles.<engine>.<bucket>``; see
@@ -17,16 +17,22 @@ _ATTRIBUTION_PREFIX = "cycles."
 
 
 def histogram_stats(values: Sequence[float]) -> Dict[str, float]:
-    """Summary statistics of one recorded distribution."""
+    """Summary statistics of one recorded distribution.
+
+    ``total`` is the sum of the samples, so a phase histogram such as
+    ``sweep.point.simulate_s`` also reads as that phase's total time.
+    """
     if not values:
         return {"count": 0}
     ordered = sorted(values)
     n = len(ordered)
+    total = sum(ordered)
     return {
         "count": n,
+        "total": total,
         "min": ordered[0],
         "max": ordered[-1],
-        "mean": sum(ordered) / n,
+        "mean": total / n,
         "p50": ordered[n // 2],
         "p90": ordered[min(int(n * 0.9), n - 1)],
     }
@@ -117,20 +123,6 @@ def schedule_summary(counters: Dict[str, int]) -> Dict[str, Any]:
     return summary
 
 
-def span_totals(spans: Sequence[Dict[str, Any]],
-                ) -> Dict[str, Dict[str, Any]]:
-    """Fold raw span records into ``{name: {total_s, count}}``."""
-    totals: Dict[str, List[float]] = {}
-    for span in spans:
-        entry = totals.setdefault(span["name"], [0.0, 0])
-        entry[0] += span["dur_s"]
-        entry[1] += 1
-    return {
-        name: {"total_s": round(entry[0], 6), "count": int(entry[1])}
-        for name, entry in sorted(totals.items())
-    }
-
-
 def telemetry_report(collector: Collector,
                      context: Optional[Dict[str, Any]] = None,
                      validation: Optional[Dict[str, Any]] = None,
@@ -140,14 +132,15 @@ def telemetry_report(collector: Collector,
     Schema (``TELEMETRY_SCHEMA``): ``counters`` maps dotted counter
     names to totals (e.g. ``sweep.cache.hit``); ``histograms`` maps
     distribution names to :func:`histogram_stats` summaries (e.g.
-    ``sweep.point.wall_s``); ``points`` lists one record per simulated
+    ``sweep.point.wall_s``; each carries its ``total``, so the phase
+    histograms ``sweep.point.prepare_s`` / ``sweep.point.simulate_s``
+    / ``sweep.point.merge_s`` / ``sweep.validate_s`` give a sweep's
+    per-phase times); ``points`` lists one record per simulated
     point with its per-point timings.  Points that failed under
     fault-tolerant execution carry ``failed: true`` and an ``error``
     kind, and are additionally surfaced in the ``failures`` list so a
-    partial grid is visible at the top level.  ``phases`` folds the
-    named phase spans (``phase.prepare`` / ``phase.simulate`` /
-    ``phase.validate`` / ``phase.merge``) into per-phase totals;
-    ``attribution`` is the per-engine cycle-attribution breakdown of
+    partial grid is visible at the top level.  ``attribution`` is the
+    per-engine cycle-attribution breakdown of
     :func:`attribution_breakdown` (empty unless fresh simulations ran
     with the collector enabled); ``accuracy`` is
     :func:`accuracy_summary` over the same counters
@@ -172,7 +165,6 @@ def telemetry_report(collector: Collector,
         },
         "points": points,
         "failures": [point for point in points if point.get("failed")],
-        "phases": span_totals(collector.spans),
         "attribution": attribution_breakdown(collector.counters),
         "accuracy": accuracy_summary(collector.counters),
         "schedule": schedule_summary(collector.counters),

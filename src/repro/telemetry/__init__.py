@@ -1,9 +1,9 @@
-"""Observability subsystem: counters, spans, per-cycle pipeline traces.
+"""Observability subsystem: counters, histograms, per-cycle pipeline traces.
 
 See DESIGN.md section "Observability" for the collector API, the
 event/counter naming scheme, and the ``telemetry.json`` schema, and
-section "Profiling & metrics" for spans, cycle attribution and the
-Prometheus exposition.
+section "Profiling & metrics" for phase times, cycle attribution and
+the Prometheus exposition.
 """
 
 from .collector import (

@@ -1,4 +1,4 @@
-"""Telemetry collectors: counters, histograms, spans and trace events.
+"""Telemetry collectors: counters, histograms, point records and trace events.
 
 The collector API is designed around one invariant: **when telemetry is
 off, the instrumented code must do no extra work**.  The base
@@ -14,9 +14,8 @@ Three tiers:
 
 * :class:`Collector` -- the null object; :data:`NULL_COLLECTOR` is the
   shared default instance.
-* :class:`MetricsCollector` -- counters / histograms / sweep points /
-  phase spans, for harness-level instrumentation (``enabled`` but not
-  ``tracing``).
+* :class:`MetricsCollector` -- counters / histograms / sweep points,
+  for harness-level instrumentation (``enabled`` but not ``tracing``).
 * :class:`TraceCollector` -- additionally records per-cycle pipeline
   events for the exporters in :mod:`repro.telemetry.export`.
 """
@@ -97,8 +96,8 @@ def finalize_attribution(buckets: Dict[str, int], total_cycles: int,
 class Collector:
     """The telemetry API; the base class is the null implementation.
 
-    ``enabled`` says whether counters, spans and per-point records are
-    kept (the engines gate cycle attribution on it); ``tracing`` gates
+    ``enabled`` says whether counters, histograms and per-point records
+    are kept (the engines gate cycle attribution on it); ``tracing`` gates
     per-cycle event recording.  Both are plain class attributes so hot
     loops can hoist them into a local bool once.
     """
@@ -121,17 +120,6 @@ class Collector:
 
     def record_point(self, **fields: Any) -> None:
         """Record one sweep-point summary (benchmark, config, timings)."""
-
-    def add_span(self, name: str, dur_s: float, **attrs: Any) -> None:
-        """Record one finished named span of ``dur_s`` wall seconds.
-
-        Spans are the phase-attribution primitive: ``phase.prepare``,
-        ``phase.simulate``, ``phase.validate`` and ``phase.merge``
-        spans threaded through the harness add up to a sweep's wall
-        time the way cycle-attribution buckets add up to a simulation's
-        cycles.  Attributes carry correlation (benchmark, config,
-        job id).
-        """
 
     # ---- cross-process merge (no-ops on the null object) -------------
     def snapshot(self) -> Dict[str, Any]:
@@ -163,19 +151,15 @@ class Collector:
     def points(self) -> List[Dict[str, Any]]:
         return []
 
-    @property
-    def spans(self) -> List[Dict[str, Any]]:
-        return []
-
 
 #: Shared null collector: the default everywhere telemetry is optional.
 NULL_COLLECTOR = Collector()
 
 
 class MetricsCollector(Collector):
-    """Collector recording counters, histograms, sweep points and spans."""
+    """Collector recording counters, histograms and sweep points."""
 
-    __slots__ = ("_counters", "_histograms", "_points", "_spans")
+    __slots__ = ("_counters", "_histograms", "_points")
 
     enabled = True
     tracing = False
@@ -184,7 +168,6 @@ class MetricsCollector(Collector):
         self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, List[float]] = {}
         self._points: List[Dict[str, Any]] = []
-        self._spans: List[Dict[str, Any]] = []
 
     def count(self, name: str, n: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + n
@@ -195,12 +178,6 @@ class MetricsCollector(Collector):
     def record_point(self, **fields: Any) -> None:
         self._points.append(fields)
 
-    def add_span(self, name: str, dur_s: float, **attrs: Any) -> None:
-        span: Dict[str, Any] = {"name": name, "dur_s": dur_s}
-        if attrs:
-            span.update(attrs)
-        self._spans.append(span)
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "counters": dict(self._counters),
@@ -209,7 +186,6 @@ class MetricsCollector(Collector):
                 for name, values in self._histograms.items()
             },
             "points": [dict(point) for point in self._points],
-            "spans": [dict(span) for span in self._spans],
         }
 
     def merge(self, snap: Dict[str, Any]) -> None:
@@ -218,7 +194,6 @@ class MetricsCollector(Collector):
         for name, values in snap.get("histograms", {}).items():
             self._histograms.setdefault(name, []).extend(values)
         self._points.extend(snap.get("points", []))
-        self._spans.extend(snap.get("spans", []))
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -231,10 +206,6 @@ class MetricsCollector(Collector):
     @property
     def points(self) -> List[Dict[str, Any]]:
         return self._points
-
-    @property
-    def spans(self) -> List[Dict[str, Any]]:
-        return self._spans
 
 
 class TraceCollector(MetricsCollector):

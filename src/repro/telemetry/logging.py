@@ -12,8 +12,8 @@ shipper scraping one) sees a single, greppable stream:
 
 Correlation: a logger can :meth:`~StructuredLogger.bind` context fields
 (job id, point key, backend) that ride on every record it emits, so a
-job's admission, phase spans, point resolutions and terminal state can
-be stitched back together from the stream with one grep.
+job's admission, point resolutions and terminal state can be stitched
+back together from the stream with one grep.
 
 This is intentionally not :mod:`logging` from the stdlib: the harness
 needs exactly one sink (stderr), no level hierarchy surgery, and

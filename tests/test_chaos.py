@@ -27,7 +27,12 @@ from repro.chaos import (
 )
 from repro.harness.cache import ResultCache
 from repro.harness.checkpoint import SweepCheckpoint
-from repro.harness.errors import SimulationHang, classify_error, is_transient
+from repro.harness.errors import (
+    PointFailure,
+    SimulationHang,
+    classify_error,
+    is_transient,
+)
 from repro.harness.executor import ExecutionPolicy, PointExecutor
 from repro.harness.runner import SweepRunner
 from repro.machine.config import (
@@ -229,7 +234,7 @@ class TestDisabledPathTripwire:
         cache.put(fake_result(config), scale=1)
         assert cache.get("grep", config, 1) is not None
         checkpoint = SweepCheckpoint(
-            str(tmp_path / "sweep.state.json"), ["grep"], 1, total=1
+            str(tmp_path / "sweep.state.json"), ["grep"], 1
         )
         checkpoint.mark_done("some-key")
         checkpoint.save()
@@ -428,8 +433,8 @@ class TestCheckpointWriteFailure:
         import repro.harness.checkpoint as checkpoint_module
 
         path = str(tmp_path / "sweep.state.json")
-        checkpoint = SweepCheckpoint(path, ["grep"], 1, total=10,
-                                     save_interval=1)
+        checkpoint = SweepCheckpoint(path, ["grep"], 1)
+        failure = PointFailure("grep", "cfg", "hang", "watchdog")
         real_write = checkpoint_module.atomic_write_json
         fail = {"on": True}
 
@@ -439,13 +444,13 @@ class TestCheckpointWriteFailure:
             return real_write(*args, **kwargs)
 
         monkeypatch.setattr(checkpoint_module, "atomic_write_json", flaky)
-        checkpoint.mark_done("key-1")  # save fails, swallowed
+        checkpoint.mark_failed("key-1", failure)  # save fails, swallowed
         assert not os.path.exists(path)
         fail["on"] = False
-        checkpoint.mark_done("key-2")  # retried save lands both keys
+        checkpoint.mark_failed("key-2", failure)  # next save lands both
         loaded = SweepCheckpoint.load(path)
         assert loaded is not None
-        assert loaded.done == {"key-1", "key-2"}
+        assert set(loaded.failures) == {"key-1", "key-2"}
 
 
 # ----------------------------------------------------------------------

@@ -261,8 +261,7 @@ class TestClaims:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         data = committed_report_data()
-        monkeypatch.setattr(report_mod, "report_data",
-                            lambda runner, issue_models: data)
+        monkeypatch.setattr(report_mod, "report_data", lambda runner: data)
         output = tmp_path / "EXPERIMENTS.md"
         assert main(["report", "-o", str(output)]) == 0
         assert "## Verdicts" in output.read_text(encoding="utf-8")

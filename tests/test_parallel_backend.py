@@ -322,9 +322,7 @@ class TestProcessBackendFailurePaths:
         assert kinds == {"worker-crash"}
         failed_keys = {entry["key"] for entry in state["failures"]}
         assert len(cache) + len(failed_keys) == 8
-        assert set(state["done"]) == set(cache)
         assert not (set(cache) & failed_keys)
-        assert state["backend"] == "process"
 
     def test_crash_then_retry_failed_heals(self, tmp_path, monkeypatch,
                                            capsys):

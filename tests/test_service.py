@@ -25,8 +25,10 @@ small grep slice.
 
 import json
 import os
+import socket
 import threading
 import time
+from urllib.parse import urlparse
 
 import pytest
 
@@ -48,6 +50,7 @@ from repro.service import (
     make_server,
 )
 from repro.service.client import AdmissionRejected, JobNotFound, ServiceError
+from repro.service.http_api import MAX_BODY_BYTES
 from repro.service.jobs import TERMINAL_STATES
 from repro.stats.results import SimResult
 from repro.validate import run_oracle
@@ -283,15 +286,28 @@ class TestScheduler:
                                          stub_sim):
         scheduler = make_scheduler(tmp_path, monkeypatch)
         scheduler.start()
-        job = run_job(scheduler, GridSpec.from_dict(
-            {"benchmarks": ["grep"], "limit": 2}
+        run_job(scheduler, GridSpec.from_dict(
+            {"benchmarks": ["grep"], "limit": 1}
         ))
+        job = run_job(scheduler, GridSpec.from_dict(
+            {"benchmarks": ["grep"], "limit": 3}
+        ))
+        events, _ = scheduler.wait_events(job["job_id"], timeout_s=0.1)
         scheduler.stop()
-        assert len(job["results"]) == 2
+        assert [record["status"] for record in job["results"]] == [
+            "cached", "fresh", "fresh"]
         for record in job["results"]:
             assert record["benchmark"] == "grep"
-            assert record["status"] == "fresh"
             assert record["ipc"] > 0 and record["cycles"] == 1000
+        assert [list(record) for record in job["results"]] == [
+            ["benchmark", "config", "status", "ipc", "cycles"]] * 3
+        # The results are the job's point events, less the event fields.
+        envelope = {"seq", "ts", "kind", "job_id", "resolved", "total"}
+        assert job["results"] == [
+            {name: value for name, value in event.items()
+             if name not in envelope}
+            for event in events if event["kind"] == "point"
+        ]
 
     def test_cancel_queued_job_settles_immediately(self, tmp_path,
                                                    monkeypatch, stub_sim):
@@ -324,12 +340,16 @@ class TestScheduler:
         assert kinds[1] == "job.running"
         assert kinds.count("point") == 2
         assert kinds[-1] == "job.done"
-        seqs = [event["seq"] for event in events]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        # ``after`` filters by seq, so a re-poll starts where we left off.
-        tail, _ = scheduler.wait_events(job_id, after=seqs[-2],
-                                        timeout_s=0.1)
-        assert [event["seq"] for event in tail] == [seqs[-1]]
+        # ``seq`` is the 1-based index, so a re-poll with ``after``
+        # starts where the last one left off, and a negative ``after``
+        # reads the whole stream.
+        assert [event["seq"] for event in events] == list(
+            range(1, len(events) + 1))
+        for after in (-3, 0, 2, len(events), len(events) + 4):
+            tail, _ = scheduler.wait_events(job_id, after=after,
+                                            timeout_s=0.1)
+            assert tail == [event for event in events
+                            if event["seq"] > after], after
 
 
 # ----------------------------------------------------------------------
@@ -457,9 +477,8 @@ class TestDaemonHoldsNoHistory:
             assert job["points"]["failed"] == 3
         scheduler.stop()
         # Each job counted its own failures; the daemon's collector kept
-        # no per-point record or span of any of them.
+        # no per-point record of any of them.
         assert scheduler.runner.collector.points == []
-        assert scheduler.runner.collector.spans == []
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_finished_jobs_hold_no_results(self, tmp_path, monkeypatch,
@@ -472,9 +491,8 @@ class TestDaemonHoldsNoHistory:
         assert [job["state"] for job in jobs] == ["done"] * 3
         assert [job["points"]["cached"] for job in jobs] == [0, 4, 4]
         # After a cold and two warm jobs the collector holds no
-        # per-point record and no span.
+        # per-point record.
         assert scheduler.runner.collector.points == []
-        assert scheduler.runner.collector.spans == []
         if validate:
             # Each job's oracle reads all four of its results.
             expected = run_oracle(
@@ -627,6 +645,36 @@ class TestHTTPAPI:
             client.submit({"grid": "nope"})
         with pytest.raises(ServiceError, match="HTTP 400"):
             client.submit({"surprise": 1})
+
+    @pytest.mark.parametrize("length", ["-1", "abc",
+                                        str(MAX_BODY_BYTES + 1)])
+    def test_bad_content_length_is_400_and_accepts_nothing(
+            self, http_service, length):
+        scheduler, client = http_service
+        address = urlparse(client.base_url)
+        # The body is refused unread, so the daemon must close the
+        # connection rather than parse the body as a next request.
+        smuggled = f"GET /healthz HTTP/1.1\r\nHost: {address.netloc}\r\n\r\n"
+        body = smuggled if length.isdigit() else ""
+        request = ("POST /jobs HTTP/1.1\r\n"
+                   f"Host: {address.netloc}\r\n"
+                   f"Content-Length: {length}\r\n\r\n{body}").encode()
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=5.0) as conn:
+            conn.sendall(request)
+            response = b""
+            try:
+                while True:  # until the daemon closes the connection
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    response += chunk
+            except ConnectionResetError:
+                pass  # closed with the unread body still queued
+        assert response.startswith(b"HTTP/1.1 400 "), response
+        assert response.count(b"HTTP/1.1 ") == 1, response
+        assert client.jobs() == []
+        assert scheduler.stats["jobs.accepted"] == 0
 
     def test_queue_full_surfaces_as_typed_rejection(self, http_service):
         scheduler, client = http_service

@@ -316,6 +316,7 @@ class TestTelemetryReport:
     def test_histogram_stats(self):
         stats = histogram_stats([3.0, 1.0, 2.0])
         assert stats["count"] == 3
+        assert stats["total"] == 6.0
         assert stats["min"] == 1.0
         assert stats["max"] == 3.0
         assert stats["mean"] == pytest.approx(2.0)
@@ -328,36 +329,12 @@ class TestTelemetryReport:
         collector.record_point(benchmark="sort", wall_s=0.5)
         report = telemetry_report(collector)
         parsed = json.loads(json.dumps(report))
-        assert parsed["schema"] == "repro.telemetry/2"
+        assert parsed["schema"] == "repro.telemetry/3"
         assert "timers" not in parsed
+        assert "phases" not in parsed
         assert parsed["counters"]["sweep.cache.hit"] == 2
         assert parsed["histograms"]["sweep.point.wall_s"]["count"] == 1
         assert parsed["points"][0]["benchmark"] == "sort"
-
-
-class TestSpans:
-    def test_add_span_records_attributes(self):
-        collector = MetricsCollector()
-        collector.add_span("phase.prepare", 0.25, benchmark="sort")
-        assert collector.spans == [
-            {"name": "phase.prepare", "dur_s": 0.25, "benchmark": "sort"}
-        ]
-
-    def test_null_collector_span_is_noop(self):
-        NULL_COLLECTOR.add_span("x", 1.0)
-        assert NULL_COLLECTOR.spans == []
-
-    def test_snapshot_merge_round_trip(self):
-        worker = MetricsCollector()
-        worker.count("sweep.cache.miss")
-        worker.add_span("phase.simulate", 0.5, benchmark="sort")
-        snap = json.loads(json.dumps(worker.snapshot()))
-        parent = MetricsCollector()
-        parent.merge(snap)
-        parent.merge(snap)
-        assert parent.counters["sweep.cache.miss"] == 2
-        assert len(parent.spans) == 2
-        assert parent.spans[0]["name"] == "phase.simulate"
 
 
 #: Attribution must hold on every engine/mode combination, including
@@ -370,8 +347,12 @@ _ATTR_CONFIGS = [
                   window_blocks=1),
     MachineConfig(discipline=Discipline.STATIC, issue_model=8,
                   memory="A", branch_mode=BranchMode.ENLARGED),
+    # Value speculation: squashed values charge ``value_recovery``.
+    MachineConfig(discipline=Discipline.DYNAMIC, issue_model=8,
+                  memory="C", branch_mode=BranchMode.ENLARGED,
+                  window_blocks=4, value_predictor="context"),
 ]
-_ATTR_IDS = ["dyn8", "static4", "dyn-seq", "static-enlarged"]
+_ATTR_IDS = ["dyn8", "static4", "dyn-seq", "static-enlarged", "dyn4-vp"]
 
 
 class TestCycleAttribution:
@@ -387,6 +368,8 @@ class TestCycleAttribution:
         assert set(buckets) == set(ATTRIBUTION_BUCKETS)
         assert all(value >= 0 for value in buckets.values())
         assert sum(buckets.values()) == result.cycles
+        if config.value_predictor != "none":
+            assert buckets["value_recovery"] > 0
         engine = ("dynamic" if config.discipline is Discipline.DYNAMIC
                   else "static")
         for name in ATTRIBUTION_BUCKETS:
@@ -417,9 +400,6 @@ class TestCycleAttribution:
             def record_point(self, *args, **kwargs):
                 raise AssertionError("record_point() on the disabled path")
 
-            def add_span(self, *args, **kwargs):
-                raise AssertionError("add_span() on the disabled path")
-
         simulate(grep_prepared, DYN_CONFIG, collector=Tripwire())
         simulate(grep_prepared, STATIC_CONFIG, collector=Tripwire())
 
@@ -434,16 +414,15 @@ class TestCycleAttribution:
 class TestReportSections:
     def test_phases_and_attribution_in_report(self):
         collector = MetricsCollector()
-        collector.add_span("phase.simulate", 0.5, benchmark="sort")
-        collector.add_span("phase.simulate", 0.25, benchmark="grep")
-        collector.add_span("phase.prepare", 0.1, benchmark="sort")
+        collector.observe("sweep.point.simulate_s", 0.5)
+        collector.observe("sweep.point.simulate_s", 0.25)
+        collector.observe("sweep.point.prepare_s", 0.1)
         collector.count("cycles.dynamic.issued_full", 75)
         collector.count("cycles.dynamic.issue_stall", 25)
         report = json.loads(json.dumps(telemetry_report(collector)))
-        assert report["phases"]["phase.simulate"] == {
-            "total_s": 0.75, "count": 2,
-        }
-        assert report["phases"]["phase.prepare"]["count"] == 1
+        simulate = report["histograms"]["sweep.point.simulate_s"]
+        assert simulate["total"] == 0.75 and simulate["count"] == 2
+        assert report["histograms"]["sweep.point.prepare_s"]["count"] == 1
         attribution = report["attribution"]["dynamic"]
         assert attribution["total_cycles"] == 100
         assert attribution["buckets"]["issued_full"] == 75
@@ -451,7 +430,7 @@ class TestReportSections:
 
     def test_empty_collector_report_sections(self):
         report = telemetry_report(MetricsCollector())
-        assert report["phases"] == {}
+        assert "phases" not in report
         assert report["attribution"] == {}
 
 
