@@ -237,9 +237,12 @@ class ResultCache:
             self._quarantine_file()
             self._data = {}
 
-    def get(self, benchmark: str, config: MachineConfig,
-            scale: int) -> Optional[SimResult]:
+    def get(self, benchmark: str, config: MachineConfig, scale: int,
+            key: Optional[str] = None) -> Optional[SimResult]:
         """Fetch a cached result, rebuilding the SimResult object.
+
+        ``key`` is the point's :func:`result_key`, passed by callers that
+        already hold it; without it the key is formatted here.
 
         A corrupted entry (wrong shape, missing fields -- e.g. written by
         an older code version or truncated on disk) is quarantined into a
@@ -248,7 +251,8 @@ class ResultCache:
         instead of crashing.
         """
         self._load()
-        key = result_key(benchmark, config, scale)
+        if key is None:
+            key = result_key(benchmark, config, scale)
         raw = self._data.get(key)
         if raw is None:
             return None

@@ -4,7 +4,8 @@
 wall-clock timeout and bounded retry, turning every failure into a
 structured :class:`PointFailure` record instead of aborting the sweep.
 With a timeout the point runs on a worker thread so the timeout can
-fire; a timed-out thread is abandoned (Python threads cannot be killed)
+fire, writing a private collector that is merged only when it ends in
+time; a timed-out thread is abandoned (Python threads cannot be killed)
 and the engine-level ``max_cycles`` watchdog remains the backstop that
 actually unwinds a runaway simulation.  Process isolation -- a crashing
 or wedged point that cannot take the sweep down with it -- is the
@@ -28,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from ..chaos.inject import recovered as chaos_recovered
 from ..machine.config import MachineConfig
@@ -57,18 +58,24 @@ class ExecutionPolicy:
     retry_kinds: Tuple[str, ...] = ()
 
 
-def _call_with_timeout(fn, timeout_s: float, benchmark: str,
-                       config_str: str):
-    """Run ``fn`` on a daemon thread, raising PointTimeout on expiry.
+def _call_with_timeout(attempt: Callable[[Collector], SimResult],
+                       collector: Collector, timeout_s: float,
+                       benchmark: str, config_str: str) -> SimResult:
+    """Run ``attempt`` on a daemon thread, raising PointTimeout on expiry.
 
-    The timed-out thread keeps running (abandoned); the engine watchdog
-    bounds how long it can actually burn CPU.
+    The attempt writes a private collector of ``collector``'s kind,
+    whose snapshot is merged into ``collector`` only when the attempt
+    ends in time, as the pool backend merges a worker's.  The
+    timed-out thread keeps running (abandoned) and its writes stay
+    private, so ``collector`` keeps one writer; the engine watchdog
+    bounds how long the thread can actually burn CPU.
     """
+    private = type(collector)()
     box: list = []
 
     def target() -> None:
         try:
-            box.append(("ok", fn()))
+            box.append(("ok", attempt(private)))
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             box.append(("err", exc))
 
@@ -79,6 +86,7 @@ def _call_with_timeout(fn, timeout_s: float, benchmark: str,
     thread.join(timeout_s)
     if thread.is_alive():
         raise PointTimeout(benchmark, config_str, timeout_s)
+    collector.merge(private.snapshot())
     status, payload = box[0]
     if status == "err":
         raise payload
@@ -136,8 +144,9 @@ class PointExecutor:
             try:
                 if policy.timeout_s is not None:
                     result = _call_with_timeout(
-                        lambda: runner.simulate_point(benchmark, config),
-                        policy.timeout_s, benchmark, str(config),
+                        lambda private: runner.simulate_point(
+                            benchmark, config, private),
+                        collector, policy.timeout_s, benchmark, str(config),
                     )
                 else:
                     result = runner.simulate_point(benchmark, config)

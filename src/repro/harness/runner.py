@@ -100,12 +100,16 @@ class SweepRunner:
         except Exception as exc:
             raise WorkloadPrepareError(name, exc) from exc
 
-    def cache_lookup(self, benchmark: str,
-                     config: MachineConfig) -> Optional[SimResult]:
-        """Probe the result cache, recording hit telemetry."""
+    def cache_lookup(self, benchmark: str, config: MachineConfig,
+                     key: Optional[str] = None) -> Optional[SimResult]:
+        """Probe the result cache, recording hit telemetry.
+
+        ``key`` is the point's result-cache key when the caller already
+        holds it (a :class:`~repro.harness.backend.PointTask` does).
+        """
         if self.cache is None:
             return None
-        hit = self.cache.get(benchmark, config, self.scale)
+        hit = self.cache.get(benchmark, config, self.scale, key)
         if hit is not None:
             self.collector.count("sweep.cache.hit")
             self.collector.record_point(
@@ -115,16 +119,20 @@ class SweepRunner:
             )
         return hit
 
-    def simulate_point(self, benchmark: str,
-                       config: MachineConfig) -> SimResult:
+    def simulate_point(self, benchmark: str, config: MachineConfig,
+                       collector: Optional[Collector] = None) -> SimResult:
         """Prepare and simulate one point, bypassing the result cache.
 
-        The engine watchdog's limit comes from ``REPRO_MAX_CYCLES``,
-        which pool workers and the daemon inherit; only the chaos
+        The point's telemetry goes to ``collector``, the runner's own
+        by default; a timed attempt passes a private one, so a thread
+        its timeout abandons never writes the runner's collector.  The
+        engine watchdog's limit comes from ``REPRO_MAX_CYCLES``, which
+        pool workers and the daemon inherit; only the chaos
         ``engine.budget`` rule passes a budget of its own.
         """
         chaos_fire("point.simulate")
-        collector = self.collector
+        if collector is None:
+            collector = self.collector
         start = time.perf_counter()
         workload = self.workload(benchmark)
         prepared_at = time.perf_counter()

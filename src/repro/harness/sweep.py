@@ -30,7 +30,9 @@ bookkeeping -- lives in the ``on_outcome`` callback;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from functools import lru_cache
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..machine.config import grid_configs
 from ..stats.results import SimResult
@@ -41,6 +43,21 @@ from .errors import PointFailure
 from .runner import SweepRunner
 
 
+@lru_cache(maxsize=None)
+def _program_tasks(grid: str, benchmark: str,
+                   scale: int) -> Tuple[PointTask, ...]:
+    """One program's points of ``grid``, built once per process.
+
+    Tasks are immutable, and the memo holds at most one tuple per grid
+    of the grid table, program of the workload registry and scale, so
+    a daemon answering the same queries reuses its configurations and
+    keys instead of rebuilding them per job.
+    """
+    return tuple(PointTask(benchmark, config,
+                           result_key(benchmark, config, scale))
+                 for config in grid_configs(grid, benchmark))
+
+
 def grid_tasks(grid: str, benchmarks: Sequence[str], scale: int,
                limit: Optional[int] = None) -> List[PointTask]:
     """Every point of ``grid`` over ``benchmarks``, benchmark-major.
@@ -49,9 +66,8 @@ def grid_tasks(grid: str, benchmarks: Sequence[str], scale: int,
     right before its first point, and keeps one benchmark's workload
     resident at a time.  ``limit`` keeps only the first N points.
     """
-    tasks = [PointTask(name, config, result_key(name, config, scale))
-             for name in benchmarks
-             for config in grid_configs(grid, name)]
+    tasks = [task for name in benchmarks
+             for task in _program_tasks(grid, name, scale)]
     return tasks if limit is None else tasks[:limit]
 
 
@@ -102,7 +118,7 @@ def run_sweep(runner: SweepRunner, backend: ExecutionBackend,
             runner.collector.count("sweep.point.skipped_failed")
             settle(PointOutcome(task, failure=prior, source="carried"))
             continue
-        hit = runner.cache_lookup(task.benchmark, task.config)
+        hit = runner.cache_lookup(task.benchmark, task.config, task.key)
         if hit is not None:
             settle(PointOutcome(task, result=hit, source="cached"))
             continue

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -128,21 +129,28 @@ class GridSpec:
 
     # ------------------------------------------------------------------
     def points(self, scale: int) -> List[PointTask]:
-        """The job's fan-out, in the sweep loop's benchmark-major order."""
+        """The job's fan-out, in the sweep loop's benchmark-major order.
+
+        Each program's tasks are built once per process
+        (:func:`~repro.harness.sweep.grid_tasks`), so a resubmitted
+        query costs no configuration or key formatting.
+        """
         return grid_tasks(self.grid, self.benchmarks, scale, self.limit)
 
-    def digest(self, scale: int) -> str:
-        """Deterministic identity of this grid query at this scale.
 
-        Hashes the sorted result-cache keys, so two specs naming the
-        same point set -- and only those -- share a digest, and any
-        ``CACHE_VERSION`` bump changes every digest with it.
-        """
-        hasher = hashlib.sha256()
-        for key in sorted(point.key for point in self.points(scale)):
-            hasher.update(key.encode())
-            hasher.update(b"\n")
-        return hasher.hexdigest()[:12]
+def points_digest(points: Sequence[PointTask]) -> str:
+    """Deterministic identity of a grid query: the hash of its fan-out.
+
+    Hashes the sorted result-cache keys of ``points`` (a spec's
+    :meth:`GridSpec.points` at one scale), so two specs naming the same
+    point set -- and only those -- share a digest, and any
+    ``CACHE_VERSION`` bump changes every digest with it.
+    """
+    hasher = hashlib.sha256()
+    for key in sorted(point.key for point in points):
+        hasher.update(key.encode())
+        hasher.update(b"\n")
+    return hasher.hexdigest()[:12]
 
 
 @dataclass
@@ -174,6 +182,10 @@ class SweepJob:
     #: the job's progress stream; an event's ``seq`` is its 1-based
     #: index, and the ``point`` events are the job's point records.
     events: List[Dict[str, Any]] = field(default_factory=list)
+    #: the long-polls waiting on this job: each one's ``after`` and the
+    #: condition it sleeps on, so an event wakes only those it answers.
+    waiters: List[Tuple[int, threading.Condition]] = field(
+        default_factory=list, repr=False)
 
     @property
     def points_resolved(self) -> int:

@@ -55,6 +55,7 @@ from .jobs import (
     SweepJob,
     TERMINAL_STATES,
     default_journal_path,
+    points_digest,
 )
 
 _LOG = get_logger("service")
@@ -105,7 +106,11 @@ class JobScheduler:
         self.validate = validate
         self.started_at = time.time()
 
-        self._cond = threading.Condition()
+        #: guards all job and queue state.  ``_cond`` wakes the
+        #: scheduler thread; each long-poll sleeps on a condition of its
+        #: own over the same lock (see :meth:`_emit`).
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         #: every job, in acceptance order (recovered jobs first).
         self._jobs: Dict[str, SweepJob] = {}
         self._queue: Deque[str] = deque()
@@ -188,7 +193,7 @@ class JobScheduler:
                 http_status=400,
             )
         points = spec.points(scale)
-        digest = spec.digest(scale)
+        digest = points_digest(points)
         with self._cond:
             if self._stop_requested:
                 self.stats["jobs.rejected.stopped"] += 1
@@ -305,21 +310,31 @@ class JobScheduler:
         Returns ``(events, job snapshot)``; an empty event list means
         the timeout elapsed with nothing new (the client re-polls).
         Events with ``seq > after`` are the list past index ``after``
-        (a negative ``after`` means the whole stream).
+        (a negative ``after`` means the whole stream).  While it waits,
+        the poll is one of the job's ``waiters``.
         """
         deadline = time.monotonic() + max(0.0, timeout_s)
+        after = max(after, 0)
         with self._cond:
-            while True:
-                job = self._jobs.get(job_id)
-                if job is None:
-                    raise UnknownJobError(job_id)
-                fresh = [dict(event) for event in job.events[max(after, 0):]]
-                if fresh or job.terminal:
-                    return fresh, job.to_dict(include_results=False)
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return [], job.to_dict(include_results=False)
-                self._cond.wait(remaining)
+            job = self._jobs.get(job_id)
+            if job is None:
+                raise UnknownJobError(job_id)
+            waiter = None
+            try:
+                while True:
+                    fresh = [dict(event) for event in job.events[after:]]
+                    if fresh or job.terminal:
+                        return fresh, job.to_dict(include_results=False)
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return [], job.to_dict(include_results=False)
+                    if waiter is None:
+                        waiter = (after, threading.Condition(self._lock))
+                        job.waiters.append(waiter)
+                    waiter[1].wait(remaining)
+            finally:
+                if waiter is not None:
+                    job.waiters.remove(waiter)
 
     def health(self) -> Dict[str, Any]:
         with self._cond:
@@ -620,12 +635,21 @@ class JobScheduler:
         }
 
     def _emit(self, job: SweepJob, kind: str, **payload: Any) -> None:
-        """Append one event to a job's stream (lock held) and wake waiters."""
+        """Append one event to a job's stream (lock held).
+
+        Wakes only the long-polls the event answers: those waiting for
+        an event past an earlier ``seq``, and every one once the job is
+        terminal.  A poll past the end of the stream sleeps through the
+        job's point events and wakes once, at its end.
+        """
+        seq = len(job.events) + 1
         job.events.append({
-            "seq": len(job.events) + 1,
+            "seq": seq,
             "ts": time.time(),
             "kind": kind,
             "job_id": job.job_id,
             **payload,
         })
-        self._cond.notify_all()
+        for after, waiter in job.waiters:
+            if after < seq or job.terminal:
+                waiter.notify()

@@ -236,7 +236,7 @@ class TestExecutorTimeout:
     def test_inprocess_timeout_degrades(self, monkeypatch):
         config = make_config()
 
-        def slow(benchmark, cfg):
+        def slow(benchmark, cfg, collector=None):
             time.sleep(2.0)
             return fake_result(cfg)
 

@@ -23,6 +23,7 @@ the serial-equivalence acceptance test runs the real pipeline on a
 small grep slice.
 """
 
+import hashlib
 import json
 import os
 import socket
@@ -32,13 +33,15 @@ from urllib.parse import urlparse
 
 import pytest
 
+import repro.harness.sweep as sweep_module
 from repro.cli import main
 from repro.harness.artifacts import default_artifact_root
-from repro.harness.backend import SerialBackend
-from repro.harness.cache import ResultCache
+from repro.harness.backend import PointTask, SerialBackend
+from repro.harness.cache import ResultCache, result_key
+from repro.harness.executor import ExecutionPolicy
 from repro.harness.runner import SweepRunner
 from repro.machine.errors import SimulationHang
-from repro.machine.config import BranchMode, Discipline
+from repro.machine.config import BranchMode, Discipline, grid_configs
 from repro.service import (
     AdmissionError,
     GridSpec,
@@ -51,7 +54,7 @@ from repro.service import (
 )
 from repro.service.client import AdmissionRejected, JobNotFound, ServiceError
 from repro.service.http_api import MAX_BODY_BYTES
-from repro.service.jobs import TERMINAL_STATES
+from repro.service.jobs import TERMINAL_STATES, points_digest
 from repro.stats.results import SimResult
 from repro.validate import run_oracle
 from repro.telemetry import MetricsCollector, prometheus
@@ -163,19 +166,41 @@ class TestGridSpec:
         assert len({p.key for p in points}) == 41
 
     def test_digest_is_deterministic_and_order_insensitive(self):
+        def digest(spec, scale):
+            return points_digest(spec.points(scale))
+
         ab = GridSpec.from_dict({"benchmarks": ["grep", "sort"]})
         ba = GridSpec.from_dict({"benchmarks": ["sort", "grep"]})
-        assert ab.digest(1) == ba.digest(1)  # same point set
-        assert ab.digest(1) != ab.digest(2)  # scale is part of identity
-        assert ab.digest(1) != GridSpec.from_dict(
+        assert digest(ab, 1) == digest(ba, 1)  # same point set
+        assert digest(ab, 1) != digest(ab, 2)  # scale is part of identity
+        assert digest(ab, 1) != digest(GridSpec.from_dict(
             {"benchmarks": ["grep"]}
-        ).digest(1)
+        ), 1)
 
     def test_roundtrips_through_to_dict(self):
         spec = GridSpec.from_dict(
             {"benchmarks": ["grep"], "grid": "full", "scale": 2, "limit": 7}
         )
         assert GridSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("raw", [
+        {"benchmarks": ["sort", "grep"]},
+        {"benchmarks": ["grep", "sort"], "limit": 41},
+        {"benchmarks": ["jsontok", "crc32"], "grid": "cache", "limit": 30},
+    ])
+    def test_memoised_points_equal_a_fresh_expansion(self, raw):
+        spec = GridSpec.from_dict(raw)
+        fresh = [PointTask(name, config, result_key(name, config, 1))
+                 for name in spec.benchmarks
+                 for config in grid_configs(spec.grid, name)][:spec.limit]
+        hasher = hashlib.sha256()
+        for key in sorted(task.key for task in fresh):
+            hasher.update(key.encode())
+            hasher.update(b"\n")
+        # The first call may fill the process's memo; the second reads it.
+        for _ in range(2):
+            assert spec.points(1) == fresh
+            assert points_digest(spec.points(1)) == hasher.hexdigest()[:12]
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +348,98 @@ class TestScheduler:
         with pytest.raises(UnknownJobError):
             scheduler.cancel("no-such-job")
         scheduler.stop()
+
+    def test_grid_is_expanded_once_per_program(self, tmp_path, monkeypatch,
+                                               stub_sim):
+        real_grid_configs = sweep_module.grid_configs
+        built = []
+
+        def spy(grid, benchmark=None):
+            built.append((grid, benchmark))
+            return real_grid_configs(grid, benchmark)
+
+        monkeypatch.setattr(sweep_module, "grid_configs", spy)
+        sweep_module._program_tasks.cache_clear()
+        scheduler = make_scheduler(tmp_path, monkeypatch)
+        scheduler.start()
+        spec = GridSpec.from_dict({"benchmarks": ["grep", "sort"],
+                                   "limit": 42})
+        first = run_job(scheduler, spec)
+        # Admission, the digest and the run share one expansion.
+        assert sorted(built) == [("smoke", "grep"), ("smoke", "sort")]
+        second = run_job(scheduler, spec)
+        scheduler.stop()
+        assert len(built) == 2  # the resubmitted query built nothing
+        assert first["points"]["total"] == second["points"]["total"] == 42
+        digest = points_digest(spec.points(1))
+        assert first["job_id"] == f"{digest}-0001"
+        assert second["job_id"] == f"{digest}-0002"
+
+    def test_events_wake_only_the_polls_they_answer(self, tmp_path,
+                                                    monkeypatch, stub_sim):
+        def paced(workload, config, collector=None, max_cycles=None,
+                  **kwargs):
+            time.sleep(0.02)  # lets every sleeping poll re-wait per event
+            return fake_result(config)
+
+        monkeypatch.setattr("repro.harness.runner.simulate", paced)
+        # Count each thread's entries into and wake-ups from a condition
+        # wait: the long-polls' waits, whichever condition they sleep on.
+        entered, wakes = set(), {}
+        real_wait = threading.Condition.wait
+
+        def counting_wait(cond, timeout=None):
+            name = threading.current_thread().name
+            entered.add(name)
+            notified = real_wait(cond, timeout)
+            wakes[name] = wakes.get(name, 0) + 1
+            return notified
+
+        monkeypatch.setattr(threading.Condition, "wait", counting_wait)
+        scheduler = make_scheduler(tmp_path, monkeypatch)  # not started
+        job_id = scheduler.submit(GridSpec.from_dict(
+            {"benchmarks": ["grep"], "limit": 3}
+        ))["job_id"]
+        past_end, streamed = [], []
+
+        def poll_past_end():
+            past_end.append(scheduler.wait_events(job_id, after=2**62,
+                                                  timeout_s=30.0))
+
+        def stream():
+            after = 0
+            while True:
+                events, snap = scheduler.wait_events(job_id, after=after,
+                                                     timeout_s=30.0)
+                streamed.extend(events)
+                if events:
+                    after = events[-1]["seq"]
+                if snap["state"] in TERMINAL_STATES:
+                    return
+
+        threads = [threading.Thread(target=poll_past_end, name="past-end"),
+                   threading.Thread(target=stream, name="stream")]
+        for thread in threads:
+            thread.start()
+            deadline = time.monotonic() + 30.0
+            while thread.name not in entered:  # asleep in its long-poll
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        scheduler.start()
+        for thread in threads:
+            thread.join(30.0)
+        scheduler.stop()
+        assert not any(thread.is_alive() for thread in threads)
+
+        [(events, snap)] = past_end
+        assert events == [] and snap["state"] == "done"
+        # It slept through job.running and the three point events and
+        # woke at job.done; at most one spurious wake-up is tolerated.
+        assert wakes["past-end"] <= 2, wakes
+        assert [event["seq"] for event in streamed] == list(range(1, 7))
+        assert [event["kind"] for event in streamed] == [
+            "job.queued", "job.running", "point", "point", "point",
+            "job.done"]
 
     def test_event_stream_is_ordered_and_truncation_safe(self, tmp_path,
                                                          monkeypatch,
@@ -479,6 +596,46 @@ class TestDaemonHoldsNoHistory:
         # Each job counted its own failures; the daemon's collector kept
         # no per-point record of any of them.
         assert scheduler.runner.collector.points == []
+
+    def test_timed_out_point_leaves_no_late_writes(self, tmp_path,
+                                                   monkeypatch, stub_sim):
+        attempts = []
+
+        def sleeps_past_timeout(workload, config, collector=None,
+                                max_cycles=None, **kwargs):
+            attempts.append(threading.current_thread())
+            time.sleep(0.5)
+            collector.count("stub.late")
+            collector.observe("stub.late_s", 0.5)
+            collector.record_point(benchmark="grep", config=str(config),
+                                   late=True)
+            return fake_result(config)
+
+        monkeypatch.setattr("repro.harness.runner.simulate",
+                            sleeps_past_timeout)
+        scheduler = make_scheduler(
+            tmp_path, monkeypatch,
+            policy=ExecutionPolicy(timeout_s=0.05, retries=0))
+        scheduler.start()
+        job = run_job(scheduler, GridSpec.from_dict(
+            {"benchmarks": ["grep"], "limit": 1}
+        ))
+        [attempt] = attempts
+        attempt.join(10.0)  # the abandoned attempt has finished writing
+        assert not attempt.is_alive()
+        scheduler.stop()
+
+        assert job["state"] == "failed"
+        assert [record["error"] for record in job["results"]] == ["timeout"]
+        collector = scheduler.runner.collector
+        assert collector.counters["sweep.point.timeout"] == 1
+        # Neither the stub's writes nor simulate_point's own reached
+        # the daemon's collector, and no point record outlived the job.
+        assert not {"stub.late", "sweep.cache.miss"} & set(
+            collector.counters)
+        assert not {"stub.late_s", "sweep.point.wall_s"} & set(
+            collector.histograms)
+        assert collector.points == []
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_finished_jobs_hold_no_results(self, tmp_path, monkeypatch,
