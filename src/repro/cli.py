@@ -384,8 +384,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .telemetry import MetricsCollector
 
     config = _config_from_args(args)
-    runner = SweepRunner(scale=args.scale, verbose=True,
-                         collector=MetricsCollector())
+    runner = SweepRunner(scale=args.scale, collector=MetricsCollector())
     result = runner.run_point(args.benchmark, config)
     print(result.summary())
     print(f"  retired nodes : {result.retired_nodes}")
@@ -495,12 +494,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _write_metrics(collector, path: str, context=None,
-                   validation=None) -> None:
+                   validation=None, failures=None) -> None:
     from .harness.cache import atomic_write_json
     from .stats.aggregate import telemetry_report
 
     document = telemetry_report(collector, context=context,
-                                validation=validation)
+                                validation=validation, failures=failures)
     atomic_write_json(path, document, indent=2)
     print(f"wrote {path}")
 
@@ -759,6 +758,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             collector, args.metrics_out,
             context={"backend": backend.name, "jobs": args.jobs},
             validation=report.to_dict(),
+            failures=[failure.to_dict() for failure in tally.failures],
         )
     if tally.failures:
         kinds = sorted({failure.kind for failure in tally.failures})

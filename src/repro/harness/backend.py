@@ -157,8 +157,8 @@ def _pool_point(job: _WorkerJob) -> Tuple[object, Optional[dict]]:
 
     The worker-local runner has no result cache (the parent owns every
     cache write) and its own collector; the returned telemetry snapshot
-    is merged by the parent so counters and per-point records match a
-    serial run of the same grid.
+    is merged by the parent so counters and histograms match a serial
+    run of the same grid.
     """
     from ..telemetry.collector import MetricsCollector
 

@@ -26,7 +26,7 @@ canonical import point for the whole taxonomy.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict
 
 from ..chaos.inject import ChaosCrash
@@ -121,14 +121,10 @@ class PointFailure:
     message: str
     attempts: int = 1
     elapsed_s: float = 0.0
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (telemetry.json, sweep.state.json)."""
-        record = asdict(self)
-        if not record["extra"]:
-            del record["extra"]
-        return record
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "PointFailure":
@@ -139,7 +135,6 @@ class PointFailure:
             message=str(raw.get("message", "")),
             attempts=int(raw.get("attempts", 1)),
             elapsed_s=float(raw.get("elapsed_s", 0.0)),
-            extra=dict(raw.get("extra", {})),
         )
 
     def summary(self) -> str:

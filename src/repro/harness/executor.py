@@ -16,12 +16,12 @@ Transient failures (see :func:`repro.harness.errors.is_transient`) are
 retried with exponential backoff up to ``retries`` times.  Every failed
 point, raised here or detected by the process-pool parent, is counted
 and logged by :func:`record_failure`.  Telemetry:
-``sweep.point.retried``, ``sweep.point.timeout``, ``sweep.point.failed``
-counters, plus a per-point record flagged ``failed=True``.
+``sweep.point.retried``, ``sweep.point.timeout`` and
+``sweep.point.failed`` counters.
 
 The executor only runs points: the sweep loop
-(:func:`repro.harness.sweep.run_sweep`) writes results to the cache,
-feeds the oracle and collects failures.
+(:func:`repro.harness.sweep.run_sweep`) writes results to the cache
+and keeps the failures in its tally.
 """
 
 from __future__ import annotations
@@ -100,17 +100,14 @@ def record_failure(collector: Collector, benchmark: str,
 
     The executor calls it for failures a point raises, the process-pool
     backend for failures the parent detects (prepare, worker-crash,
-    backstop timeout).
+    backstop timeout).  The record itself is kept by the sweep loop's
+    tally, not by the collector.
     """
     if kind == "timeout":
         collector.count("sweep.point.timeout")
     collector.count("sweep.point.failed")
     _LOG.error("point_failed", benchmark=benchmark, config=str(config),
                kind=kind, attempts=attempts, elapsed_s=round(elapsed, 3))
-    collector.record_point(
-        benchmark=benchmark, config=str(config), cached=False,
-        failed=True, error=kind, attempts=attempts, wall_s=elapsed,
-    )
     return PointFailure(
         benchmark=benchmark, config=str(config), kind=kind,
         message=message, attempts=attempts, elapsed_s=round(elapsed, 6),

@@ -57,7 +57,6 @@ class SweepRunner:
 
     def __init__(self, benchmarks: Optional[Sequence[str]] = None,
                  scale: Optional[int] = None, use_cache: bool = True,
-                 verbose: bool = False,
                  collector: Optional[Collector] = None):
         self.benchmarks = list(benchmarks) if benchmarks else default_benchmarks()
         unknown = [name for name in self.benchmarks if name not in WORKLOADS]
@@ -68,7 +67,6 @@ class SweepRunner:
         self.cache = (
             ResultCache(collector=self.collector) if use_cache else None
         )
-        self.verbose = verbose
 
     # ------------------------------------------------------------------
     def workload(self, name: str) -> PreparedWorkload:
@@ -102,7 +100,7 @@ class SweepRunner:
 
     def cache_lookup(self, benchmark: str, config: MachineConfig,
                      key: Optional[str] = None) -> Optional[SimResult]:
-        """Probe the result cache, recording hit telemetry.
+        """Probe the result cache, counting a hit as ``sweep.cache.hit``.
 
         ``key`` is the point's result-cache key when the caller already
         holds it (a :class:`~repro.harness.backend.PointTask` does).
@@ -112,11 +110,6 @@ class SweepRunner:
         hit = self.cache.get(benchmark, config, self.scale, key)
         if hit is not None:
             self.collector.count("sweep.cache.hit")
-            self.collector.record_point(
-                benchmark=benchmark, config=str(config),
-                cached=True, wall_s=0.0,
-                ipc=hit.retired_per_cycle,
-            )
         return hit
 
     def simulate_point(self, benchmark: str, config: MachineConfig,
@@ -140,21 +133,10 @@ class SweepRunner:
         result = simulate(workload, config, collector=collector,
                           max_cycles=None if rule is None else rule.budget)
         end = time.perf_counter()
-        point = str(config)
         collector.count("sweep.cache.miss")
         collector.observe("sweep.point.prepare_s", prepared_at - start)
         collector.observe("sweep.point.simulate_s", end - prepared_at)
         collector.observe("sweep.point.wall_s", end - start)
-        collector.record_point(
-            benchmark=benchmark, config=point, cached=False,
-            wall_s=end - start, prepare_s=prepared_at - start,
-            simulate_s=end - prepared_at,
-            ipc=result.retired_per_cycle,
-        )
-        if self.verbose:
-            _LOG.info("point", benchmark=benchmark, config=point,
-                      ipc=round(result.retired_per_cycle, 4),
-                      cycles=result.cycles)
         return result
 
     def settle_result(self, result: SimResult) -> None:
@@ -174,10 +156,9 @@ class SweepRunner:
     def run_point(self, benchmark: str, config: MachineConfig) -> SimResult:
         """One simulation, served from cache when available.
 
-        When the runner's collector is enabled, each point records its
-        wall time split into workload preparation and simulation, the
-        result-cache hit/miss counters, and a per-point summary record
-        (the ``points`` list of ``telemetry.json``).
+        When the runner's collector is enabled, each point counts a
+        result-cache hit or miss, and a miss observes its wall time
+        split into workload preparation and simulation.
 
         This is the fail-fast path: errors propagate.  For graceful
         degradation (timeouts, retries, structured ``PointFailure``

@@ -20,8 +20,8 @@ survive between jobs, the first job pays preparation once and every
 later job that touches the same benchmarks starts warm -- the service's
 whole reason to exist.  Between jobs the daemon holds no per-point
 state: a finished job keeps its event stream, whose ``point`` events
-are its point records, and the collector drops its per-point records
-(its counters and histograms feed ``/metrics``).
+are its point records, and the collector keeps only the counters and
+histograms that feed ``/metrics``.
 
 Admission control is typed: :class:`AdmissionError` carries a machine
 -readable reason (``queue-full``, ``job-too-large``, ``scale-mismatch``,
@@ -475,12 +475,7 @@ class JobScheduler:
                 with self._cond:
                     self._finish_locked(job, JOB_CANCELLED)
                 continue
-            try:
-                self._execute(job)
-            finally:
-                # The daemon keeps no per-point telemetry: /metrics
-                # reads only counters and histograms.
-                del self.runner.collector.points[:]
+            self._execute(job)
 
     def _execute(self, job: SweepJob) -> None:
         collector = self.runner.collector

@@ -3,12 +3,12 @@ collector."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..telemetry.collector import Collector
 
 #: Version tag of the ``telemetry.json`` document layout.
-TELEMETRY_SCHEMA = "repro.telemetry/3"
+TELEMETRY_SCHEMA = "repro.telemetry/4"
 
 #: Counter-name prefix under which the engines publish cycle
 #: attribution (``cycles.<engine>.<bucket>``; see
@@ -126,6 +126,7 @@ def schedule_summary(counters: Dict[str, int]) -> Dict[str, Any]:
 def telemetry_report(collector: Collector,
                      context: Optional[Dict[str, Any]] = None,
                      validation: Optional[Dict[str, Any]] = None,
+                     failures: Optional[List[Dict[str, Any]]] = None,
                      ) -> Dict[str, Any]:
     """The machine-readable ``telemetry.json`` document for one sweep.
 
@@ -135,27 +136,25 @@ def telemetry_report(collector: Collector,
     ``sweep.point.wall_s``; each carries its ``total``, so the phase
     histograms ``sweep.point.prepare_s`` / ``sweep.point.simulate_s``
     / ``sweep.point.merge_s`` / ``sweep.validate_s`` give a sweep's
-    per-phase times); ``points`` lists one record per simulated
-    point with its per-point timings.  Points that failed under
-    fault-tolerant execution carry ``failed: true`` and an ``error``
-    kind, and are additionally surfaced in the ``failures`` list so a
-    partial grid is visible at the top level.  ``attribution`` is the
-    per-engine cycle-attribution breakdown of
-    :func:`attribution_breakdown` (empty unless fresh simulations ran
-    with the collector enabled); ``accuracy`` is
+    per-phase times).  The collector keeps totals, so no section lists
+    points.  ``attribution`` is the per-engine cycle-attribution
+    breakdown of :func:`attribution_breakdown` (empty unless fresh
+    simulations ran with the collector enabled); ``accuracy`` is
     :func:`accuracy_summary` over the same counters
     (``branch.accuracy`` / ``value.accuracy``); ``schedule`` is
     :func:`schedule_summary` over the exact-scheduler's ``sched.*``
     counters (empty unless ``optimal_schedule`` points ran).
-    ``context`` (when given)
-    records run-level facts such as the execution backend and worker
-    count; a parallel sweep's document is the parent-side merge of every
-    worker's collector snapshot, so the schema is identical across
-    backends.  ``validation`` (when given) is a
-    :meth:`repro.validate.ValidationReport.to_dict` document: the
-    oracle's typed findings ride in the same file as the failure list.
+    ``context`` (when given) records run-level facts such as the
+    execution backend and worker count; a parallel sweep's document is
+    the parent-side merge of every worker's collector snapshot, so the
+    schema is identical across backends.  ``failures`` (when given) is
+    the sweep loop's tally of failed points, fresh or carried, as
+    :meth:`repro.harness.errors.PointFailure.to_dict` records, so a
+    partial grid is visible at the top level.  ``validation`` (when
+    given) is a :meth:`repro.validate.ValidationReport.to_dict`
+    document: the oracle's typed findings ride in the same file as the
+    failure list.
     """
-    points = list(collector.points)
     document: Dict[str, Any] = {
         "schema": TELEMETRY_SCHEMA,
         "counters": dict(sorted(collector.counters.items())),
@@ -163,15 +162,14 @@ def telemetry_report(collector: Collector,
             name: histogram_stats(values)
             for name, values in sorted(collector.histograms.items())
         },
-        "points": points,
-        "failures": [point for point in points if point.get("failed")],
         "attribution": attribution_breakdown(collector.counters),
         "accuracy": accuracy_summary(collector.counters),
         "schedule": schedule_summary(collector.counters),
     }
     if context:
         document["context"] = dict(context)
+    if failures is not None:
+        document["failures"] = failures
     if validation is not None:
         document["validation"] = validation
     return document
-

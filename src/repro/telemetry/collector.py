@@ -1,4 +1,4 @@
-"""Telemetry collectors: counters, histograms, point records and trace events.
+"""Telemetry collectors: counters, histograms and trace events.
 
 The collector API is designed around one invariant: **when telemetry is
 off, the instrumented code must do no extra work**.  The base
@@ -14,8 +14,10 @@ Three tiers:
 
 * :class:`Collector` -- the null object; :data:`NULL_COLLECTOR` is the
   shared default instance.
-* :class:`MetricsCollector` -- counters / histograms / sweep points,
-  for harness-level instrumentation (``enabled`` but not ``tracing``).
+* :class:`MetricsCollector` -- counters and histograms, for
+  harness-level instrumentation (``enabled`` but not ``tracing``).
+  It keeps totals, not rows: a sweep's per-point record is its
+  result-cache entry and its failures are the sweep loop's tally.
 * :class:`TraceCollector` -- additionally records per-cycle pipeline
   events for the exporters in :mod:`repro.telemetry.export`.
 """
@@ -96,10 +98,10 @@ def finalize_attribution(buckets: Dict[str, int], total_cycles: int,
 class Collector:
     """The telemetry API; the base class is the null implementation.
 
-    ``enabled`` says whether counters, histograms and per-point records
-    are kept (the engines gate cycle attribution on it); ``tracing`` gates
-    per-cycle event recording.  Both are plain class attributes so hot
-    loops can hoist them into a local bool once.
+    ``enabled`` says whether counters and histograms are kept (the
+    engines gate cycle attribution on it); ``tracing`` gates per-cycle
+    event recording.  Both are plain class attributes so hot loops can
+    hoist them into a local bool once.
     """
 
     __slots__ = ()
@@ -118,12 +120,9 @@ class Collector:
               args: Optional[Dict[str, Any]] = None) -> None:
         """Record one trace event at cycle ``ts`` lasting ``dur`` cycles."""
 
-    def record_point(self, **fields: Any) -> None:
-        """Record one sweep-point summary (benchmark, config, timings)."""
-
     # ---- cross-process merge (no-ops on the null object) -------------
     def snapshot(self) -> Dict[str, Any]:
-        """A plain-data copy of everything recorded so far.
+        """A plain-data copy of the counters and histograms so far.
 
         The snapshot is picklable and feeds :meth:`merge` in another
         collector -- the message a parallel sweep worker sends back to
@@ -147,19 +146,15 @@ class Collector:
     def events(self) -> List[Event]:
         return []
 
-    @property
-    def points(self) -> List[Dict[str, Any]]:
-        return []
-
 
 #: Shared null collector: the default everywhere telemetry is optional.
 NULL_COLLECTOR = Collector()
 
 
 class MetricsCollector(Collector):
-    """Collector recording counters, histograms and sweep points."""
+    """Collector recording counters and histograms."""
 
-    __slots__ = ("_counters", "_histograms", "_points")
+    __slots__ = ("_counters", "_histograms")
 
     enabled = True
     tracing = False
@@ -167,16 +162,12 @@ class MetricsCollector(Collector):
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, List[float]] = {}
-        self._points: List[Dict[str, Any]] = []
 
     def count(self, name: str, n: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + n
 
     def observe(self, name: str, value: float) -> None:
         self._histograms.setdefault(name, []).append(value)
-
-    def record_point(self, **fields: Any) -> None:
-        self._points.append(fields)
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -185,7 +176,6 @@ class MetricsCollector(Collector):
                 name: list(values)
                 for name, values in self._histograms.items()
             },
-            "points": [dict(point) for point in self._points],
         }
 
     def merge(self, snap: Dict[str, Any]) -> None:
@@ -193,7 +183,6 @@ class MetricsCollector(Collector):
             self.count(name, total)
         for name, values in snap.get("histograms", {}).items():
             self._histograms.setdefault(name, []).extend(values)
-        self._points.extend(snap.get("points", []))
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -202,10 +191,6 @@ class MetricsCollector(Collector):
     @property
     def histograms(self) -> Dict[str, List[float]]:
         return self._histograms
-
-    @property
-    def points(self) -> List[Dict[str, Any]]:
-        return self._points
 
 
 class TraceCollector(MetricsCollector):

@@ -11,7 +11,7 @@ records; the oracle never aborts a sweep.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Tuple
 
 #: Severity levels, in gating order.  ``error`` findings gate exit codes
@@ -45,28 +45,10 @@ class ValidationFinding:
     reference: str = ""
     measured: float = 0.0
     expected: float = 0.0
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (``telemetry.json``'s ``validation`` section)."""
-        record = asdict(self)
-        if not record["extra"]:
-            del record["extra"]
-        return record
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "ValidationFinding":
-        return cls(
-            rule=str(raw.get("rule", "unknown")),
-            severity=str(raw.get("severity", SEVERITY_ERROR)),
-            benchmark=str(raw.get("benchmark", "")),
-            config=str(raw.get("config", "")),
-            message=str(raw.get("message", "")),
-            reference=str(raw.get("reference", "")),
-            measured=float(raw.get("measured", 0.0)),
-            expected=float(raw.get("expected", 0.0)),
-            extra=dict(raw.get("extra", {})),
-        )
+        return asdict(self)
 
     def sort_key(self) -> Tuple[int, str, str, str, str]:
         """Deterministic ordering: severity, then rule, then the points.

@@ -94,14 +94,14 @@ class TestSweepTelemetry:
         assert code == 0
         assert "limit reached" in capsys.readouterr().out
         document = json.loads(metrics.read_text())
-        assert document["schema"] == "repro.telemetry/3"
+        assert document["schema"] == "repro.telemetry/4"
         assert document["counters"]["sweep.cache.miss"] == 2
-        assert document["histograms"]["sweep.point.wall_s"]["count"] == 2
+        for phase in ("wall_s", "prepare_s", "simulate_s"):
+            assert document["histograms"][f"sweep.point.{phase}"][
+                "count"] == 2
         assert document["histograms"]["sweep.validate_s"]["count"] == 1
-        assert len(document["points"]) == 2
-        assert {"wall_s", "prepare_s", "simulate_s"} <= set(
-            document["points"][0]
-        )
+        assert "points" not in document
+        assert document["failures"] == []
 
     def test_telemetry_progress_line(self, capsys, tmp_path, monkeypatch,
                                      grep_prepared):

@@ -29,6 +29,7 @@ import os
 import socket
 import threading
 import time
+from collections import Counter
 from urllib.parse import urlparse
 
 import pytest
@@ -41,7 +42,12 @@ from repro.harness.cache import ResultCache, result_key
 from repro.harness.executor import ExecutionPolicy
 from repro.harness.runner import SweepRunner
 from repro.machine.errors import SimulationHang
-from repro.machine.config import BranchMode, Discipline, grid_configs
+from repro.machine.config import (
+    BranchMode,
+    Discipline,
+    MachineConfig,
+    grid_configs,
+)
 from repro.service import (
     AdmissionError,
     GridSpec,
@@ -375,6 +381,31 @@ class TestScheduler:
         assert first["job_id"] == f"{digest}-0001"
         assert second["job_id"] == f"{digest}-0002"
 
+    def test_warm_job_formats_each_config_once(self, tmp_path, monkeypatch,
+                                               stub_sim):
+        real_str = MachineConfig.__str__
+        formatted = []
+
+        def counting_str(config):
+            formatted.append(config)
+            return real_str(config)
+
+        scheduler = make_scheduler(tmp_path, monkeypatch, validate=False)
+        scheduler.start()
+        spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 3})
+        configs = [task.config for task in spec.points(1)]
+        cold = run_job(scheduler, spec)
+        monkeypatch.setattr(MachineConfig, "__str__", counting_str)
+        warm = run_job(scheduler, spec)
+        warm_formatted = list(formatted)
+        scheduler.stop()
+        assert cold["points"]["fresh"] == warm["points"]["cached"] == 3
+        # A cache hit costs its point event's config string and nothing
+        # else: no per-point telemetry record formats it again.
+        assert Counter(warm_formatted) == Counter(configs)
+        assert [record["config"] for record in warm["results"]] == [
+            real_str(config) for config in configs]
+
     def test_events_wake_only_the_polls_they_answer(self, tmp_path,
                                                     monkeypatch, stub_sim):
         def paced(workload, config, collector=None, max_cycles=None,
@@ -593,9 +624,6 @@ class TestDaemonHoldsNoHistory:
             assert job["state"] == "failed"
             assert job["points"]["failed"] == 3
         scheduler.stop()
-        # Each job counted its own failures; the daemon's collector kept
-        # no per-point record of any of them.
-        assert scheduler.runner.collector.points == []
 
     def test_timed_out_point_leaves_no_late_writes(self, tmp_path,
                                                    monkeypatch, stub_sim):
@@ -607,8 +635,6 @@ class TestDaemonHoldsNoHistory:
             time.sleep(0.5)
             collector.count("stub.late")
             collector.observe("stub.late_s", 0.5)
-            collector.record_point(benchmark="grep", config=str(config),
-                                   late=True)
             return fake_result(config)
 
         monkeypatch.setattr("repro.harness.runner.simulate",
@@ -630,12 +656,11 @@ class TestDaemonHoldsNoHistory:
         collector = scheduler.runner.collector
         assert collector.counters["sweep.point.timeout"] == 1
         # Neither the stub's writes nor simulate_point's own reached
-        # the daemon's collector, and no point record outlived the job.
+        # the daemon's collector.
         assert not {"stub.late", "sweep.cache.miss"} & set(
             collector.counters)
         assert not {"stub.late_s", "sweep.point.wall_s"} & set(
             collector.histograms)
-        assert collector.points == []
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_finished_jobs_hold_no_results(self, tmp_path, monkeypatch,
@@ -647,9 +672,6 @@ class TestDaemonHoldsNoHistory:
         scheduler.stop()
         assert [job["state"] for job in jobs] == ["done"] * 3
         assert [job["points"]["cached"] for job in jobs] == [0, 4, 4]
-        # After a cold and two warm jobs the collector holds no
-        # per-point record.
-        assert scheduler.runner.collector.points == []
         if validate:
             # Each job's oracle reads all four of its results.
             expected = run_oracle(

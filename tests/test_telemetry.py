@@ -84,11 +84,6 @@ class TestMetricsCollector:
         collector.observe("h", 3.0)
         assert collector.histograms["h"] == [1.0, 3.0]
 
-    def test_record_point(self):
-        collector = MetricsCollector()
-        collector.record_point(benchmark="sort", wall_s=1.5)
-        assert collector.points == [{"benchmark": "sort", "wall_s": 1.5}]
-
     def test_metrics_collector_drops_events(self):
         collector = MetricsCollector()
         collector.event("issue.slot", 3)
@@ -106,11 +101,9 @@ class TestNullCollector:
         NULL_COLLECTOR.count("a")
         NULL_COLLECTOR.observe("h", 1.0)
         NULL_COLLECTOR.event("issue.slot", 0)
-        NULL_COLLECTOR.record_point(x=1)
         assert NULL_COLLECTOR.counters == {}
         assert NULL_COLLECTOR.histograms == {}
         assert NULL_COLLECTOR.events == []
-        assert NULL_COLLECTOR.points == []
 
 
 class TestTraceCollector:
@@ -326,15 +319,14 @@ class TestTelemetryReport:
         collector = MetricsCollector()
         collector.count("sweep.cache.hit", 2)
         collector.observe("sweep.point.wall_s", 0.5)
-        collector.record_point(benchmark="sort", wall_s=0.5)
         report = telemetry_report(collector)
         parsed = json.loads(json.dumps(report))
-        assert parsed["schema"] == "repro.telemetry/3"
+        assert parsed["schema"] == "repro.telemetry/4"
         assert "timers" not in parsed
         assert "phases" not in parsed
+        assert "points" not in parsed
         assert parsed["counters"]["sweep.cache.hit"] == 2
         assert parsed["histograms"]["sweep.point.wall_s"]["count"] == 1
-        assert parsed["points"][0]["benchmark"] == "sort"
 
 
 #: Attribution must hold on every engine/mode combination, including
@@ -396,9 +388,6 @@ class TestCycleAttribution:
 
             def event(self, *args, **kwargs):
                 raise AssertionError("event() on the disabled path")
-
-            def record_point(self, *args, **kwargs):
-                raise AssertionError("record_point() on the disabled path")
 
         simulate(grep_prepared, DYN_CONFIG, collector=Tripwire())
         simulate(grep_prepared, STATIC_CONFIG, collector=Tripwire())

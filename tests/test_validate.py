@@ -106,16 +106,22 @@ class TestFindings:
         return ValidationFinding(**fields)
 
     def test_to_dict_drops_empty_extra(self):
-        record = self.finding().to_dict()
-        assert "extra" not in record
-        assert record["rule"] == "invariant.cache"
-        record = self.finding(extra={"k": 1}).to_dict()
-        assert record["extra"] == {"k": 1}
+        # A finding has no ``extra`` any more: its dict is the eight fields.
+        finding = self.finding(measured=2.0, expected=1.0,
+                               reference="dyn1/single/8/A")
+        assert finding.to_dict() == {
+            "rule": "invariant.cache", "severity": "error",
+            "benchmark": "grep", "config": "dyn4/single/8/A",
+            "message": "m", "reference": "dyn1/single/8/A",
+            "measured": 2.0, "expected": 1.0,
+        }
+        with pytest.raises(TypeError):
+            self.finding(extra={"k": 1})
 
     def test_dict_roundtrip(self):
         original = self.finding(measured=2.0, expected=1.0,
                                 reference="dyn1/single/8/A")
-        assert ValidationFinding.from_dict(original.to_dict()) == original
+        assert ValidationFinding(**original.to_dict()) == original
 
     def test_sort_orders_severity_first(self):
         warning = self.finding(rule="baseline.uncovered",
