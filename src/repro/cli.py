@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``      -- simulate one benchmark on one machine configuration
-* ``trace``    -- dump a per-cycle pipeline trace (Chrome tracing / JSONL)
+  (``--trace-out FILE`` also writes its per-cycle pipeline trace)
 * ``figure``   -- print the data for one of the paper's figures (2-6)
 * ``report``   -- write the full EXPERIMENTS.md (runs missing simulations)
   and gate on its table of paper claims
@@ -74,7 +74,7 @@ from .workloads import WORKLOADS
 
 
 def _add_config_arguments(command: argparse.ArgumentParser) -> None:
-    """The machine-configuration axes shared by ``run`` and ``trace``."""
+    """The machine-configuration axes of ``run``."""
     command.add_argument("--benchmark", required=True,
                          choices=sorted(WORKLOADS))
     command.add_argument("--discipline", choices=("static", "dynamic"),
@@ -173,19 +173,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one configuration point")
     _add_config_arguments(run)
-
-    trace = sub.add_parser(
-        "trace",
-        help="simulate one point and dump its per-cycle pipeline trace",
-    )
-    _add_config_arguments(trace)
-    trace.add_argument("-o", "--out", default=None,
-                       help="output path (default: <benchmark>.trace.json"
-                            " or .jsonl)")
-    trace.add_argument("--format", choices=("chrome", "jsonl"),
-                       default="chrome",
-                       help="chrome://tracing JSON document, or one JSON"
-                            " event per line")
+    run.add_argument("--trace-out", metavar="FILE", default=None,
+                     help="also write the point's per-cycle pipeline"
+                          " trace: one JSON event per line when FILE"
+                          " ends in .jsonl, else a chrome://tracing JSON"
+                          " document (a traced point neither reads nor"
+                          " writes the result cache)")
 
     figure = sub.add_parser("figure", help="print one figure's data")
     figure.add_argument("number", type=int, choices=(2, 3, 4, 5, 6))
@@ -381,10 +374,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .telemetry import MetricsCollector
+    from .telemetry import MetricsCollector, TraceCollector
 
     config = _config_from_args(args)
-    runner = SweepRunner(scale=args.scale, collector=MetricsCollector())
+    out = args.trace_out
+    runner = SweepRunner(
+        scale=args.scale, use_cache=out is None,
+        collector=MetricsCollector() if out is None else TraceCollector())
     result = runner.run_point(args.benchmark, config)
     print(result.summary())
     print(f"  retired nodes : {result.retired_nodes}")
@@ -430,28 +426,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for name, value in buckets.items():
             print(f"    {name:19s}: {value:>10d}"
                   f" ({100.0 * value / total:5.1f}%)")
-    return 0
+    if out is not None:
+        from .telemetry import write_chrome_trace, write_jsonl
 
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .machine.simulator import simulate
-    from .telemetry import TraceCollector, write_chrome_trace, write_jsonl
-
-    config = _config_from_args(args)
-    runner = SweepRunner(scale=args.scale, use_cache=False)
-    workload = runner.workload(args.benchmark)
-    collector = TraceCollector()
-    result = simulate(workload, config, collector=collector)
-    suffix = ".trace.json" if args.format == "chrome" else ".trace.jsonl"
-    out = args.out if args.out else f"{args.benchmark}{suffix}"
-    if args.format == "chrome":
-        write_chrome_trace(collector, out, benchmark=args.benchmark,
-                           config=str(config))
-    else:
-        write_jsonl(collector, out)
-    print(result.summary(), file=sys.stderr)
-    print(f"wrote {out} ({len(collector.events)} events, "
-          f"{result.cycles} cycles)")
+        collector = runner.collector
+        if out.endswith(".jsonl"):
+            write_jsonl(collector, out)
+        else:
+            write_chrome_trace(collector, out, benchmark=args.benchmark,
+                               config=str(config))
+        print(f"wrote {out} ({len(collector.events)} events, "
+              f"{result.cycles} cycles)")
     return 0
 
 
@@ -992,7 +977,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure(True)
     handlers = {
         "run": _cmd_run,
-        "trace": _cmd_trace,
         "figure": _cmd_figure,
         "report": _cmd_report,
         "dump": _cmd_dump,

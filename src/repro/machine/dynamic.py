@@ -17,15 +17,19 @@ of blocks each wrong path fetches; each load's value-prediction
 outcome; and each block's issue-word offsets.  Function-unit slots are
 bytearrays indexed by cycle.
 
-Windows of one and four blocks without value speculation memoise block
-transfers under the null collector (:mod:`.memo`).  The state, relative
-to the cycle the block opens at once its window gate has passed, is
-the pending registers, the window entries still to free and the slot
-use from the next cycle on; the key adds the block inputs
-(:class:`.streams.BlockInputs`) and its memory words' store and load
-times.  A 256-block window's state rarely repeats, value speculation
-keeps poison the state does not hold, and attribution and tracing need
-every node, so those points run the loop alone.
+Every point attributes its cycles (:data:`ATTRIBUTION_BUCKETS`); the
+collector decides only whether the buckets are published.  Windows of
+one and four blocks without value speculation memoise block transfers
+(:mod:`.memo`) unless the collector traces.  The state, relative to the
+cycle the block opens at once its window gate has passed and the gap
+before its first word is charged, is the pending registers, the window
+entries still to free with their stragglers' kinds, the accounting
+cursor and the slot use from the next cycle on; the key adds the block
+inputs (:class:`.streams.BlockInputs`) and its memory words' store and
+load times, and a record adds its cycle buckets to the counters it
+carries.  A 256-block window's state rarely repeats, value speculation
+keeps poison the state does not hold, and tracing needs every node, so
+those points run the loop alone.
 
 Modelling notes (documented deltas from real hardware, see DESIGN.md):
 
@@ -137,7 +141,6 @@ class DynamicEngine:
         window_size = self.window
         collector = self.collector
         tracing = collector.tracing
-        attributing = collector.enabled
         memory_config = config.memory_config
         hit_latency = memory_config.hit_cycles
         latency_of = (hit_latency, hit_latency, memory_config.miss_cycles)
@@ -179,55 +182,27 @@ class DynamicEngine:
 
         # Cycle attribution (ATTRIBUTION_BUCKETS).  `acct` is a
         # monotonic accounting cursor: every cycle in [1, acct] has been
-        # charged to exactly one bucket.  Fetch-gap cycles are classified
-        # by two absolute-cycle markers -- `recover_until` (set at squash
-        # redirects) and `window_until` (set when the window gate holds
-        # fetch) -- applied recovery-first when a block's words open.
-        # `window_mem` mirrors `window_retires` and remembers what kind
-        # of node a window entry's straggler was (0 = ALU, 1 = memory
-        # op, 2 = value-squash replay), so a window-gate wait on a
-        # straggling load reads as memory-wait and a wait on a replayed
-        # dependent reads as value-recovery.
+        # charged to exactly one bucket.  Once a block's window gate has
+        # passed, the gap before its first word is charged by two
+        # absolute-cycle markers -- `recover_until` (set at squash
+        # redirects) and `window_until` (set when the gate holds fetch)
+        # -- recovery first; its words advance the cursor as it issues,
+        # so `issued_full` is what the other buckets leave of `acct`.
+        # `kinds[p]` is what kind of node block p's straggler was (0 =
+        # ALU, 1 = memory op, 2 = value-squash replay), so a gate held
+        # by a straggling load reads as memory-wait and one held by a
+        # replayed dependent as value-recovery.
         acct = 0
-        b_issued = b_stall = b_mem = b_recover = b_value = 0
+        b_stall = b_mem = b_recover = b_value = 0
         recover_until = 0
         window_until = 0
-        window_wait_kind = 0
-        window_mem: deque = deque()
+        window_kind = 0
+        kinds = bytearray(len(block_ids))
         # The sequential model issues its first node in the fetch cycle
         # itself; wider models open their first word one cycle later.
+        # A block's gap ends `lead` cycles past its fetch cycle.
         first_word = 0 if config.issue.sequential else 1
-
-        def _charge_words(first: int, count: int) -> None:
-            """Charge issue cycles ``first``..``first + count - 1`` (one
-            word each) and classify the gap before them."""
-            nonlocal acct, b_issued, b_stall, b_mem, b_recover, b_value
-            last = first + count - 1
-            if last <= acct:
-                return  # already charged (fetch re-covered old cycles)
-            if first <= acct:
-                first = acct + 1
-            lo = acct
-            hi = first - 1
-            if recover_until > lo:
-                take = (recover_until if recover_until < hi else hi) - lo
-                if take > 0:
-                    b_recover += take
-                    lo += take
-            if window_until > lo:
-                take = (window_until if window_until < hi else hi) - lo
-                if take > 0:
-                    if window_wait_kind == 2:
-                        b_value += take
-                    elif window_wait_kind == 1:
-                        b_mem += take
-                    else:
-                        b_stall += take
-                    lo += take
-            if hi > lo:
-                b_stall += hi - lo
-            b_issued += last - first + 1
-            acct = last
+        lead = first_word - 1
 
         retired_nodes = 0
         discarded_nodes = 0
@@ -239,19 +214,27 @@ class DynamicEngine:
         issued_slots = 0
         window_block_cycles = 0
         # Per-node execution cycles, kept only for a faulting block (to
-        # count what it discards) or for attribution (its straggler).
+        # count what it discards).
         exec_times: List[int] = []
 
         # Transfer memo (module docstring).  The state, relative to the
-        # cycle the next block opens at once its window gate has passed:
-        # (pending registers as (register, ready - fetch), window entries
-        # still to free as entry - fetch with every entry before fetch
-        # read as -1, ALU and memory slot use from fetch + 1 on).  The
-        # key adds each memory word's store and load time past fetch + 1.
+        # cycle the next block opens at once its window gate has passed
+        # and its gap is charged: (pending registers as (register, ready
+        # - fetch), window entries still to free as entry - fetch with
+        # every entry before fetch read as -1, their stragglers' kinds
+        # (0 for those), acct - fetch, ALU and memory slot use from
+        # fetch + 1 on).  The key adds each memory word's store and load
+        # time past fetch + 1.  A record ends past the next block's gap,
+        # which a block with no issue word (a lone syscall) leaves to
+        # the block after it: the last two blocks (the exit syscall is
+        # one) run the loop, and a trace with one before its end runs
+        # the loop alone.
         memo = None
+        live = True  # whether the engine's own state is current
         recording = False  # whether the block just run missed the memo
+        memo_end = 0  # positions below this look the memo up
         if (window_size <= MEMO_MAX_WINDOW and not value_spec
-                and not attributing and not tracing):
+                and not tracing and not streams.wordless_inside()):
             inputs = streams.inputs(
                 memory_config,
                 None if perfect else (config.predictor, config.static_hints))
@@ -260,59 +243,89 @@ class DynamicEngine:
             memo = TransferMemo(len(mem_nodes))
             rows = memo.rows
             states = memo.states
-            state = memo.state_id(((), (), b"", b""))
-            synced = True  # whether the engine's own state holds it
+            state = memo.state_id(((), (), b"", 0, b"", b""))
+            memo_end = len(block_ids) - 2
             store_get = store_time.get
             load_get = load_time.get
 
         watchdog_limit = self.max_cycles
 
         for position in range(len(block_ids)):
-            if recording:
-                # The block code leaves by several paths, so a missed
-                # block's transfer is stored here, as the next starts,
-                # with that block's window gate read ahead of it.
-                gate = fetch_cycle
-                waiting = list(window_retires)
-                if len(waiting) >= window_size:
-                    opens = waiting.pop(0) + 1
-                    if opens > gate:
-                        gate = opens
-                since = gate + 1
-                after = memo.state_id((
-                    tuple([(reg, ready - gate)
-                           for reg, ready in enumerate(reg_ready)
-                           if ready > since]),
-                    tuple([entry - gate if entry >= gate else -1
-                           for entry in waiting]),
-                    bytes(alu_used[since:top + 1].rstrip(b"\0")),
-                    bytes(mem_used[since:top + 1].rstrip(b"\0")),
-                ))
-                load_writes = []
-                store_writes = []
-                k = 0
-                for node in plan.nodes:
-                    if node[0] == T_LOAD:
-                        load_writes.append(
-                            (k, load_time[mem_words[k]] - block_start))
-                        k += 1
-                    elif node[0] == T_STORE:
-                        store_writes.append(
-                            (k, store_time[mem_words[k]] - block_start))
-                        k += 1
-                memo.store(input_id, key, [
-                    gate - block_start, after,
-                    (fault_time if faulting else block_complete)
-                    - block_start,
-                    block_complete - block_start, load_writes, store_writes,
-                    retired_nodes - before[0], discarded_nodes - before[1],
-                    faults - before[2], window_block_cycles - before[3],
-                    words, plan.n_datapath,
-                ])
-                state = after
-                fetch_cycle = gate
-                recording = False
             plan = plan_of[block_ids[position]]
+            if live:
+                # Window gating: a new block may not begin issue until the
+                # block `window_size` older has retired (or been squashed).
+                if len(window_retires) >= window_size:
+                    freed = window_retires.popleft()
+                    if freed >= fetch_cycle:
+                        fetch_cycle = freed + 1
+                        window_until = fetch_cycle
+                        window_kind = kinds[position - window_size]
+                gap_end = fetch_cycle + lead
+                if gap_end > acct and plan.words:
+                    lo = acct
+                    if recover_until > lo:
+                        lo = (recover_until if recover_until < gap_end
+                              else gap_end)
+                        b_recover += lo - acct
+                    if window_until > lo:
+                        until = (window_until if window_until < gap_end
+                                 else gap_end)
+                        if window_kind == 2:
+                            b_value += until - lo
+                        elif window_kind == 1:
+                            b_mem += until - lo
+                        else:
+                            b_stall += until - lo
+                        lo = until
+                    b_stall += gap_end - lo
+                    acct = gap_end
+                if recording:
+                    # The block code leaves by several paths, so a missed
+                    # block's transfer is stored here, once this block's
+                    # window gate has passed.
+                    since = fetch_cycle + 1
+                    oldest = position - len(window_retires)
+                    after = memo.state_id((
+                        tuple([(reg, ready - fetch_cycle)
+                               for reg, ready in enumerate(reg_ready)
+                               if ready > since]),
+                        tuple([entry - fetch_cycle
+                               if entry >= fetch_cycle else -1
+                               for entry in window_retires]),
+                        bytes([kinds[oldest + k] if entry >= fetch_cycle
+                               else 0
+                               for k, entry in enumerate(window_retires)]),
+                        acct - fetch_cycle,
+                        bytes(alu_used[since:top + 1].rstrip(b"\0")),
+                        bytes(mem_used[since:top + 1].rstrip(b"\0")),
+                    ))
+                    load_writes = []
+                    store_writes = []
+                    k = 0
+                    for node in missed.nodes:
+                        if node[0] == T_LOAD:
+                            load_writes.append(
+                                (k, load_time[mem_words[k]] - block_start))
+                            k += 1
+                        elif node[0] == T_STORE:
+                            store_writes.append(
+                                (k, store_time[mem_words[k]] - block_start))
+                            k += 1
+                    memo.store(input_id, key, [
+                        fetch_cycle - block_start, after,
+                        (fault_time if faulting else block_complete)
+                        - block_start,
+                        block_complete - block_start, load_writes,
+                        store_writes,
+                        retired_nodes - before[0], discarded_nodes - before[1],
+                        faults - before[2], window_block_cycles - before[3],
+                        missed.words, missed.n_datapath,
+                        b_stall - before[4], b_mem - before[5],
+                        b_recover - before[6],
+                    ])
+                    state = after
+                    recording = False
 
             # Watchdog: one comparison per block bounds any runaway
             # scheduling loop without touching the per-node hot path.
@@ -322,7 +335,7 @@ class DynamicEngine:
                     watchdog_limit,
                 )
 
-            if memo is not None:
+            if position < memo_end:
                 input_id = input_ids[position]
                 count = mem_nodes[input_id]
                 if count:
@@ -355,12 +368,10 @@ class DynamicEngine:
                     state = transfer[1]
                     mem_cursor += count
                     transfer[-1] += 1
-                    synced = False
+                    live = False
                     continue
 
-            # Grown ahead of the window gate, which moves fetch to at
-            # most `top` (a freed entry is an execution cycle before a
-            # completion), so the horizon still covers the block.
+            # The slot tables cover the block's worst case (see `slack`).
             horizon = (top if top > fetch_cycle else fetch_cycle) + slack
             if horizon >= size:
                 while horizon >= size:
@@ -369,32 +380,26 @@ class DynamicEngine:
                 mem_used.extend(bytes(size - len(mem_used)))
 
             if memo is not None:
-                if not synced:
-                    regs, window, alu_use, mem_use = states[state]
+                if not live:
+                    (regs, window, window_kinds, acct, alu_use,
+                     mem_use) = states[state]
                     reg_ready[:] = _NOTHING_PENDING
                     for reg, ready in regs:
                         reg_ready[reg] = fetch_cycle + ready
                     window_retires.clear()
                     window_retires.extend(
                         [fetch_cycle + entry for entry in window])
+                    kinds[position - len(window):position] = window_kinds
+                    acct += fetch_cycle
+                    recover_until = window_until = 0  # the gap is charged
                     since = fetch_cycle + 1
                     alu_used[since:since + len(alu_use)] = alu_use
                     mem_used[since:since + len(mem_use)] = mem_use
-                    synced = True
-                recording = True
+                    live = True
+                recording = position < memo_end
+                missed = plan
                 before = (retired_nodes, discarded_nodes, faults,
-                          window_block_cycles)
-
-            # Window gating: a new block may not begin issue until the
-            # block `window_size` older has retired (or been squashed).
-            if len(window_retires) >= window_size:
-                freed = window_retires.popleft()
-                freed_kind = window_mem.popleft() if attributing else 0
-                if freed + 1 > fetch_cycle:
-                    fetch_cycle = freed + 1
-                    if attributing:
-                        window_until = fetch_cycle
-                        window_wait_kind = freed_kind
+                          window_block_cycles, b_stall, b_mem, b_recover)
 
             occupancy = len(window_retires) + 1
             if occupancy > window_size:
@@ -409,8 +414,7 @@ class DynamicEngine:
 
             fault_index = fault_indices[position]
             faulting = fault_index >= 0 and fault_index in plan.fault_targets
-            record = faulting or attributing
-            if record:
+            if faulting:
                 del exec_times[:]
             if value_spec:
                 replay_nodes.clear()
@@ -420,8 +424,10 @@ class DynamicEngine:
             # therefore waste issue slots -- the issue-bandwidth problem
             # basic block enlargement exists to solve.
             words = plan.words
-            if attributing and words:
-                _charge_words(fetch_cycle + first_word, words)
+            if words:
+                last = fetch_cycle + lead + words
+                if last > acct:
+                    acct = last
             issue_words += words
             issued_slots += plan.n_datapath
             label = plan.label
@@ -503,7 +509,8 @@ class DynamicEngine:
                     reg_ready[dest] = done
                 if t > last_exec:
                     last_exec = t
-                if record:
+                    straggler = index
+                if faulting:
                     exec_times.append(t)
 
                 # ---- value speculation ------------------------------
@@ -609,11 +616,10 @@ class DynamicEngine:
                         alu_used, mem_used,
                     )
                 fetch_cycle = fault_time + REDIRECT_PENALTY
+                # The assert is an ALU op: `kinds[position]` stays 0.
                 window_retires.append(fault_time)
-                if attributing:
-                    window_mem.append(0)  # the assert is an ALU op
-                    if fetch_cycle > recover_until:
-                        recover_until = fetch_cycle
+                if fetch_cycle > recover_until:
+                    recover_until = fetch_cycle
                 if fault_time > max_cycle:
                     max_cycle = fault_time
                 continue
@@ -634,7 +640,7 @@ class DynamicEngine:
                         window_retires, reg_ready, alu_used, mem_used,
                     )
                     fetch_cycle = t + REDIRECT_PENALTY
-                    if attributing and fetch_cycle > recover_until:
+                    if fetch_cycle > recover_until:
                         recover_until = fetch_cycle
 
             retire = block_complete if block_complete > prev_retire else prev_retire
@@ -645,15 +651,12 @@ class DynamicEngine:
             # fetch in an HPS-style machine.  Retirement stays in order for
             # the statistics above.
             window_retires.append(last_exec)
-            if attributing:
-                straggler = exec_times.index(last_exec)  # the first one
+            if value_spec and straggler in replay_nodes:
+                kinds[position] = 2
+            else:
                 scls = plan.nodes[straggler][0]
-                if value_spec and straggler in replay_nodes:
-                    window_mem.append(2)
-                elif scls == T_LOAD or scls == T_STORE:
-                    window_mem.append(1)
-                else:
-                    window_mem.append(0)
+                if scls == T_LOAD or scls == T_STORE:
+                    kinds[position] = 1
             retired_nodes += plan.n_datapath
             if retire > max_cycle:
                 max_cycle = retire
@@ -665,13 +668,16 @@ class DynamicEngine:
                 )
 
         if memo is not None:
-            replayed = memo.replayed(6, 6)
+            replayed = memo.replayed(6, 9)
             retired_nodes += replayed[0]
             discarded_nodes += replayed[1]
             faults += replayed[2]
             window_block_cycles += replayed[3]
             issue_words += replayed[4]
             issued_slots += replayed[5]
+            b_stall += replayed[6]
+            b_mem += replayed[7]
+            b_recover += replayed[8]
 
         # Cross-engine invariant: every trace block either retires or
         # faults, so the retired datapath-node count must match the
@@ -686,9 +692,9 @@ class DynamicEngine:
         mispredicts = branches.mispredicts if branches is not None else 0
         total_cycles = max(max_cycle, 1)
         extra: Dict[str, float] = {}
-        if attributing:
+        if collector.enabled:
             buckets = {
-                "issued_full": b_issued,
+                "issued_full": acct - b_stall - b_mem - b_recover - b_value,
                 "issue_stall": b_stall,
                 "memory_wait": b_mem,
                 "mispredict_recovery": b_recover,

@@ -16,10 +16,14 @@ faulting word, so they depend on the schedule.  Each block's probes run
 ahead of its words, which read their latencies.  A perfect memory needs
 no probe at all.
 
-Under the null collector the engine memoises block transfers
-(:mod:`.memo`): the state is the registers still pending after the
-last issued word, relative to its issue cycle; the key adds the block
-inputs (:class:`.streams.BlockInputs`) and the block's probe latencies.
+Every point attributes its cycles (:data:`ATTRIBUTION_BUCKETS`); the
+collector decides only whether the buckets are published.  Unless the
+collector traces, the engine memoises block transfers (:mod:`.memo`):
+the state is the registers still pending after the last issued word,
+relative to its issue cycle, with whether a load produced each, and the
+accounting cursor's offset from that cycle; the key adds the block
+inputs (:class:`.streams.BlockInputs`) and the block's probe latencies,
+and a record adds its cycle buckets to the counters it carries.
 """
 
 from __future__ import annotations
@@ -94,7 +98,6 @@ class StaticEngine:
         store_access = memsys.store_access if memsys is not None else None
         collector = self.collector
         tracing = collector.tracing
-        attributing = collector.enabled
         # Probe the cache only with one to probe (or events to report).
         addressing = memsys is not None or tracing
 
@@ -102,10 +105,12 @@ class StaticEngine:
         # Cycle attribution (ATTRIBUTION_BUCKETS): `acct` is a monotonic
         # accounting cursor -- every cycle in [1, acct] has been charged
         # to exactly one bucket, so the buckets always sum to the cycles
-        # accounted.  `reg_mem[r]` remembers whether r's producer was a
-        # load, which classifies an operand stall as memory-wait.
+        # accounted; a word's issue cycle advances it, so `issued_full`
+        # is what the other buckets leave of it.  `reg_mem[r]` remembers
+        # whether r's producer was a load, which classifies an operand
+        # stall as memory-wait.
         acct = 0
-        b_issued = b_stall = b_mem = b_recover = 0
+        b_stall = b_mem = b_recover = 0
         reg_mem = [False] * 64
         cycle = 0  # issue cycle of the most recent word
         retired_nodes = 0
@@ -121,18 +126,21 @@ class StaticEngine:
         wb_flags: List[bool] = []
 
         # Transfer memo (module docstring): the state is the registers
-        # still pending after `cycle`, as (register, ready - cycle).
+        # still pending after `cycle`, as (register, ready - cycle,
+        # reg_mem), and acct - cycle.  Any other register is ready by the
+        # block's first issue, so it never binds a word that waits past
+        # the cursor (at or past `cycle`): its `reg_mem` is never read.
         memo = None
         recording = False  # whether the block just run missed the memo
-        if not attributing and not tracing:
+        if not tracing:
             inputs = streams.inputs(
                 None, (config.predictor, config.static_hints))
             input_ids = inputs.ids
             memo = TransferMemo(len(inputs.mem_nodes))
             rows = memo.rows
             states = memo.states
-            state = memo.state_id(())
-            synced = True  # whether reg_ready holds the state
+            state = memo.state_id(((), 0))
+            synced = True  # whether the engine's own state holds it
 
         watchdog_limit = self.max_cycles
 
@@ -141,14 +149,17 @@ class StaticEngine:
                 # The block code leaves by several paths, so a missed
                 # block's transfer is stored here, as the next starts.
                 pending = cycle + 1
-                after = memo.state_id(tuple([
-                    (reg, ready - cycle) for reg, ready in enumerate(reg_ready)
-                    if ready > pending]))
+                after = memo.state_id((tuple([
+                    (reg, ready - cycle, reg_mem[reg])
+                    for reg, ready in enumerate(reg_ready)
+                    if ready > pending]), acct - cycle))
                 memo.store(input_id, key, [
                     cycle - start, after,
                     (cycle if fault is not None else block_complete) - start,
                     retired_nodes - before[0], discarded_nodes - before[1],
-                    faults - before[2], len(words), issued_datapath])
+                    faults - before[2], len(words), issued_datapath,
+                    b_stall - before[3], b_mem - before[4],
+                    b_recover - before[5]])
                 state = after
                 recording = False
             # Watchdog: bounds any runaway issue loop at block granularity.
@@ -212,13 +223,17 @@ class StaticEngine:
                     synced = False
                     continue
                 if not synced:
+                    pending_regs, acct = states[state]
+                    acct += cycle
                     reg_ready[:] = _NOTHING_PENDING
-                    for reg, ready in states[state]:
+                    for reg, ready, mem in pending_regs:
                         reg_ready[reg] = cycle + ready
+                        reg_mem[reg] = mem
                     synced = True
                 recording = True
                 start = cycle
-                before = (retired_nodes, discarded_nodes, faults)
+                before = (retired_nodes, discarded_nodes, faults,
+                          b_stall, b_mem, b_recover)
 
             branch_exec = -1
             block_complete = 0
@@ -231,7 +246,7 @@ class StaticEngine:
                     r = reg_ready[src]
                     if r > issue:
                         issue = r
-                if attributing and issue > acct:
+                if issue > acct:
                     gap = issue - 1 - acct
                     if gap > 0:
                         # The word waited; charge the wait to memory if
@@ -246,7 +261,6 @@ class StaticEngine:
                             b_mem += gap
                         else:
                             b_stall += gap
-                    b_issued += 1
                     acct = issue
                 for cls, dest, rank in ops:
                     if cls == T_LOAD:
@@ -274,8 +288,7 @@ class StaticEngine:
                         done = issue + 1
                     if dest >= 0:
                         reg_ready[dest] = done
-                        if attributing:
-                            reg_mem[dest] = cls == T_LOAD
+                        reg_mem[dest] = cls == T_LOAD
                     if tracing and cls != T_SYSCALL:
                         collector.event(
                             "issue.slot", issue, 0,
@@ -297,7 +310,7 @@ class StaticEngine:
                 faults += 1
                 discarded_nodes += issued_datapath
                 cycle = fault_exec + REDIRECT_PENALTY
-                if attributing and cycle > acct:
+                if cycle > acct:
                     b_recover += cycle - acct
                     acct = cycle
                 if cycle > max_cycle:
@@ -337,17 +350,22 @@ class StaticEngine:
                         if wrong is not None:
                             discarded_nodes += wrong.first_word_nodes
                     cycle = branch_exec + REDIRECT_PENALTY
-                    if attributing and cycle > acct:
+                    if cycle > acct:
                         b_recover += cycle - acct
                         acct = cycle
 
         if memo is not None:
-            replayed = memo.replayed(3, 5)
+            replayed = memo.replayed(3, 8)
             retired_nodes += replayed[0]
             discarded_nodes += replayed[1]
             faults += replayed[2]
             issue_words += replayed[3]
             issued_slots += replayed[4]
+            b_stall += replayed[5]
+            b_mem += replayed[6]
+            b_recover += replayed[7]
+            if not synced:
+                acct = cycle + states[state][1]
 
         # Cross-engine invariant (see DynamicEngine.run): retired work
         # must match the functional trace exactly.
@@ -366,9 +384,9 @@ class StaticEngine:
             wb_hits = memsys.wb_hits
         total_cycles = max(max_cycle, 1)
         extra: Dict[str, float] = {}
-        if attributing:
+        if collector.enabled:
             buckets = {
-                "issued_full": b_issued,
+                "issued_full": acct - b_stall - b_mem - b_recover,
                 "issue_stall": b_stall,
                 "memory_wait": b_mem,
                 "mispredict_recovery": b_recover,

@@ -456,6 +456,7 @@ class TraceStreams:
         #: keeps their id from being reused by another dict.
         self._word_plans: Dict[int, Tuple[Dict[str, ScheduledBlock],
                                           Dict[str, WordPlan]]] = {}
+        self._wordless_inside: Optional[bool] = None
 
     def memory(self, memory: MemoryConfig) -> MemoryStream:
         stream = self._memory.get(memory.letter)
@@ -501,6 +502,16 @@ class TraceStreams:
                                  misses, wrong_paths)
             self._inputs[key] = found
         return found
+
+    def wordless_inside(self) -> bool:
+        """Whether a block with no datapath node (a lone syscall, which
+        opens no issue word) runs before the trace's last block."""
+        if self._wordless_inside is None:
+            head = self.trace.block_ids[:-1]
+            self._wordless_inside = any(
+                not self.templates[label].n_datapath and block_id in head
+                for block_id, label in enumerate(self.trace.labels))
+        return self._wordless_inside
 
     def issue_plans(self, issue: IssueModel) -> Dict[str, IssuePlan]:
         plans = self._issue_plans.get(issue.index)

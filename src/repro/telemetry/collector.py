@@ -99,9 +99,11 @@ class Collector:
     """The telemetry API; the base class is the null implementation.
 
     ``enabled`` says whether counters and histograms are kept (the
-    engines gate cycle attribution on it); ``tracing`` gates per-cycle
-    event recording.  Both are plain class attributes so hot loops can
-    hoist them into a local bool once.
+    engines attribute every point's cycles and publish the buckets only
+    when it is set); ``tracing`` gates per-cycle event recording, and
+    is the one flag that changes an engine's path: a traced point runs
+    without the transfer memo.  Both are plain class attributes so hot
+    loops can hoist them into a local bool once.
     """
 
     __slots__ = ()

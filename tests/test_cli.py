@@ -49,9 +49,9 @@ class TestTrace:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         out = tmp_path / "grep.trace.json"
         code = main([
-            "trace", "--benchmark", "grep", "--discipline", "dynamic",
+            "run", "--benchmark", "grep", "--discipline", "dynamic",
             "--window", "4", "--issue", "8", "--memory", "D",
-            "--branch", "enlarged", "-o", str(out),
+            "--branch", "enlarged", "--trace-out", str(out),
         ])
         assert code == 0
         assert "wrote" in capsys.readouterr().out
@@ -61,6 +61,8 @@ class TestTrace:
         names = {event["name"] for event in events}
         assert "issue.slots" in names
         assert "window.occupancy" in names
+        # A traced point neither reads nor writes the result cache.
+        assert not (tmp_path / "results.json").exists()
 
     def test_trace_writes_jsonl(self, capsys, grep_prepared, tmp_path,
                                 monkeypatch):
@@ -69,9 +71,8 @@ class TestTrace:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         out = tmp_path / "grep.trace.jsonl"
         code = main([
-            "trace", "--benchmark", "grep", "--discipline", "static",
-            "--issue", "4", "--memory", "A", "--format", "jsonl",
-            "-o", str(out),
+            "run", "--benchmark", "grep", "--discipline", "static",
+            "--issue", "4", "--memory", "A", "--trace-out", str(out),
         ])
         assert code == 0
         lines = out.read_text().splitlines()

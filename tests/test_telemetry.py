@@ -329,6 +329,12 @@ class TestTelemetryReport:
         assert parsed["histograms"]["sweep.point.wall_s"]["count"] == 1
 
 
+#: A memoised point whose window gate a straggling load holds: its
+#: wait is charged to ``memory_wait`` by a transfer record.
+_MEMORY_GATE_CONFIG = MachineConfig(
+    discipline=Discipline.DYNAMIC, issue_model=8, memory="D",
+    branch_mode=BranchMode.ENLARGED, window_blocks=1)
+
 #: Attribution must hold on every engine/mode combination, including
 #: the sequential (issue model 1) dynamic path and both branch schemes.
 _ATTR_CONFIGS = [
@@ -343,8 +349,10 @@ _ATTR_CONFIGS = [
     MachineConfig(discipline=Discipline.DYNAMIC, issue_model=8,
                   memory="C", branch_mode=BranchMode.ENLARGED,
                   window_blocks=4, value_predictor="context"),
+    _MEMORY_GATE_CONFIG,
 ]
-_ATTR_IDS = ["dyn8", "static4", "dyn-seq", "static-enlarged", "dyn4-vp"]
+_ATTR_IDS = ["dyn8", "static4", "dyn-seq", "static-enlarged", "dyn4-vp",
+             "dyn1-memory-gate"]
 
 
 class TestCycleAttribution:
@@ -362,6 +370,8 @@ class TestCycleAttribution:
         assert sum(buckets.values()) == result.cycles
         if config.value_predictor != "none":
             assert buckets["value_recovery"] > 0
+        if config == _MEMORY_GATE_CONFIG:
+            assert buckets["memory_wait"] > 0
         engine = ("dynamic" if config.discipline is Discipline.DYNAMIC
                   else "static")
         for name in ATTRIBUTION_BUCKETS:
