@@ -162,7 +162,9 @@ def _run_service_arm(workdir: str, benchmarks: Tuple[str, ...], scale: int,
         )
         return server, client
 
-    def stop_daemon(server, scheduler: JobScheduler) -> None:
+    def stop_daemon(server, client: ServiceClient,
+                    scheduler: JobScheduler) -> None:
+        client.close()  # else server_close waits out its idle timeout
         server.shutdown()
         server.server_close()
         scheduler.stop(cancel_pending=False)
@@ -185,7 +187,7 @@ def _run_service_arm(workdir: str, benchmarks: Tuple[str, ...], scale: int,
             _LOG.warning("chaos_cold_job_failed", job_id=job["job_id"],
                          error=str(exc))
     finally:
-        stop_daemon(server, scheduler)
+        stop_daemon(server, client, scheduler)
 
     # -- phase 2: restart (journal replay), then a warm submit --------
     clear_prepared_cache()
@@ -213,7 +215,7 @@ def _run_service_arm(workdir: str, benchmarks: Tuple[str, ...], scale: int,
             if snapshot["points"]["failed"]:
                 arm.failures += snapshot["points"]["failed"]
     finally:
-        stop_daemon(server, scheduler)
+        stop_daemon(server, client, scheduler)
 
     cache_path = os.path.join(workdir, "results.json")
     if os.path.exists(cache_path):

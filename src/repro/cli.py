@@ -46,7 +46,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from .harness.figures import (
     figure2_data,
@@ -805,11 +805,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit one grid job; with ``--wait``, stream progress to stderr."""
-    from .service import AdmissionRejected, JobFailed, ServiceClient
-    from .service import ServiceError
+    from .service import ServiceClient
 
-    client = ServiceClient(args.url, retries=args.retries,
-                           backoff_s=args.backoff)
+    with ServiceClient(args.url, retries=args.retries,
+                       backoff_s=args.backoff) as client:
+        return _submit(client, args)
+
+
+def _submit(client: Any, args: argparse.Namespace) -> int:
+    from .service import AdmissionRejected, JobFailed, ServiceError
+
     spec = {"grid": args.grid}
     benchmarks = _benchmarks_from_args(args)
     if benchmarks is not None:

@@ -1,8 +1,9 @@
-"""HTTP client for the simulation service (stdlib ``urllib`` only).
+"""HTTP client for the simulation service (stdlib ``http.client`` only).
 
-Used by the ``repro-sim submit`` CLI verb, the service-mode bench and
-the test suite.  Every transport or protocol problem surfaces as a
-typed exception so callers can map outcomes to exit codes:
+Used by the ``repro-sim submit`` CLI verb, the chaos drill, perfbench's
+warm loop and the test suite, each over one kept-alive connection.
+Every transport or protocol problem surfaces as a typed exception so
+callers can map outcomes to exit codes:
 
 * :class:`AdmissionRejected` -- the daemon's typed 429/503 rejection,
   carrying its machine-readable ``reason`` (``queue-full``, ...);
@@ -23,14 +24,15 @@ tests control both the jitter and the clock.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 from ..chaos.inject import recovered as chaos_recovered
+from . import http_api
 from .jobs import TERMINAL_STATES
 
 #: Admission reasons worth retrying: pressure and transient daemon
@@ -77,6 +79,13 @@ class JobFailed(ServiceError):
         self.job = job
 
 
+def _retryable(message: str) -> ServiceError:
+    """A transport failure a retry-enabled client may re-attempt."""
+    error = ServiceError(message)
+    error.retryable = True
+    return error
+
+
 def _parse_retry_after(headers: Any) -> Optional[float]:
     """The Retry-After header as seconds, when present and numeric."""
     if headers is None:
@@ -91,7 +100,17 @@ def _parse_retry_after(headers: Any) -> Optional[float]:
 
 
 class ServiceClient:
-    """Minimal JSON-over-HTTP client for one service daemon."""
+    """Minimal JSON-over-HTTP client for one service daemon.
+
+    A client is one kept-alive HTTP/1.1 connection, used from one thread
+    at a time.  It reconnects before sending once the connection has
+    been idle for half the daemon's
+    :data:`~repro.service.http_api.IDLE_TIMEOUT_S`, so it never writes
+    into a connection the daemon has dropped, and it never re-sends a
+    request on its own (only ``retries`` does).  ``close()``, or the end
+    of a ``with`` block, releases the connection; a later request
+    reopens it.
+    """
 
     def __init__(self, base_url: str = "http://127.0.0.1:8737",
                  timeout_s: float = 30.0, retries: int = 0,
@@ -105,6 +124,21 @@ class ServiceClient:
         self.max_backoff_s = max_backoff_s
         self._rng = rng if rng is not None else random.Random()
         self._sleep = sleep
+        url = urlsplit(self.base_url)
+        self._prefix = url.path
+        self._conn = http.client.HTTPConnection(url.netloc,
+                                                timeout=timeout_s)
+        self._last_used = 0.0
+
+    def close(self) -> None:
+        """Close the kept-alive connection."""
+        self._conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def _retry_delay(self, attempt: int,
@@ -146,58 +180,73 @@ class ServiceClient:
                       body: Optional[Dict[str, Any]] = None,
                       timeout_s: Optional[float] = None) -> Dict[str, Any]:
         data = json.dumps(body).encode("utf-8") if body is not None else None
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=timeout_s or self.timeout_s
-            ) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except ValueError:
-                payload = {}
-            if exc.code == 404:
-                raise JobNotFound(
-                    payload.get("error", f"not found: {path}")
-                ) from None
-            if payload.get("error") == "admission":
-                raise AdmissionRejected(
-                    payload.get("reason", "unknown"),
-                    payload.get("message", f"rejected ({exc.code})"),
-                    payload.get("retry_after_s"),
-                ) from None
-            error = ServiceError(
-                f"HTTP {exc.code} on {method} {path}:"
-                f" {payload.get('error', exc.reason)}"
-            )
-            if exc.code >= 500:
-                error.retryable = True
-                error.retry_after_s = _parse_retry_after(exc.headers)
-            raise error from None
-        except urllib.error.URLError as exc:
-            # Connection refused / reset mid-request: the daemon may be
-            # restarting; retry-enabled callers re-attempt.
-            error = ServiceError(
-                f"cannot reach service at {self.base_url}: {exc.reason}"
-            )
-            error.retryable = True
-            raise error from None
-        except ConnectionError as exc:
-            # urllib only wraps errors from sending the request; a reset
-            # while *reading* the response (http.client's
-            # RemoteDisconnected) escapes raw.  Same remedy: retry.
-            error = ServiceError(
-                f"connection to {self.base_url} dropped mid-request: {exc}"
-            )
-            error.retryable = True
-            raise error from None
+        raw = self._exchange(method, path, data, timeout_s)
+        payload = json.loads(raw.decode("utf-8"))
         if not isinstance(payload, dict):
             raise ServiceError(f"malformed response from {method} {path}")
         return payload
+
+    def _exchange(self, method: str, path: str,
+                  data: Optional[bytes] = None,
+                  timeout_s: Optional[float] = None) -> bytes:
+        """One request over the kept-alive connection; the 2xx body.
+
+        An error status raises its typed exception.  Any failure closes
+        the connection, so the next request starts on a fresh one.
+        """
+        conn = self._conn
+        if (conn.sock is not None and time.monotonic() - self._last_used
+                > http_api.IDLE_TIMEOUT_S / 2):
+            conn.close()  # the daemon may be about to drop it
+        conn.timeout = timeout_s or self.timeout_s
+        if conn.sock is not None:
+            conn.sock.settimeout(conn.timeout)
+        headers = {"Content-Type": "application/json"} if data else {}
+        try:
+            conn.request(method, self._prefix + path, body=data,
+                         headers=headers)
+        except OSError as exc:
+            # Connection refused / reset while sending: the daemon may
+            # be restarting; retry-enabled callers re-attempt.
+            conn.close()
+            raise _retryable(
+                f"cannot reach service at {self.base_url}: {exc}"
+            ) from None
+        try:
+            response = conn.getresponse()
+            raw = response.read()
+        except ConnectionError as exc:
+            # A reset while *reading* the response: same remedy.
+            conn.close()
+            raise _retryable(
+                f"connection to {self.base_url} dropped mid-request: {exc}"
+            ) from None
+        except BaseException:
+            conn.close()
+            raise
+        self._last_used = time.monotonic()
+        if 200 <= response.status < 300:
+            return raw
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            payload = {}
+        if response.status == 404:
+            raise JobNotFound(payload.get("error", f"not found: {path}"))
+        if payload.get("error") == "admission":
+            raise AdmissionRejected(
+                payload.get("reason", "unknown"),
+                payload.get("message", f"rejected ({response.status})"),
+                payload.get("retry_after_s"),
+            )
+        error = ServiceError(
+            f"HTTP {response.status} on {method} {path}:"
+            f" {payload.get('error', response.reason)}"
+        )
+        if response.status >= 500:
+            error.retryable = True
+            error.retry_after_s = _parse_retry_after(response.headers)
+        raise error
 
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
@@ -205,18 +254,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The raw Prometheus text exposition (``/metrics``)."""
-        request = urllib.request.Request(
-            self.base_url + "/metrics", method="GET"
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: {exc}"
-            ) from None
+        return self._exchange("GET", "/metrics").decode("utf-8")
 
     def submit(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """Submit a grid spec; returns the accepted job snapshot."""

@@ -25,6 +25,11 @@ other route is JSON.)
 Errors: 400 malformed spec, 404 unknown job, 429/503 typed admission
 rejections (body carries the machine-readable ``reason``; queue-full
 responses include ``Retry-After``).
+
+Connections are HTTP/1.1 and kept alive.  Every response after which
+the daemon closes the connection carries ``Connection: close``, and a
+connection that sends no request for :data:`IDLE_TIMEOUT_S` is closed,
+so an abandoned client does not hold a handler thread.
 """
 
 from __future__ import annotations
@@ -54,12 +59,27 @@ _CANCEL_ROUTE = re.compile(r"^/jobs/([A-Za-z0-9._-]+)/cancel$")
 #: Request body size bound: a grid spec is tiny; anything big is abuse.
 MAX_BODY_BYTES = 64 * 1024
 
+#: Seconds a kept-alive connection may wait for its next request before
+#: the daemon closes it.  :class:`~repro.service.client.ServiceClient`
+#: reconnects before sending once its connection has been idle for half
+#: of this.
+IDLE_TIMEOUT_S = 5.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    #: headers and body leave as two writes; without TCP_NODELAY the
+    #: body waits for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
+    @property
+    def timeout(self) -> float:  # type: ignore[override]
+        """Each connection's socket timeout: :data:`IDLE_TIMEOUT_S`,
+        read as the connection opens."""
+        return IDLE_TIMEOUT_S
+
     @property
     def scheduler(self) -> JobScheduler:
         return self.server.scheduler  # type: ignore[attr-defined]
@@ -71,21 +91,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, payload: Dict[str, Any],
               headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, json.dumps(payload).encode("utf-8"),
+                        "application/json", headers)
 
-    def _send_text(self, status: int, body_text: str,
-                   content_type: str) -> None:
-        body = body_text.encode("utf-8")
+    def _send_body(self, status: int, body: bytes, content_type: str,
+                   headers: Optional[Dict[str, str]] = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.close_connection:
+            # Announced, so a kept-alive client reconnects instead of
+            # writing its next request into a closed socket.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -157,7 +176,8 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/healthz":
                 self._send(200, self.scheduler.health())
             elif path == "/metrics":
-                self._send_text(200, self.scheduler.metrics_text(),
+                self._send_body(200,
+                                self.scheduler.metrics_text().encode("utf-8"),
                                 _PROM_CONTENT_TYPE)
             elif path == "/jobs":
                 self._send(200, {"jobs": self.scheduler.jobs()})

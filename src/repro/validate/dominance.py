@@ -39,9 +39,10 @@ sub-percent inversions on tiny inputs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
-from ..machine.config import BranchMode, MEMORY_CONFIGS
+from ..machine.config import MEMORY_CONFIGS
 from ..stats.results import SimResult
 from .findings import SEVERITY_ERROR, ValidationFinding
 
@@ -83,9 +84,16 @@ _PERFECT_MEMORY_ORDER = tuple(
 #: index.
 _Coord = Tuple[str, str, int, str, str, str, bool]
 
+#: How a rule reads a coordinate: ``(group, value)``, where ``group``
+#: holds every coordinate the rule keeps fixed and ``value`` is the one
+#: it orders, or None for a point the rule does not compare.
+_Split = Callable[[_Coord], Optional[Tuple[Any, Any]]]
+
 
 def _index(results: Iterable[SimResult]) -> Dict[_Coord, SimResult]:
-    """Results keyed by grid coordinate (later duplicates win)."""
+    """Results keyed by grid coordinate (later duplicates win), sorted
+    by coordinate so the order of findings does not depend on the order
+    of ``results``."""
     indexed: Dict[_Coord, SimResult] = {}
     for result in results:
         config = result.config
@@ -94,7 +102,7 @@ def _index(results: Iterable[SimResult]) -> Dict[_Coord, SimResult]:
                  config.predictor, config.value_predictor,
                  config.optimal_schedule)
         indexed[coord] = result
-    return indexed
+    return dict(sorted(indexed.items()))  # coordinates are unique keys
 
 
 def _violation(rule: str, stronger: SimResult, weaker: SimResult,
@@ -125,17 +133,63 @@ def _dominates(stronger: SimResult, weaker: SimResult,
     )
 
 
-def _chain_pairs(indexed: Dict[_Coord, SimResult],
-                 coords: List[_Coord]) -> Iterable[Tuple[SimResult, SimResult]]:
-    """Consecutive present pairs along one ordered coordinate chain.
+def _along(axis: int) -> _Split:
+    """Group by every coordinate but ``axis``, and order along it."""
+    return lambda coord: (coord[:axis] + coord[axis + 1:], coord[axis])
 
-    ``coords`` is ordered weakest first; each yielded pair is
-    ``(stronger, weaker)`` for adjacent points that both exist, so a
-    partial grid (``--limit``, subsets) is compared as far as it goes.
+
+def _window_split(coord: _Coord) -> Optional[Tuple[Any, int]]:
+    """Dynamic lines group by branch handling; the window is ordered."""
+    benchmark, line, issue, memory, pred, vp, opt = coord
+    base, _, mode = line.partition("/")
+    if opt or not base.startswith("dyn"):
+        return None
+    return (benchmark, mode, issue, memory, pred, vp), int(base[3:])
+
+
+#: The chained rules: (rule, axis named in the finding, split, chains).
+#: ``chains`` lists the axis values weakest first, or is None to order
+#: each group by sorting its values.
+_CHAIN_RULES = (
+    # dyn256 >= dyn4 >= dyn1 at equal branch handling (list schedules).
+    ("dominance.window", "window", _window_split, None),
+    # Wider issue models win.
+    ("dominance.issue", "issue model", _along(2), None),
+    # Faster perfect memories win: A >= B >= C.
+    ("dominance.memory", "memory", _along(3),
+     (tuple(reversed(_PERFECT_MEMORY_ORDER)),)),
+    # Stronger value predictors never lose (list schedules).
+    ("dominance.value", "value predictor",
+     lambda coord: None if coord[6] else _along(5)(coord), _VALUE_CHAINS),
+    # A certified-optimal schedule is never longer than the list
+    # schedule on any block, so at equal configuration the optimal
+    # machine's IPC must be at least the list machine's.
+    ("dominance.sched", "static scheduler", _along(6), ((False, True),)),
+)
+
+
+def _chain_pairs(indexed: Dict[_Coord, SimResult], split: _Split,
+                 chains: Optional[Tuple[Tuple[Any, ...], ...]],
+                 ) -> Iterator[Tuple[SimResult, SimResult]]:
+    """Adjacent present ``(stronger, weaker)`` pairs along one rule.
+
+    Points are grouped by ``split``; each group is walked along every
+    chain, skipping absent values, so a partial grid (``--limit``,
+    subsets) is compared as far as it goes.
     """
-    present = [indexed[coord] for coord in coords if coord in indexed]
-    for weaker, stronger in zip(present, present[1:]):
-        yield stronger, weaker
+    groups: Dict[Any, Dict[Any, SimResult]] = {}
+    for coord, result in indexed.items():
+        parts = split(coord)
+        if parts is not None:
+            groups.setdefault(parts[0], {})[parts[1]] = result
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        for chain in chains or (sorted(members),):
+            present = [members[value] for value in chain
+                       if value in members]
+            for weaker, stronger in zip(present, present[1:]):
+                yield stronger, weaker
 
 
 def check_dominance(results: Iterable[SimResult],
@@ -151,154 +205,29 @@ def check_dominance(results: Iterable[SimResult],
     tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     indexed = _index(results)
     findings: List[ValidationFinding] = []
-
-    benchmarks = sorted({coord[0] for coord in indexed})
-    lines = sorted({coord[1] for coord in indexed})
-    issues = sorted({coord[2] for coord in indexed})
-    memories = sorted({coord[3] for coord in indexed})
-    predictors = sorted({coord[4] for coord in indexed})
-    value_predictors = sorted({coord[5] for coord in indexed})
-    scheds = sorted({coord[6] for coord in indexed})
-
-    # ---- dominance.window: dyn256 >= dyn4 >= dyn1 --------------------
-    for benchmark in benchmarks:
-        for mode in BranchMode:
-            windows = sorted(
-                int(line[3:].split("/")[0])
-                for line in lines
-                if line.startswith("dyn") and line.endswith(f"/{mode.value}")
-            )
-            for issue in issues:
-                for memory in memories:
-                    for pred in predictors:
-                        for vp in value_predictors:
-                            chain = [
-                                (benchmark, f"dyn{window}/{mode.value}",
-                                 issue, memory, pred, vp, False)
-                                for window in windows
-                            ]
-                            for stronger, weaker in _chain_pairs(
-                                indexed, chain
-                            ):
-                                if not _dominates(stronger, weaker, tol):
-                                    findings.append(_violation(
-                                        "dominance.window", stronger,
-                                        weaker, tol, "window",
-                                    ))
-
-    # ---- dominance.issue: wider models win ---------------------------
-    for benchmark in benchmarks:
-        for line in lines:
-            for memory in memories:
-                for pred in predictors:
-                    for vp in value_predictors:
-                        for opt in scheds:
-                            chain = [
-                                (benchmark, line, issue, memory, pred, vp,
-                                 opt)
-                                for issue in issues
-                            ]
-                            for stronger, weaker in _chain_pairs(
-                                indexed, chain
-                            ):
-                                if not _dominates(stronger, weaker, tol):
-                                    findings.append(_violation(
-                                        "dominance.issue", stronger,
-                                        weaker, tol, "issue model",
-                                    ))
-
-    # ---- dominance.memory: perfect A >= B >= C -----------------------
-    for benchmark in benchmarks:
-        for line in lines:
-            for issue in issues:
-                for pred in predictors:
-                    for vp in value_predictors:
-                        for opt in scheds:
-                            chain = [
-                                (benchmark, line, issue, memory, pred, vp,
-                                 opt)
-                                for memory in reversed(_PERFECT_MEMORY_ORDER)
-                            ]
-                            for stronger, weaker in _chain_pairs(
-                                indexed, chain
-                            ):
-                                if not _dominates(stronger, weaker, tol):
-                                    findings.append(_violation(
-                                        "dominance.memory", stronger,
-                                        weaker, tol, "memory",
-                                    ))
+    for rule, axis, split, chains in _CHAIN_RULES:
+        for stronger, weaker in _chain_pairs(indexed, split, chains):
+            if not _dominates(stronger, weaker, tol):
+                findings.append(_violation(rule, stronger, weaker, tol,
+                                           axis))
 
     # ---- dominance.branch: perfect prediction >= realistic -----------
     # Perfect-mode points carry the default predictor kind (the axis is
     # inert under oracle prediction), so each realistic scheme compares
     # against its own-kind perfect point when present, else the default.
-    for benchmark in benchmarks:
-        for window in (4, 256):
-            for issue in issues:
-                for memory in memories:
-                    for pred in predictors:
-                        for vp in value_predictors:
-                            perfect = indexed.get((
-                                benchmark, f"dyn{window}/perfect", issue,
-                                memory, pred, vp, False,
-                            )) or indexed.get((
-                                benchmark, f"dyn{window}/perfect", issue,
-                                memory, "twobit", vp, False,
-                            ))
-                            realistic = indexed.get((
-                                benchmark, f"dyn{window}/enlarged", issue,
-                                memory, pred, vp, False,
-                            ))
-                            if perfect is None or realistic is None:
-                                continue
-                            if not _dominates(perfect, realistic, tol):
-                                findings.append(_violation(
-                                    "dominance.branch", perfect,
-                                    realistic, tol, "branch handling",
-                                ))
-
-    # ---- dominance.value: stronger value predictors never lose -------
-    for benchmark in benchmarks:
-        for line in lines:
-            for issue in issues:
-                for memory in memories:
-                    for pred in predictors:
-                        for kinds in _VALUE_CHAINS:
-                            chain = [
-                                (benchmark, line, issue, memory, pred, vp,
-                                 False)
-                                for vp in kinds
-                            ]
-                            for stronger, weaker in _chain_pairs(
-                                indexed, chain
-                            ):
-                                if not _dominates(stronger, weaker, tol):
-                                    findings.append(_violation(
-                                        "dominance.value", stronger,
-                                        weaker, tol, "value predictor",
-                                    ))
-
-    # ---- dominance.sched: exact schedules never lose to greedy -------
-    # A certified-optimal schedule is never longer than the list
-    # schedule on any block, so at equal configuration the optimal
-    # machine's IPC must be at least the list machine's.
-    for benchmark in benchmarks:
-        for line in lines:
-            for issue in issues:
-                for memory in memories:
-                    for pred in predictors:
-                        for vp in value_predictors:
-                            chain = [
-                                (benchmark, line, issue, memory, pred, vp,
-                                 opt)
-                                for opt in (False, True)
-                            ]
-                            for stronger, weaker in _chain_pairs(
-                                indexed, chain
-                            ):
-                                if not _dominates(stronger, weaker, tol):
-                                    findings.append(_violation(
-                                        "dominance.sched", stronger,
-                                        weaker, tol, "static scheduler",
-                                    ))
+    for coord, realistic in indexed.items():
+        benchmark, line, issue, memory, pred, vp, opt = coord
+        if opt or line not in ("dyn4/enlarged", "dyn256/enlarged"):
+            continue
+        perfect_line = line.replace("enlarged", "perfect")
+        perfect = indexed.get((
+            benchmark, perfect_line, issue, memory, pred, vp, False,
+        )) or indexed.get((
+            benchmark, perfect_line, issue, memory, "twobit", vp, False,
+        ))
+        if perfect is not None and not _dominates(perfect, realistic, tol):
+            findings.append(_violation(
+                "dominance.branch", perfect, realistic, tol,
+                "branch handling",
+            ))
     return findings

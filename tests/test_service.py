@@ -15,7 +15,11 @@ The contracts under test (see DESIGN.md "Service layer"):
 * cancelling a running job stops its dispatch, and the points already
   in flight still settle: into the result cache and onto the cancelled
   job;
-* the daemon keeps no per-point state of finished jobs.
+* the daemon keeps no per-point state of finished jobs;
+* connections are kept alive: a client uses one, responses on it do
+  not stall, every response after which the daemon closes it says so,
+  and an idle one is closed, with the client reconnecting before it
+  sends.
 
 Most tests stub the simulation (same pattern as
 test_parallel_backend.py) so a 3-point job resolves in milliseconds;
@@ -24,6 +28,7 @@ small grep slice.
 """
 
 import hashlib
+import http.client
 import json
 import os
 import socket
@@ -35,6 +40,7 @@ from urllib.parse import urlparse
 import pytest
 
 import repro.harness.sweep as sweep_module
+from repro.chaos import ChaosEngine, FaultPlan, FaultRule, activate, deactivate
 from repro.cli import main
 from repro.harness.artifacts import default_artifact_root
 from repro.harness.backend import PointTask, SerialBackend
@@ -54,10 +60,11 @@ from repro.service import (
     JobJournal,
     JobScheduler,
     ServiceClient,
+    ServiceServer,
     SpecError,
     UnknownJobError,
-    make_server,
 )
+from repro.service import http_api
 from repro.service.client import AdmissionRejected, JobNotFound, ServiceError
 from repro.service.http_api import MAX_BODY_BYTES
 from repro.service.jobs import TERMINAL_STATES, points_digest
@@ -764,23 +771,45 @@ class TestCancellation:
 
 
 # ----------------------------------------------------------------------
+class CountingServer(ServiceServer):
+    """The daemon's HTTP server, counting the connections it accepts."""
+
+    accepted = 0
+
+    def process_request(self, request, client_address):
+        self.accepted += 1
+        super().process_request(request, client_address)
+
+    @property
+    def url(self):
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+
 @pytest.fixture
-def http_service(tmp_path, monkeypatch, stub_sim):
-    """A scheduler + HTTP server + client over a tmp cache dir."""
+def http_server(tmp_path, monkeypatch, stub_sim):
+    """A scheduler + counting HTTP server over a tmp cache dir."""
     scheduler = make_scheduler(tmp_path, monkeypatch, name="http")
     scheduler.start()
-    server = make_server(scheduler, port=0, quiet=True)
+    server = CountingServer(("127.0.0.1", 0), scheduler, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}", timeout_s=30.0)
     try:
-        yield scheduler, client
+        yield scheduler, server
     finally:
         server.shutdown()
         server.server_close()
         scheduler.stop()
         thread.join(5.0)
+
+
+@pytest.fixture
+def http_service(http_server):
+    """The same plus a client, closed before the server stops (a kept-
+    alive connection would hold ``server_close`` for the idle timeout)."""
+    scheduler, server = http_server
+    with ServiceClient(server.url, timeout_s=30.0) as client:
+        yield scheduler, client
 
 
 class TestHTTPAPI:
@@ -852,6 +881,9 @@ class TestHTTPAPI:
                 pass  # closed with the unread body still queued
         assert response.startswith(b"HTTP/1.1 400 "), response
         assert response.count(b"HTTP/1.1 ") == 1, response
+        # The close is announced, so a kept-alive client reconnects.
+        headers = response.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert b"Connection: close" in headers, response
         assert client.jobs() == []
         assert scheduler.stats["jobs.accepted"] == 0
 
@@ -865,6 +897,84 @@ class TestHTTPAPI:
             scheduler.max_queued_jobs = 8
         assert excinfo.value.reason == "queue-full"
         assert excinfo.value.retry_after_s == 5.0
+
+
+# ----------------------------------------------------------------------
+class TestKeepAlive:
+    def test_kept_alive_responses_do_not_stall(self, http_server):
+        # Without TCP_NODELAY each response's body, written after its
+        # headers, waited for the client's delayed ACK (~40 ms).
+        _, server = http_server
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert server.accepted == 1
+        assert elapsed < 0.4, elapsed
+
+    def test_client_uses_one_connection(self, http_server):
+        _, server = http_server
+        with ServiceClient(server.url) as client:
+            job_id = client.submit({"benchmarks": ["grep"],
+                                    "limit": 2})["job_id"]
+            final = client.wait(job_id, poll_timeout_s=1.0, deadline_s=60.0)
+            assert client.job(job_id)["points"] == final["points"]
+            assert client.health()["ok"] is True
+        assert server.accepted == 1
+
+    def test_idle_connection_closes_and_client_reconnects(
+            self, http_server, monkeypatch):
+        scheduler, server = http_server
+        monkeypatch.setattr(http_api, "IDLE_TIMEOUT_S", 0.3)
+        host, port = server.server_address[:2]
+        # The daemon closes a kept-alive connection left idle ...
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            assert conn.sock.recv(1) == b""  # end of stream, not timeout
+        finally:
+            conn.close()
+        # ... and a client idle past it reconnects before sending, so
+        # its next request is answered without a retry.
+        with ServiceClient(server.url, retries=0) as client:
+            assert client.health()["ok"] is True
+            time.sleep(0.5)
+            client.submit({"benchmarks": ["grep"], "limit": 1})
+        assert scheduler.stats["jobs.accepted"] == 1
+        assert server.accepted == 3
+
+    def test_injected_503_announces_close(self, http_server):
+        _, server = http_server
+        host, port = server.server_address[:2]
+        activate(ChaosEngine(FaultPlan(seed=1, rules=(
+            FaultRule("http.request", "http-503", hits=(1,)),
+        ), name="503")))
+        try:
+            conn = http.client.HTTPConnection(host, port, timeout=5.0)
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+        finally:
+            deactivate()
+        assert response.status == 503
+        assert response.getheader("Connection") == "close"
+        # http.client drops a connection announced closed; the next
+        # request opens a new one.
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        response.read()
+        conn.close()
+        assert response.status == 200
+        assert server.accepted == 2
 
 
 # ----------------------------------------------------------------------

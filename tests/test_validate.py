@@ -15,8 +15,11 @@ gating"):
   ``--jobs N`` sweeps of one grid report byte-identical findings.
 """
 
+import importlib.util
 import json
 import multiprocessing
+import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.machine.config import (
     BranchMode,
     Discipline,
     MachineConfig,
+    grid_configs,
     smoke_configuration_space,
 )
 from repro.machine.errors import SimulationHang
@@ -260,6 +264,17 @@ def grid(points):
     return [graded_result(config(*point)) for point in points]
 
 
+def _reference_dominance():
+    """``tests/reference/dominance.py``, loaded inside ``repro.validate``
+    so its relative imports resolve as they did in ``src``."""
+    path = Path(__file__).parent / "reference" / "dominance.py"
+    spec = importlib.util.spec_from_file_location(
+        "repro.validate._reference_dominance", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestDominance:
     def smoke_grid(self):
         return [graded_result(cfg) for cfg in smoke_configuration_space()]
@@ -338,6 +353,35 @@ class TestDominance:
         forward = check_dominance(results)
         backward = check_dominance(list(reversed(results)))
         assert sort_findings(forward) == sort_findings(backward)
+
+    def test_matches_reference_on_random_subsets(self):
+        """The grouped chains find what the frozen implementation, which
+        walked every axis value, found: the same findings, duplicates
+        included (both value chains hold the ``none``-``last`` pair)."""
+        reference = _reference_dominance().check_dominance
+        rng = random.Random(27)
+        grids = {
+            grid: [graded_result(cfg, benchmark)
+                   for benchmark in ("hashjoin", "jsontok")
+                   for cfg in grid_configs(grid, benchmark)]
+            for grid in ("smoke", "cache", "spec", "sched")
+        }
+        grids["all four"] = [result for results in grids.values()
+                             for result in results]
+        flagged = 0
+        for name, results in grids.items():
+            for trial in range(40):
+                subset = rng.sample(results,
+                                    rng.randint(1, len(results)))
+                for result in subset:
+                    result.cycles = round(1000 * rng.uniform(0.8, 1.25))
+                rel_tol = rng.choice((0.0, DEFAULT_REL_TOL))
+                expected = sort_findings(reference(subset, rel_tol=rel_tol))
+                assert sort_findings(
+                    check_dominance(subset, rel_tol=rel_tol)
+                ) == expected, (name, trial)
+                flagged += bool(expected)
+        assert flagged > 100  # the scaled cycles do invert pairs
 
 
 # ----------------------------------------------------------------------
