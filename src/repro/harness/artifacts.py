@@ -53,7 +53,9 @@ _LOG = get_logger("artifacts")
 #: Bump to invalidate prepared artifacts after preparation-semantics
 #: changes (the value is hashed into every artifact digest).
 #: 2: traces record the per-load value stream (value prediction).
-PREPARE_CACHE_VERSION = 2
+#: 3: liveness keeps what an assert's fault target reads (crc32's
+#:    enlarged program keeps one more node).
+PREPARE_CACHE_VERSION = 3
 
 #: Bump when the on-disk artifact layout or manifest schema changes.
 ARTIFACT_VERSION = 1

@@ -74,6 +74,11 @@ class PointTask:
     config: MachineConfig
     #: result-cache key (parent-computed; also the checkpoint key).
     key: str
+    #: ``str(config)``, formatted once: the point's label (not compared).
+    label: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label", str(self.config))
 
 
 @dataclass

@@ -172,7 +172,11 @@ def result_key(benchmark: str, config: MachineConfig, scale: int) -> str:
 
 
 class ResultCache:
-    """JSON-file-backed result store."""
+    """JSON-file-backed result store.
+
+    An entry is decoded on its first read and later hits return that
+    same :class:`SimResult`, so nothing may mutate what it hands out.
+    """
 
     def __init__(self, path: Optional[str] = None,
                  collector: Collector = NULL_COLLECTOR):
@@ -182,6 +186,7 @@ class ResultCache:
         self.path = path
         self.collector = collector
         self._data: Dict[str, dict] = {}
+        self._decoded: Dict[str, SimResult] = {}
         self._loaded = False
         self._dirty = 0
         self._write_failed = False
@@ -239,7 +244,7 @@ class ResultCache:
 
     def get(self, benchmark: str, config: MachineConfig, scale: int,
             key: Optional[str] = None) -> Optional[SimResult]:
-        """Fetch a cached result, rebuilding the SimResult object.
+        """Fetch a cached result, decoding its entry on the first read.
 
         ``key`` is the point's :func:`result_key`, passed by callers that
         already hold it; without it the key is formatted here.
@@ -259,8 +264,12 @@ class ResultCache:
         rule = chaos_fire("cache.read")
         if rule is not None and rule.kind == "corrupt":
             raw = {"_chaos": "corrupted entry"}
+        else:
+            result = self._decoded.get(key)
+            if result is not None:
+                return result
         try:
-            return SimResult(
+            result = SimResult(
                 benchmark=benchmark,
                 config=config,
                 **{field: raw[field] for field in _RESULT_FIELDS},
@@ -270,8 +279,11 @@ class ResultCache:
             self.collector.count("cache.corrupt")
             self._quarantine_entry(key, raw)
             del self._data[key]
+            self._decoded.pop(key, None)
             self._dirty += 1
             return None
+        self._decoded[key] = result
+        return result
 
     def put(self, result: SimResult, scale: int) -> None:
         """Store a result and flush to disk."""
@@ -282,6 +294,8 @@ class ResultCache:
             for field in _VALUE_FIELDS:
                 entry[field] = getattr(result, field)
         self._data[key] = entry
+        # The stored entry drops ``extra``: the next read decodes it.
+        self._decoded.pop(key, None)
         self._dirty += 1
         self.flush()
 

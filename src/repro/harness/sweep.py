@@ -50,8 +50,8 @@ def _program_tasks(grid: str, benchmark: str,
 
     Tasks are immutable, and the memo holds at most one tuple per grid
     of the grid table, program of the workload registry and scale, so
-    a daemon answering the same queries reuses its configurations and
-    keys instead of rebuilding them per job.
+    a daemon answering the same queries reuses its configurations,
+    keys and labels instead of rebuilding them per job.
     """
     return tuple(PointTask(benchmark, config,
                            result_key(benchmark, config, scale))

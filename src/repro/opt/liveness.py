@@ -10,7 +10,9 @@ Boundary conditions encode the code generator's conventions:
   registers (their values belong to the caller);
 * CALL terminators use the argument registers conservatively (arity is
   not tracked at this level);
-* an EXIT syscall ends the program, so nothing is live after it.
+* an EXIT syscall ends the program, so nothing is live after it;
+* a signalling assert restores the block-entry registers before it
+  leaves, so its fault target's live-in is live into the whole block.
 """
 
 from __future__ import annotations
@@ -66,11 +68,14 @@ def compute_liveness(program: Program) -> LivenessInfo:
     use: Dict[str, Set[int]] = {}
     define: Dict[str, Set[int]] = {}
     succs: Dict[str, tuple] = {}
+    faults: Dict[str, tuple] = {}
     boundary: Dict[str, Set[int]] = {}
 
     for block in program:
         use[block.label], define[block.label] = block_use_def(block)
         succs[block.label] = block.successor_labels()
+        faults[block.label] = tuple(node.target for node in block.body
+                                    if node.kind is NodeKind.ASSERT)
         term = block.terminator
         if term.kind is NodeKind.RET:
             boundary[block.label] = set(RETURN_LIVE)
@@ -88,6 +93,8 @@ def compute_liveness(program: Program) -> LivenessInfo:
             for succ in succs[label]:
                 out |= live_in[succ]
             new_in = use[label] | (out - define[label])
+            for target in faults[label]:
+                new_in |= live_in[target]
             if out != live_out[label] or new_in != live_in[label]:
                 live_out[label] = out
                 live_in[label] = new_in

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import re
 import socket
+import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -69,8 +70,10 @@ IDLE_TIMEOUT_S = 5.0
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
-    #: headers and body leave as two writes; without TCP_NODELAY the
-    #: body waits for the client's delayed ACK of the headers.
+    #: a response is buffered, so its headers and body leave in one write
+    #: when ``handle_one_request`` flushes it; with TCP_NODELAY a response
+    #: larger than the buffer does not wait for the client's delayed ACK.
+    wbufsize = 64 * 1024
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
@@ -83,6 +86,12 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def scheduler(self) -> JobScheduler:
         return self.server.scheduler  # type: ignore[attr-defined]
+
+    def handle_expect_100(self) -> bool:
+        """The interim ``100 Continue`` leaves at once, unbuffered."""
+        answer = super().handle_expect_100()
+        self.wfile.flush()
+        return answer
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.server.quiet:  # type: ignore[attr-defined]
@@ -243,6 +252,16 @@ class ServiceServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.scheduler = scheduler
         self.quiet = quiet
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """A request its client ended (a reset, a timeout) logs one line
+        unless quiet; any other error keeps socketserver's traceback."""
+        error = sys.exc_info()[1]
+        if not isinstance(error, (ConnectionError, socket.timeout)):
+            super().handle_error(request, client_address)
+        elif not self.quiet:
+            _LOG.info("client_gone", client=client_address[0],
+                      error=type(error).__name__)
 
 
 def make_server(scheduler: JobScheduler, host: str = "127.0.0.1",

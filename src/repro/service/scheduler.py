@@ -568,18 +568,8 @@ class JobScheduler:
 
     def _resolve(self, job: SweepJob, outcome: PointOutcome) -> None:
         """Record one settled point on ``job`` and emit its event."""
-        task, result = outcome.task, outcome.result
-        status = "failed" if outcome.failure is not None else outcome.source
-        record: Dict[str, Any] = {
-            "benchmark": task.benchmark,
-            "config": str(task.config),
-            "status": status,
-        }
-        if result is not None:
-            record["ipc"] = result.retired_per_cycle
-            record["cycles"] = result.cycles
-        if outcome.failure is not None:
-            record["error"] = outcome.failure.kind
+        task, result, failure = outcome.task, outcome.result, outcome.failure
+        status = "failed" if failure is not None else outcome.source
         with self._cond:
             if status == "cached":
                 job.points_cached += 1
@@ -588,8 +578,17 @@ class JobScheduler:
             else:
                 job.points_fresh += 1
             self._refresh_counters_locked()
-            self._emit(job, "point", resolved=job.points_resolved,
-                       total=job.points_total, **record)
+            event = {"seq": len(job.events) + 1, "ts": time.time(),
+                     "kind": "point", "job_id": job.job_id,
+                     "resolved": job.points_resolved,
+                     "total": job.points_total, "benchmark": task.benchmark,
+                     "config": task.label, "status": status}
+            if result is not None:
+                event["ipc"] = result.retired_per_cycle
+                event["cycles"] = result.cycles
+            if failure is not None:
+                event["error"] = failure.kind
+            self._publish(job, event)
 
     def _finish_locked(self, job: SweepJob, state: str) -> None:
         """Terminal transition (lock held): journal, stats, final event."""
@@ -630,21 +629,26 @@ class JobScheduler:
         }
 
     def _emit(self, job: SweepJob, kind: str, **payload: Any) -> None:
-        """Append one event to a job's stream (lock held).
+        """Append one event to a job's stream (lock held)."""
+        self._publish(job, {
+            "seq": len(job.events) + 1,
+            "ts": time.time(),
+            "kind": kind,
+            "job_id": job.job_id,
+            **payload,
+        })
+
+    @staticmethod
+    def _publish(job: SweepJob, event: Dict[str, Any]) -> None:
+        """Append ``event``, whose ``seq`` is the stream's next (lock held).
 
         Wakes only the long-polls the event answers: those waiting for
         an event past an earlier ``seq``, and every one once the job is
         terminal.  A poll past the end of the stream sleeps through the
         job's point events and wakes once, at its end.
         """
-        seq = len(job.events) + 1
-        job.events.append({
-            "seq": seq,
-            "ts": time.time(),
-            "kind": kind,
-            "job_id": job.job_id,
-            **payload,
-        })
+        job.events.append(event)
+        seq = event["seq"]
         for after, waiter in job.waiters:
             if after < seq or job.terminal:
                 waiter.notify()

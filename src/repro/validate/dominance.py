@@ -39,6 +39,7 @@ sub-percent inversions on tiny inputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
@@ -102,11 +103,12 @@ def _index(results: Iterable[SimResult]) -> Dict[_Coord, SimResult]:
                  config.predictor, config.value_predictor,
                  config.optimal_schedule)
         indexed[coord] = result
-    return dict(sorted(indexed.items()))  # coordinates are unique keys
+    return {coord: indexed[coord] for coord in sorted(indexed)}
 
 
 def _violation(rule: str, stronger: SimResult, weaker: SimResult,
-               rel_tol: float, axis: str) -> ValidationFinding:
+               measured: float, expected: float, rel_tol: float,
+               axis: str) -> ValidationFinding:
     return ValidationFinding(
         rule=rule,
         severity=SEVERITY_ERROR,
@@ -115,21 +117,11 @@ def _violation(rule: str, stronger: SimResult, weaker: SimResult,
         reference=str(weaker.config),
         message=(
             f"the stronger {axis} lost: "
-            f"{stronger.retired_per_cycle:.6f} < "
-            f"{weaker.retired_per_cycle:.6f} IPC"
+            f"{measured:.6f} < {expected:.6f} IPC"
             f" (rel_tol {rel_tol:g})"
         ),
-        measured=stronger.retired_per_cycle,
-        expected=weaker.retired_per_cycle,
-    )
-
-
-def _dominates(stronger: SimResult, weaker: SimResult,
-               rel_tol: float) -> bool:
-    """Whether ``stronger`` is at least as fast, within tolerance."""
-    return (
-        stronger.retired_per_cycle
-        >= weaker.retired_per_cycle * (1.0 - rel_tol)
+        measured=measured,
+        expected=expected,
     )
 
 
@@ -167,21 +159,25 @@ _CHAIN_RULES = (
     ("dominance.sched", "static scheduler", _along(6), ((False, True),)),
 )
 
+#: Point sets whose comparison plans :func:`_plan` keeps: a daemon
+#: answering a few recurring queries plans each set once.
+PLAN_MEMO_SIZE = 8
 
-def _chain_pairs(indexed: Dict[_Coord, SimResult], split: _Split,
+
+def _chain_pairs(coords: Tuple[_Coord, ...], split: _Split,
                  chains: Optional[Tuple[Tuple[Any, ...], ...]],
-                 ) -> Iterator[Tuple[SimResult, SimResult]]:
-    """Adjacent present ``(stronger, weaker)`` pairs along one rule.
+                 ) -> Iterator[Tuple[int, int]]:
+    """Adjacent present ``(stronger, weaker)`` indices along one rule.
 
     Points are grouped by ``split``; each group is walked along every
     chain, skipping absent values, so a partial grid (``--limit``,
     subsets) is compared as far as it goes.
     """
-    groups: Dict[Any, Dict[Any, SimResult]] = {}
-    for coord, result in indexed.items():
+    groups: Dict[Any, Dict[Any, int]] = {}
+    for position, coord in enumerate(coords):
         parts = split(coord)
         if parts is not None:
-            groups.setdefault(parts[0], {})[parts[1]] = result
+            groups.setdefault(parts[0], {})[parts[1]] = position
     for members in groups.values():
         if len(members) < 2:
             continue
@@ -190,6 +186,39 @@ def _chain_pairs(indexed: Dict[_Coord, SimResult], split: _Split,
                        if value in members]
             for weaker, stronger in zip(present, present[1:]):
                 yield stronger, weaker
+
+
+@lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _plan(coords: Tuple[_Coord, ...]) -> Tuple[Tuple[str, str, int, int], ...]:
+    """Every ``(rule, axis, stronger, weaker)`` comparison over the
+    sorted ``coords`` (as indices into them), in the order of findings.
+
+    Which pairs are compared depends only on which coordinates are
+    present, never on the results, so the plan is kept per point set.
+    """
+    plan = [
+        (rule, axis, stronger, weaker)
+        for rule, axis, split, chains in _CHAIN_RULES
+        for stronger, weaker in _chain_pairs(coords, split, chains)
+    ]
+    # ---- dominance.branch: perfect prediction >= realistic -----------
+    # Perfect-mode points carry the default predictor kind (the axis is
+    # inert under oracle prediction), so each realistic scheme compares
+    # against its own-kind perfect point when present, else the default.
+    position_of = {coord: position for position, coord in enumerate(coords)}
+    for realistic, coord in enumerate(coords):
+        benchmark, line, issue, memory, pred, vp, opt = coord
+        if opt or line not in ("dyn4/enlarged", "dyn256/enlarged"):
+            continue
+        perfect_line = line.replace("enlarged", "perfect")
+        perfect = position_of.get(
+            (benchmark, perfect_line, issue, memory, pred, vp, False),
+            position_of.get(
+                (benchmark, perfect_line, issue, memory, "twobit", vp, False)))
+        if perfect is not None:
+            plan.append(("dominance.branch", "branch handling", perfect,
+                         realistic))
+    return tuple(plan)
 
 
 def check_dominance(results: Iterable[SimResult],
@@ -204,30 +233,10 @@ def check_dominance(results: Iterable[SimResult],
     """
     tol = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     indexed = _index(results)
-    findings: List[ValidationFinding] = []
-    for rule, axis, split, chains in _CHAIN_RULES:
-        for stronger, weaker in _chain_pairs(indexed, split, chains):
-            if not _dominates(stronger, weaker, tol):
-                findings.append(_violation(rule, stronger, weaker, tol,
-                                           axis))
-
-    # ---- dominance.branch: perfect prediction >= realistic -----------
-    # Perfect-mode points carry the default predictor kind (the axis is
-    # inert under oracle prediction), so each realistic scheme compares
-    # against its own-kind perfect point when present, else the default.
-    for coord, realistic in indexed.items():
-        benchmark, line, issue, memory, pred, vp, opt = coord
-        if opt or line not in ("dyn4/enlarged", "dyn256/enlarged"):
-            continue
-        perfect_line = line.replace("enlarged", "perfect")
-        perfect = indexed.get((
-            benchmark, perfect_line, issue, memory, pred, vp, False,
-        )) or indexed.get((
-            benchmark, perfect_line, issue, memory, "twobit", vp, False,
-        ))
-        if perfect is not None and not _dominates(perfect, realistic, tol):
-            findings.append(_violation(
-                "dominance.branch", perfect, realistic, tol,
-                "branch handling",
-            ))
-    return findings
+    points = list(indexed.values())
+    ipcs = [point.retired_per_cycle for point in points]
+    # A stronger point at least as fast, within tolerance, holds.
+    return [_violation(rule, points[stronger], points[weaker],
+                       ipcs[stronger], ipcs[weaker], tol, axis)
+            for rule, axis, stronger, weaker in _plan(tuple(indexed))
+            if not ipcs[stronger] >= ipcs[weaker] * (1.0 - tol)]

@@ -68,41 +68,52 @@ def check_result(result: SimResult,
     """
     findings: List[ValidationFinding] = []
     config = result.config
+    # Each counter is read once.
+    names = ("cycles", "retired_nodes", "discarded_nodes", "mispredicts",
+             "branch_lookups", "faults", "cache_accesses", "cache_misses",
+             "issue_words", "issued_slots", "window_samples")
+    counts = (result.cycles, result.retired_nodes, result.discarded_nodes,
+              result.mispredicts, result.branch_lookups, result.faults,
+              result.cache_accesses, result.cache_misses,
+              result.issue_words, result.issued_slots, result.window_samples)
+    (_, retired, discarded, mispredicts, lookups, faults, accesses, misses,
+     words, slots, samples) = counts
+    predictions, squashed, replays, work = (
+        result.value_predictions, result.value_squashed,
+        result.value_replays, result.work_nodes)
 
     # ---- counter sanity ----------------------------------------------
-    for name in ("cycles", "retired_nodes", "discarded_nodes",
-                 "mispredicts", "branch_lookups", "faults",
-                 "cache_accesses", "cache_misses", "issue_words",
-                 "issued_slots", "window_samples"):
-        value = getattr(result, name)
-        if value < 0:
-            findings.append(_finding(
-                result, "invariant.counts",
-                f"{name} is negative", value, 0,
-            ))
-    if result.executed_nodes < result.retired_nodes:
+    if min(counts) < 0:
+        for name, value in zip(names, counts):
+            if value < 0:
+                findings.append(_finding(
+                    result, "invariant.counts",
+                    f"{name} is negative", value, 0,
+                ))
+    executed = retired + discarded
+    if executed < retired:
         findings.append(_finding(
             result, "invariant.counts",
             "executed_nodes fell below retired_nodes",
-            result.executed_nodes, result.retired_nodes,
+            executed, retired,
         ))
 
     # ---- memory hierarchy --------------------------------------------
-    if result.cache_misses > result.cache_accesses:
+    if misses > accesses:
         findings.append(_finding(
             result, "invariant.cache",
             "cache_misses exceeds cache_accesses",
-            result.cache_misses, result.cache_accesses,
+            misses, accesses,
         ))
-    if config.memory_config.is_perfect and result.cache_accesses:
+    if accesses and config.memory_config.is_perfect:
         findings.append(_finding(
             result, "invariant.cache",
             f"perfect memory {config.memory} recorded cache accesses",
-            result.cache_accesses, 0,
+            accesses, 0,
         ))
 
     # ---- issue bandwidth ---------------------------------------------
-    utilization = result.issue_utilization
+    utilization = slots / (words * config.issue.total_slots) if words else 0.0
     if utilization > 1.0 + _RATIO_EPS:
         findings.append(_finding(
             result, "invariant.issue",
@@ -112,18 +123,18 @@ def check_result(result: SimResult,
 
     # ---- window occupancy --------------------------------------------
     if config.discipline is Discipline.DYNAMIC:
-        occupancy = result.avg_window_blocks
+        occupancy = result.window_block_cycles / samples if samples else 0.0
         if occupancy > config.window_blocks + _RATIO_EPS:
             findings.append(_finding(
                 result, "invariant.window",
                 "mean window occupancy exceeds the configured window",
                 occupancy, config.window_blocks,
             ))
-    elif result.window_samples:
+    elif samples:
         findings.append(_finding(
             result, "invariant.window",
             "static machine recorded window occupancy samples",
-            result.window_samples, 0,
+            samples, 0,
         ))
 
     # ---- discard provenance ------------------------------------------
@@ -132,86 +143,82 @@ def check_result(result: SimResult,
     # or a squashed value prediction replaying dependents.  In
     # particular a perfectly predicted single-block run without value
     # speculation must show zero redundancy.
-    if result.discarded_nodes and not (
-        result.mispredicts or result.faults or result.value_squashed
-    ):
+    if discarded and not (mispredicts or faults or squashed):
         findings.append(_finding(
             result, "invariant.redundancy",
             "discarded nodes without any mispredict or fault",
-            result.discarded_nodes, 0,
+            discarded, 0,
         ))
-    if config.branch_mode is BranchMode.SINGLE and result.faults:
+    if faults and config.branch_mode is BranchMode.SINGLE:
         findings.append(_finding(
             result, "invariant.redundancy",
             "single-block program recorded enlarged-block faults",
-            result.faults, 0,
+            faults, 0,
         ))
 
     # ---- branch accounting -------------------------------------------
-    if result.mispredicts > result.branch_lookups:
+    if mispredicts > lookups:
         findings.append(_finding(
             result, "invariant.branch",
             "mispredicts exceeds branch_lookups",
-            result.mispredicts, result.branch_lookups,
+            mispredicts, lookups,
         ))
-    if config.branch_mode is BranchMode.PERFECT and result.mispredicts:
+    if mispredicts and config.branch_mode is BranchMode.PERFECT:
         findings.append(_finding(
             result, "invariant.branch",
             "perfect prediction recorded mispredicts",
-            result.mispredicts, 0,
+            mispredicts, 0,
         ))
 
     # ---- value-speculation accounting --------------------------------
     # Every delivered prediction is settled exactly once by the verify
     # step, replays only exist downstream of a squash, the oracle never
     # squashes, and a machine without a value predictor records nothing.
-    settled = result.value_confirmed + result.value_squashed
-    if settled != result.value_predictions:
+    settled = result.value_confirmed + squashed
+    if settled != predictions:
         findings.append(_finding(
             result, "invariant.value",
             "confirmed + squashed disagrees with delivered predictions",
-            settled, result.value_predictions,
+            settled, predictions,
         ))
-    if result.value_replays and not result.value_squashed:
+    if replays and not squashed:
         findings.append(_finding(
             result, "invariant.value",
             "dependent replays recorded without any squashed prediction",
-            result.value_replays, 0,
+            replays, 0,
         ))
-    if config.value_predictor == "perfect" and result.value_squashed:
+    if squashed and config.value_predictor == "perfect":
         findings.append(_finding(
             result, "invariant.value",
             "the perfect value oracle recorded squashes",
-            result.value_squashed, 0,
+            squashed, 0,
         ))
-    if config.value_predictor == "none" and (
-        result.value_predictions or result.value_replays
-    ):
+    if (predictions or replays) and config.value_predictor == "none":
         findings.append(_finding(
             result, "invariant.value",
             "value-speculation counters without a value predictor",
-            result.value_predictions or result.value_replays, 0,
+            predictions or replays, 0,
         ))
 
     # ---- retired-work agreement --------------------------------------
     if trace_retired is not None:
-        if result.retired_nodes != trace_retired:
+        if retired != trace_retired:
             findings.append(_finding(
                 result, "invariant.work",
                 "retired_nodes disagrees with the interpreter trace",
-                result.retired_nodes, trace_retired,
+                retired, trace_retired,
             ))
     elif (
         config.branch_mode is BranchMode.SINGLE
-        and result.work_nodes
-        and result.retired_nodes != result.work_nodes
+        and work
+        and retired != work
     ):
         # The single-block program retires exactly the architectural
         # work the functional run recorded.
         findings.append(_finding(
             result, "invariant.work",
             "single-block retired_nodes disagrees with work_nodes",
-            result.retired_nodes, result.work_nodes,
+            retired, work,
         ))
     return findings
 

@@ -32,16 +32,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.enlarge import EnlargeConfig, apply_plan, plan_enlargement
-from repro.interp import run_program
 from repro.lang import compile_source
 from repro.machine import BranchMode, Discipline, MachineConfig
 from repro.machine.config import ISSUE_MODELS, MEMORY_CONFIGS, WINDOW_SIZES
 from repro.machine.dynamic import _SLOT_TABLE_CYCLES
 from repro.machine.memo import TransferMemo
 from repro.machine.predictor import PREDICTOR_KINDS
-from repro.machine.simulator import PreparedWorkload, simulate
-from repro.profiles import annotate_static_hints, build_profile
+from repro.machine.simulator import prepare_workload, simulate
 from repro.predict import VALUE_PREDICTOR_KINDS
 from repro.telemetry.collector import (
     NULL_COLLECTOR,
@@ -125,24 +122,11 @@ def machine_configs(draw):
 
 
 def prepare(source):
-    """Profile, enlarge and trace a generated program as
-    ``prepare_workload`` does, minus its output comparison.
-
-    A known enlargement defect (see ROADMAP.md) makes some enlarged
-    loops compute a different result; the engines must agree on
-    whatever trace a program produces, so those programs are kept.
-    """
-    program = compile_source(source)
-    profile = build_profile(run_program(program, inputs={0: b""}).trace)
-    single = annotate_static_hints(program, profile)
-    enlarged = apply_plan(single, plan_enlargement(single, profile,
-                                                   EnlargeConfig()))
-    enlarged = annotate_static_hints(enlarged, build_profile(
-        run_program(enlarged, inputs={0: b""}).trace))
-    return PreparedWorkload(
-        "generated", single, enlarged,
-        run_program(single, inputs={0: b""}).trace,
-        run_program(enlarged, inputs={0: b""}).trace)
+    """Profile, enlarge and trace a generated program with
+    ``prepare_workload``, which also checks that the enlarged program
+    computes what the original does."""
+    return prepare_workload("generated", compile_source(source),
+                            {0: b""}, {0: b""})
 
 
 def reference_result(prepared, config, collector):

@@ -200,6 +200,73 @@ class TestResultCache:
         assert ResultCache(path=str(path)).get("bench", config, 1) is None
 
 
+class TestDecodeOnce:
+    """A cache hit decodes its entry once; later hits share the result."""
+
+    def test_second_get_returns_the_same_result_without_decoding(
+            self, tmp_path, monkeypatch):
+        path = str(tmp_path / "results.json")
+        config = make_config()
+        ResultCache(path=path).put(make_result(config), scale=1)
+        cache = ResultCache(path=path)
+        first = cache.get("bench", config, 1)
+        decoded = []
+        real_init = SimResult.__init__
+
+        def counting_init(self, *args, **kwargs):
+            decoded.append(kwargs.get("config"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimResult, "__init__", counting_init)
+        assert cache.get("bench", config, 1) is first
+        assert cache.get("bench", config, 1, result_key("bench", config, 1)) \
+            is first
+        assert decoded == []
+
+    def test_put_drops_the_decoded_result(self, tmp_path):
+        path = str(tmp_path / "results.json")
+        config = make_config()
+        cache = ResultCache(path=path)
+        cache.put(make_result(config), scale=1)
+        stale = cache.get("bench", config, 1)
+        fresh = make_result(config, cycles=2000)
+        fresh.extra["attr.busy"] = 1500.0
+        fresh.value_predictions = 7  # not stored without a value predictor
+        cache.put(fresh, scale=1)
+        read = cache.get("bench", config, 1)
+        assert read is not stale and read is not fresh
+        # Exactly what a fresh cache decodes from the stored dict.
+        assert read == ResultCache(path=path).get("bench", config, 1)
+        assert read.cycles == 2000
+        assert read.extra == {}
+        assert read.value_predictions == 0
+
+    def test_chaos_corrupt_on_a_decoded_entry_quarantines_it(self, tmp_path):
+        from repro.chaos import (ChaosEngine, FaultPlan, FaultRule, activate,
+                                 deactivate)
+        from repro.telemetry import MetricsCollector
+
+        path = str(tmp_path / "results.json")
+        config = make_config()
+        collector = MetricsCollector()
+        cache = ResultCache(path=path, collector=collector)
+        cache.put(make_result(config), scale=1)
+        assert cache.get("bench", config, 1) is not None  # decoded
+        activate(ChaosEngine(FaultPlan(seed=1, rules=(
+            FaultRule("cache.read", "corrupt", hits=(1,)),
+        ), name="corrupt-decoded")))
+        try:
+            assert cache.get("bench", config, 1) is None
+        finally:
+            deactivate()
+        assert collector.counters["cache.corrupt"] == 1
+        assert [entry.name.startswith("entry-") for entry in
+                (tmp_path / ".quarantine").iterdir()] == [True]
+        # Dropped with its decode: the next read is a miss.
+        assert cache.get("bench", config, 1) is None
+        assert len(cache) == 0
+
+
 class TestFigureHelpers:
     def test_discipline_lines_count_and_labels(self):
         lines = discipline_lines()

@@ -171,12 +171,9 @@ class TestBuilder:
         enlarged_result = run_program(enlarged, inputs={0: b""})
         assert enlarged_result.exit_code == result.exit_code
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect (ROADMAP.md): liveness treats an assert's fault"
-        " target as a block exit, but a signalling assert first restores"
-        " the block-entry registers, so re-optimisation drops writes the"
-        " fault path still reads"))
     def test_loop_value_read_after_a_faulting_exit_survives(self):
+        # A signalling assert restores the block-entry registers, so a
+        # write its fault path reads must survive re-optimisation.
         source = """
         int main() {
             int a = 3;

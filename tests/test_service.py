@@ -27,14 +27,15 @@ the serial-equivalence acceptance test runs the real pipeline on a
 small grep slice.
 """
 
+import dataclasses
 import hashlib
 import http.client
 import json
 import os
 import socket
+import struct
 import threading
 import time
-from collections import Counter
 from urllib.parse import urlparse
 
 import pytest
@@ -49,6 +50,7 @@ from repro.harness.executor import ExecutionPolicy
 from repro.harness.runner import SweepRunner
 from repro.machine.errors import SimulationHang
 from repro.machine.config import (
+    GRIDS,
     BranchMode,
     Discipline,
     MachineConfig,
@@ -195,6 +197,13 @@ class TestGridSpec:
             {"benchmarks": ["grep"], "grid": "full", "scale": 2, "limit": 7}
         )
         assert GridSpec.from_dict(spec.to_dict()) == spec
+
+    def test_every_task_is_labelled_with_its_config(self):
+        from repro.workloads import WORKLOADS
+
+        for grid in GRIDS:
+            for task in sweep_module.grid_tasks(grid, sorted(WORKLOADS), 1):
+                assert task.label == str(task.config), (grid, task.key)
 
     @pytest.mark.parametrize("raw", [
         {"benchmarks": ["sort", "grep"]},
@@ -388,8 +397,8 @@ class TestScheduler:
         assert first["job_id"] == f"{digest}-0001"
         assert second["job_id"] == f"{digest}-0002"
 
-    def test_warm_job_formats_each_config_once(self, tmp_path, monkeypatch,
-                                               stub_sim):
+    def test_warm_job_formats_no_config(self, tmp_path, monkeypatch,
+                                        stub_sim):
         real_str = MachineConfig.__str__
         formatted = []
 
@@ -407,9 +416,9 @@ class TestScheduler:
         warm_formatted = list(formatted)
         scheduler.stop()
         assert cold["points"]["fresh"] == warm["points"]["cached"] == 3
-        # A cache hit costs its point event's config string and nothing
-        # else: no per-point telemetry record formats it again.
-        assert Counter(warm_formatted) == Counter(configs)
+        # A cache hit formats nothing: its point event's config string
+        # is the task's label, formatted when the grid was expanded.
+        assert warm_formatted == []
         assert [record["config"] for record in warm["results"]] == [
             real_str(config) for config in configs]
 
@@ -690,6 +699,33 @@ class TestDaemonHoldsNoHistory:
             assert all("validation" not in job for job in jobs)
 
 
+    def test_warm_jobs_are_equal_and_leave_cached_results_untouched(
+            self, tmp_path, monkeypatch, stub_sim):
+        scheduler = make_scheduler(tmp_path, monkeypatch, validate=True)
+        scheduler.start()
+        spec = GridSpec.from_dict({"benchmarks": ["grep"], "limit": 12})
+        tasks = spec.points(1)
+        cache = scheduler.runner.cache
+        run_job(scheduler, spec)  # cold: fills the cache
+        first = run_job(scheduler, spec)
+        # Every warm hit from here on is the same decoded result.
+        cached = [cache.get(task.benchmark, task.config, 1, task.key)
+                  for task in tasks]
+        before = [dataclasses.asdict(result) for result in cached]
+        second = run_job(scheduler, spec)
+        report = run_oracle(cached, scale=1)
+        report.to_dict()
+        report.summary_lines()
+        scheduler.stop()
+        assert first["points"]["cached"] == 12
+        for name in ("results", "points", "counters", "validation"):
+            assert first[name] == second[name], name
+        assert second["validation"] == report.to_dict()
+        assert [dataclasses.asdict(result) for result in cached] == before
+        assert all(cache.get(task.benchmark, task.config, 1, task.key)
+                   is result for task, result in zip(tasks, cached))
+
+
 # ----------------------------------------------------------------------
 class GatedBackend:
     """Wraps a SerialBackend: buffers dispatches, executes on finish().
@@ -775,10 +811,16 @@ class CountingServer(ServiceServer):
     """The daemon's HTTP server, counting the connections it accepts."""
 
     accepted = 0
+    #: connections whose handler thread has finished with them.
+    finished = 0
 
     def process_request(self, request, client_address):
         self.accepted += 1
         super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.finished += 1
 
     @property
     def url(self):
@@ -975,6 +1017,107 @@ class TestKeepAlive:
         conn.close()
         assert response.status == 200
         assert server.accepted == 2
+
+
+    def test_a_response_leaves_in_one_write(self, http_server, monkeypatch):
+        scheduler, server = http_server
+        host, port = server.server_address[:2]
+        writes = []
+        for name in ("send", "sendall"):
+            real = getattr(socket.socket, name)
+
+            def counting(sock, data, *args, _real=real):
+                if sock.getsockname()[1] == port:  # the daemon's side
+                    writes.append(bytes(data))
+                return _real(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, name, counting)
+        job_id = run_job(scheduler, GridSpec.from_dict(
+            {"benchmarks": ["grep"], "limit": 40}))["job_id"]
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        try:
+            for path in ("/healthz", "/metrics", f"/jobs/{job_id}",
+                         "/jobs/no-such-job"):
+                writes.clear()
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                assert len(writes) == 1, (path, len(writes))
+                assert writes[0].startswith(b"HTTP/1.1 ")
+                assert writes[0].endswith(b"\r\n\r\n" + body)
+        finally:
+            conn.close()
+
+    def test_interim_100_continue_leaves_at_once(self, http_server):
+        scheduler, server = http_server
+        host, port = server.server_address[:2]
+        body = json.dumps({"benchmarks": ["grep"], "limit": 1}).encode()
+        with socket.create_connection((host, port), timeout=5.0) as conn:
+            conn.sendall((f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+                          f"Content-Length: {len(body)}\r\n"
+                          "Expect: 100-continue\r\n\r\n").encode())
+            # The body is held back until the daemon says to send it.
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = conn.recv(4096)
+                assert chunk, interim
+                interim += chunk
+            assert interim.startswith(b"HTTP/1.1 100 "), interim
+            conn.sendall(body)
+            response = conn.recv(4096)
+        assert response.startswith(b"HTTP/1.1 202 "), response
+        [job] = scheduler.jobs()
+        assert wait_job(scheduler, job["job_id"])["state"] == "done"
+
+    @staticmethod
+    def reset_after_request(server, count=3):
+        """``count`` clients send a request and close with an RST."""
+        host, port = server.server_address[:2]
+        for _ in range(count):
+            with socket.create_connection((host, port), timeout=5.0) as conn:
+                conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+        deadline = time.monotonic() + 10.0
+        while server.finished < count:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_client_resets_log_no_traceback(self, http_server, capfd,
+                                            quiet):
+        _, server = http_server
+        server.quiet = quiet
+        self.reset_after_request(server)
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "Exception" not in err, err
+        gone = [line for line in err.splitlines() if "client_gone" in line]
+        # One structured line per reset, unless the daemon is quiet.
+        assert len(gone) == (0 if quiet else 3), err
+        assert all(line.startswith("http: client_gone ") for line in gone)
+
+    def test_other_handler_errors_keep_their_traceback(self, http_server,
+                                                       capfd, monkeypatch):
+        scheduler, server = http_server
+
+        def broken():
+            raise RuntimeError("health check broke")
+
+        monkeypatch.setattr(scheduler, "health", broken)
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        try:
+            conn.request("GET", "/healthz")
+            with pytest.raises(http.client.RemoteDisconnected):
+                conn.getresponse()
+        finally:
+            conn.close()
+        deadline = time.monotonic() + 10.0
+        while server.finished < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "health check broke" in err, err
 
 
 # ----------------------------------------------------------------------

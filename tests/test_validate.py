@@ -354,6 +354,28 @@ class TestDominance:
         backward = check_dominance(list(reversed(results)))
         assert sort_findings(forward) == sort_findings(backward)
 
+    def test_a_point_set_is_planned_once(self):
+        from repro.validate import dominance
+
+        dominance._plan.cache_clear()
+        results = self.smoke_grid()
+        check_dominance(results)
+        check_dominance(list(reversed(results)))
+        info = dominance._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert info.maxsize == dominance.PLAN_MEMO_SIZE
+
+    def test_the_memo_holds_plans_not_verdicts(self):
+        # One coordinate set, three sets of IPCs: each call's findings
+        # come from its own results.
+        clean = self.smoke_grid()
+        slowed = self.slowed(lambda cfg: cfg.issue_model == 8)
+        assert check_dominance(clean) == []
+        assert set(rules(check_dominance(slowed))) == {"dominance.issue"}
+        assert check_dominance(clean) == []
+        faster = self.slowed(lambda cfg: cfg.issue_model == 8, factor=2.0)
+        assert check_dominance(faster) == []
+
     def test_matches_reference_on_random_subsets(self):
         """The grouped chains find what the frozen implementation, which
         walked every axis value, found: the same findings, duplicates
