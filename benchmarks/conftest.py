@@ -1,11 +1,12 @@
 """Shared helpers for the ablation studies.
 
-Each ablation runs its sweep (timing results are cached on disk, see
+Each ablation runs its points through the sweep loop
+(``repro.harness.run_sweep``; timing results are cached on disk, see
 repro.harness.cache, so re-runs only pay for points not yet measured),
 writes its table under ``benchmarks/results/`` and asserts its own
 expected shape.  ``repro-sim report`` folds those tables into
 EXPERIMENTS.md; the paper's figure claims are checked by the report's
-claims table, and ``repro-sim figure N`` prints one figure's table.
+claims table.
 
 ``REPRO_CACHE_DIR`` sets the result cache location.
 """

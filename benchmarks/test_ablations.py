@@ -14,7 +14,15 @@ Run on a two-benchmark subset (grep, sort) to keep cost proportionate.
 import pytest
 
 from repro.enlarge.plan import EnlargeConfig
-from repro.harness import SweepRunner, render_series_table
+from repro.harness import (
+    PointTask,
+    SerialBackend,
+    SweepRunner,
+    geometric_mean,
+    render_series_table,
+    run_sweep,
+)
+from repro.harness.cache import result_key
 from repro.machine.config import BranchMode, Discipline, MachineConfig
 from repro.machine.simulator import simulate
 from repro.workloads import WORKLOADS
@@ -29,6 +37,23 @@ PREDICTORS = ("nottaken", "taken", "static", "onebit", "twobit", "gshare")
 @pytest.fixture(scope="module")
 def ablation_runner():
     return SweepRunner(benchmarks=list(ABLATION_BENCHMARKS))
+
+
+def points(runner, configs):
+    """Per configuration, each benchmark's result, run through the sweep
+    loop (cached points are not re-simulated)."""
+    tasks = [[PointTask(name, point, result_key(name, point, runner.scale))
+              for name in runner.benchmarks] for point in configs]
+    tally = run_sweep(runner, SerialBackend(runner),
+                      [task for row in tasks for task in row])
+    assert tally.failures == []
+    return [[tally.results[task.key] for task in row] for row in tasks]
+
+
+def ipc_means(runner, configs):
+    """Geometric-mean IPC across the benchmarks, per configuration."""
+    return [geometric_mean([result.retired_per_cycle for result in row])
+            for row in points(runner, configs)]
 
 
 def config(window=4, mode=BranchMode.ENLARGED, predictor="twobit",
@@ -46,13 +71,11 @@ def config(window=4, mode=BranchMode.ENLARGED, predictor="twobit",
 
 def test_window_sweep(ablation_runner):
     data = {
-        "dyn/enlarged": [
-            ablation_runner.mean_ipc(config(window=w)) for w in WINDOWS
-        ],
-        "dyn/single": [
-            ablation_runner.mean_ipc(config(window=w, mode=BranchMode.SINGLE))
-            for w in WINDOWS
-        ],
+        "dyn/enlarged": ipc_means(
+            ablation_runner, [config(window=w) for w in WINDOWS]),
+        "dyn/single": ipc_means(
+            ablation_runner,
+            [config(window=w, mode=BranchMode.SINGLE) for w in WINDOWS]),
     }
     table = render_series_table(
         "Ablation: window size sweep (issue model 8, memory A)",
@@ -75,11 +98,9 @@ def test_window_sweep(ablation_runner):
 def test_predictor_ablation(ablation_runner):
     ipc = {}
     accuracy = {}
-    for kind in PREDICTORS:
-        results = [
-            ablation_runner.run_point(name, config(predictor=kind))
-            for name in ABLATION_BENCHMARKS
-        ]
+    rows = points(ablation_runner,
+                  [config(predictor=kind) for kind in PREDICTORS])
+    for kind, results in zip(PREDICTORS, rows):
         ipc[kind] = sum(r.retired_per_cycle for r in results) / len(results)
         accuracy[kind] = sum(r.branch_accuracy for r in results) / len(results)
     table = render_series_table(
@@ -102,14 +123,8 @@ def test_predictor_ablation(ablation_runner):
 
 
 def test_static_hints_ablation(ablation_runner):
-    with_hints = [
-        ablation_runner.run_point(name, config(hints=True))
-        for name in ABLATION_BENCHMARKS
-    ]
-    without = [
-        ablation_runner.run_point(name, config(hints=False))
-        for name in ABLATION_BENCHMARKS
-    ]
+    with_hints, without = points(
+        ablation_runner, [config(hints=True), config(hints=False)])
     rows = {
         "with hints": [r.branch_accuracy for r in with_hints],
         "without": [r.branch_accuracy for r in without],
@@ -183,16 +198,12 @@ def test_wider_words_extension(ablation_runner):
     """
     models = (7, 8, 9, 10)
     data = {
-        "dyn256/enlarged": [
-            ablation_runner.mean_ipc(config(window=256, issue=m))
-            for m in models
-        ],
-        "dyn256/perfect": [
-            ablation_runner.mean_ipc(
-                config(window=256, issue=m, mode=BranchMode.PERFECT)
-            )
-            for m in models
-        ],
+        "dyn256/enlarged": ipc_means(
+            ablation_runner, [config(window=256, issue=m) for m in models]),
+        "dyn256/perfect": ipc_means(
+            ablation_runner,
+            [config(window=256, issue=m, mode=BranchMode.PERFECT)
+             for m in models]),
     }
     table = render_series_table(
         "Ablation: wider multinodewords (extension models 9 and 10)",

@@ -4,9 +4,9 @@ Subcommands:
 
 * ``run``      -- simulate one benchmark on one machine configuration
   (``--trace-out FILE`` also writes its per-cycle pipeline trace)
-* ``figure``   -- print the data for one of the paper's figures (2-6)
-* ``report``   -- write the full EXPERIMENTS.md (runs missing simulations)
-  and gate on its table of paper claims
+* ``report``   -- sweep the ``report`` grid (cached points are not
+  re-simulated), write the full EXPERIMENTS.md and gate on its table of
+  paper claims
 * ``dump``     -- print a benchmark's translated assembly (or DOT CFG)
 * ``schedule`` -- per-block list-vs-optimal schedule study
 * ``compile``  -- compile and run a user Mini-C source file
@@ -33,12 +33,13 @@ library: ``python -m cProfile -s tottime -m repro.cli run ...``.  The
 global ``--log-json`` flag (or ``REPRO_LOG_JSON=1``) switches every
 diagnostic line to one structured JSON object per line.
 
-Exit codes: 0 success, 1 fatal harness error, 3 some sweep points
-failed (structured ``PointFailure`` records) or a submitted job
-finished ``failed``, 4 the validation oracle found gating
-(``error``-severity) findings or a paper claim in ``report`` does not
-hold (each failing row is named on stderr), 5 the service rejected a
-job at admission (typed 429-style response; retry later).
+Exit codes: 0 success, 1 fatal harness error, 3 some points of a
+``sweep``, ``report`` or ``run`` failed (structured ``PointFailure``
+records on stderr; ``report`` then leaves its output file untouched) or
+a submitted job finished ``failed``, 4 the validation oracle found
+gating (``error``-severity) findings or a paper claim in ``report`` does
+not hold (each failing row is named on stderr), 5 the service rejected
+a job at admission (typed 429-style response; retry later).
 """
 
 from __future__ import annotations
@@ -48,14 +49,6 @@ import sys
 import time
 from typing import Any, List, Optional
 
-from .harness.figures import (
-    figure2_data,
-    figure3_data,
-    figure4_data,
-    figure5_data,
-    figure6_data,
-    render_series_table,
-)
 from .harness.report import generate_report
 from .harness.runner import SweepRunner
 from .machine.config import (
@@ -141,8 +134,9 @@ def _add_grid_arguments(command: argparse.ArgumentParser,
                  " 560-point space (full), the 40-point validation slice"
                  " (smoke), the per-workload cache-geometry ladder (cache;"
                  " honours each workload's cache_memories), the 68-point"
-                 " value/branch speculation grid (spec), or the 24-point"
-                 " list-vs-optimal static scheduling grid (sched)")
+                 " value/branch speculation grid (spec), the 24-point"
+                 " list-vs-optimal static scheduling grid (sched), or the"
+                 " 159 points EXPERIMENTS.md reads (report)")
 
 
 def _benchmarks_from_args(args: argparse.Namespace) -> Optional[List[str]]:
@@ -179,10 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           " ends in .jsonl, else a chrome://tracing JSON"
                           " document (a traced point neither reads nor"
                           " writes the result cache)")
-
-    figure = sub.add_parser("figure", help="print one figure's data")
-    figure.add_argument("number", type=int, choices=(2, 3, 4, 5, 6))
-    figure.add_argument("--scale", type=int, default=None)
 
     report = sub.add_parser("report", help="write EXPERIMENTS.md; exit 4"
                                            " if a paper claim does not hold")
@@ -374,6 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .harness import PointTask, SerialBackend, run_sweep
+    from .harness.cache import result_key
     from .telemetry import MetricsCollector, TraceCollector
 
     config = _config_from_args(args)
@@ -381,7 +373,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     runner = SweepRunner(
         scale=args.scale, use_cache=out is None,
         collector=MetricsCollector() if out is None else TraceCollector())
-    result = runner.run_point(args.benchmark, config)
+    task = PointTask(args.benchmark, config,
+                     result_key(args.benchmark, config, runner.scale))
+    tally = run_sweep(runner, SerialBackend(runner), [task])
+    if _print_failures("run", tally.failures):
+        return 3
+    result = tally.results[task.key]
     print(result.summary())
     print(f"  retired nodes : {result.retired_nodes}")
     print(f"  executed nodes: {result.executed_nodes}")
@@ -440,44 +437,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    runner = SweepRunner(scale=args.scale)
-    number = args.number
-    if number == 2:
-        data = figure2_data(runner)
-        table = render_series_table(
-            "Figure 2: fraction of executed blocks per size bucket",
-            data["buckets"],
-            {"single": data["single"], "enlarged": data["enlarged"]},
-        )
-    elif number == 3:
-        data = figure3_data(runner)
-        table = render_series_table(
-            "Figure 3: retired nodes/cycle vs issue model (memory A)",
-            [str(m) for m in data["_issue_models"]], data,
-        )
-    elif number == 4:
-        data = figure4_data(runner)
-        table = render_series_table(
-            "Figure 4: retired nodes/cycle vs memory config (issue 8)",
-            data["_memories"], data,
-        )
-    elif number == 5:
-        data = figure5_data(runner)
-        table = render_series_table(
-            "Figure 5: per-benchmark IPC on dyn4/enlarged composites",
-            data["_composites"], data,
-        )
-    else:
-        data = figure6_data(runner)
-        table = render_series_table(
-            "Figure 6: redundancy vs issue model (memory A)",
-            [str(m) for m in data["_issue_models"]], data,
-        )
-    print(table)
-    return 0
-
-
 def _write_metrics(collector, path: str, context=None,
                    validation=None, failures=None) -> None:
     from .harness.cache import atomic_write_json
@@ -489,17 +448,28 @@ def _write_metrics(collector, path: str, context=None,
     print(f"wrote {path}")
 
 
+def _print_failures(verb: str, failures) -> bool:
+    """Name each failed point on stderr; whether there were any."""
+    for failure in failures:
+        print(f"{verb}: point failed: {failure.summary()}", file=sys.stderr)
+    return bool(failures)
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .harness.cache import atomic_write_text
     from .telemetry import MetricsCollector
 
     collector = MetricsCollector() if args.metrics_out else None
     runner = SweepRunner(scale=args.scale, collector=collector)
-    text, failures = generate_report(runner)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    print(f"wrote {args.output}")
+    text, failures, points_failed = generate_report(runner)
+    if not points_failed:
+        atomic_write_text(args.output, text)
+        print(f"wrote {args.output}")
     if args.metrics_out:
-        _write_metrics(collector, args.metrics_out)
+        _write_metrics(collector, args.metrics_out, failures=[
+            failure.to_dict() for failure in points_failed])
+    if _print_failures("report", points_failed):
+        return 3
     for failure in failures:
         print(f"report: claim does not hold: {failure}", file=sys.stderr)
     return 4 if failures else 0
@@ -982,7 +952,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure(True)
     handlers = {
         "run": _cmd_run,
-        "figure": _cmd_figure,
         "report": _cmd_report,
         "dump": _cmd_dump,
         "schedule": _cmd_schedule,

@@ -10,8 +10,8 @@ through an :class:`ExecutionBackend` -- :class:`SerialBackend` in
 process, or :class:`ProcessPoolBackend` under ``--jobs N``, which loads
 prepared workloads from the versioned :class:`ArtifactStore` and mails
 results back to the parent, the single writer of cache, checkpoint and
-telemetry.  Every grid run drives the one loop in
-:func:`run_sweep` over :func:`grid_tasks`.
+telemetry.  Every point, a report's and a single ``run``'s included,
+goes through the one loop in :func:`run_sweep`.
 """
 
 from .artifacts import ArtifactStore, default_artifact_root, workload_digest
@@ -39,7 +39,6 @@ from .errors import (
 )
 from .executor import ExecutionPolicy, PointExecutor
 from .figures import (
-    FIGURE5_COMPOSITES,
     discipline_lines,
     figure2_data,
     figure3_data,
@@ -60,7 +59,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionPolicy",
     "FAILURE_KINDS",
-    "FIGURE5_COMPOSITES",
     "HarnessError",
     "PointExecutor",
     "PointFailure",

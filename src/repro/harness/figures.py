@@ -1,8 +1,8 @@
 """Per-figure data generators for the paper's evaluation section.
 
 Every figure in the paper's section 3 has a function here that produces
-its data series (and an ASCII rendering).  ``repro-sim figure N`` prints
-one figure's table; ``repro-sim report`` assembles them all into
+its data series; the timing figures read the ``report`` grid's results
+by result-cache key.  ``repro-sim report`` assembles them all into
 EXPERIMENTS.md and judges them against its claims table
 (``repro.harness.report.CLAIMS``).
 """
@@ -10,19 +10,27 @@ EXPERIMENTS.md and judges them against its claims table
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..interp.trace import Trace
 from ..machine.config import (
     BranchMode,
     Discipline,
     FIGURE4_MEMORY_ORDER,
+    FIGURE5_COMPOSITES,
     MachineConfig,
     PAPER_ISSUE_MODELS,
+    SPEC_ISSUE_MODELS,
     SPEC_VALUE_PREDICTORS,
     scheduling_disciplines,
 )
-from .runner import SweepRunner
+from ..stats.results import SimResult
+from .cache import result_key
+from .runner import SweepRunner, geometric_mean
+
+#: A sweep tally's results: result-cache key -> result.
+Results = Mapping[str, SimResult]
+
 
 #: Line labels in the order the paper's legend lists its ten schemes.
 def discipline_lines() -> List[Tuple[str, Discipline, int, BranchMode]]:
@@ -46,6 +54,38 @@ def _config(discipline: Discipline, window: int, mode: BranchMode,
         branch_mode=mode,
         window_blocks=window,
     )
+
+
+def point_results(runner: SweepRunner, results: Results,
+                  config: MachineConfig) -> List[SimResult]:
+    """Each of the runner's benchmarks' result at ``config``."""
+    return [results[result_key(name, config, runner.scale)]
+            for name in runner.benchmarks]
+
+
+def _ipc(runner: SweepRunner, results: Results, config: MachineConfig) -> float:
+    """Geometric-mean retired nodes per cycle across the benchmarks."""
+    values = [r.retired_per_cycle for r in point_results(runner, results, config)]
+    return geometric_mean(values, collector=runner.collector,
+                          label=f"IPC at {config}")
+
+
+def _redundancy(runner: SweepRunner, results: Results,
+                config: MachineConfig) -> float:
+    """Arithmetic-mean redundancy across the benchmarks."""
+    values = [r.redundancy for r in point_results(runner, results, config)]
+    return sum(values) / len(values)
+
+
+def _over_issue_models(runner: SweepRunner, results: Results,
+                       mean: Callable[..., float]) -> Dict[str, List[float]]:
+    """``mean`` per discipline line over the issue models (memory A)."""
+    data = {label: [mean(runner, results,
+                         _config(discipline, window, mode, model, "A"))
+                    for model in PAPER_ISSUE_MODELS]
+            for label, discipline, window, mode in discipline_lines()}
+    data["_issue_models"] = list(PAPER_ISSUE_MODELS)
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -111,27 +151,20 @@ def figure2_data(runner: SweepRunner) -> Dict[str, List[float]]:
 # ----------------------------------------------------------------------
 # Figure 3: retired nodes/cycle vs issue model (memory A)
 # ----------------------------------------------------------------------
-def figure3_data(runner: SweepRunner) -> Dict[str, List[float]]:
+def figure3_data(runner: SweepRunner, results: Results) -> Dict[str, List[float]]:
     """Geometric-mean IPC per discipline line over the issue models."""
-    data: Dict[str, List[float]] = {}
-    for label, discipline, window, mode in discipline_lines():
-        data[label] = [
-            runner.mean_ipc(_config(discipline, window, mode, model, "A"))
-            for model in PAPER_ISSUE_MODELS
-        ]
-    data["_issue_models"] = list(PAPER_ISSUE_MODELS)
-    return data
+    return _over_issue_models(runner, results, _ipc)
 
 
 # ----------------------------------------------------------------------
 # Figure 4: retired nodes/cycle vs memory configuration (issue model 8)
 # ----------------------------------------------------------------------
-def figure4_data(runner: SweepRunner) -> Dict[str, List[float]]:
+def figure4_data(runner: SweepRunner, results: Results) -> Dict[str, List[float]]:
     """Geometric-mean IPC per discipline line over memory configs."""
     data: Dict[str, List[float]] = {}
     for label, discipline, window, mode in discipline_lines():
         data[label] = [
-            runner.mean_ipc(_config(discipline, window, mode, 8, memory))
+            _ipc(runner, results, _config(discipline, window, mode, 8, memory))
             for memory in FIGURE4_MEMORY_ORDER
         ]
     data["_memories"] = list(FIGURE4_MEMORY_ORDER)
@@ -141,16 +174,7 @@ def figure4_data(runner: SweepRunner) -> Dict[str, List[float]]:
 # ----------------------------------------------------------------------
 # Figure 5: per-benchmark variation over composite configurations
 # ----------------------------------------------------------------------
-#: Fourteen (issue model, memory) pairs slicing diagonally through the
-#: 8x7 matrix, arranged so that the paper's '5B' -> '5D' locality dip is
-#: visible (constant 2-cycle memory followed by a small cache).
-FIGURE5_COMPOSITES: Tuple[Tuple[int, str], ...] = (
-    (1, "A"), (2, "A"), (3, "A"), (3, "E"), (4, "E"), (4, "B"), (5, "B"),
-    (5, "D"), (6, "D"), (6, "G"), (7, "G"), (7, "F"), (8, "F"), (8, "C"),
-)
-
-
-def figure5_data(runner: SweepRunner) -> Dict[str, List[float]]:
+def figure5_data(runner: SweepRunner, results: Results) -> Dict[str, List[float]]:
     """Per-benchmark IPC on dyn-window-4/enlarged over composite configs."""
     data: Dict[str, List[float]] = {}
     for name in runner.benchmarks:
@@ -159,7 +183,8 @@ def figure5_data(runner: SweepRunner) -> Dict[str, List[float]]:
             config = _config(
                 Discipline.DYNAMIC, 4, BranchMode.ENLARGED, issue_model, memory
             )
-            series.append(runner.run_point(name, config).retired_per_cycle)
+            series.append(
+                results[result_key(name, config, runner.scale)].retired_per_cycle)
         data[name] = series
     data["_composites"] = [f"{model}{memory}"
                            for model, memory in FIGURE5_COMPOSITES]
@@ -169,22 +194,16 @@ def figure5_data(runner: SweepRunner) -> Dict[str, List[float]]:
 # ----------------------------------------------------------------------
 # Figure 6: operation redundancy vs issue model
 # ----------------------------------------------------------------------
-def figure6_data(runner: SweepRunner) -> Dict[str, List[float]]:
+def figure6_data(runner: SweepRunner, results: Results) -> Dict[str, List[float]]:
     """Mean redundancy (discarded/executed) per discipline line."""
-    data: Dict[str, List[float]] = {}
-    for label, discipline, window, mode in discipline_lines():
-        data[label] = [
-            runner.mean_redundancy(_config(discipline, window, mode, model, "A"))
-            for model in PAPER_ISSUE_MODELS
-        ]
-    data["_issue_models"] = list(PAPER_ISSUE_MODELS)
-    return data
+    return _over_issue_models(runner, results, _redundancy)
 
 
 # ----------------------------------------------------------------------
 # Value speculation (beyond the paper): IPC per value-predictor kind
 # ----------------------------------------------------------------------
-def value_speculation_data(runner: SweepRunner) -> Dict[str, List[float]]:
+def value_speculation_data(runner: SweepRunner,
+                           results: Results) -> Dict[str, List[float]]:
     """Geometric-mean IPC per value-predictor kind, dyn256/enlarged/C,
     on issue models 2 and 8.
 
@@ -193,11 +212,10 @@ def value_speculation_data(runner: SweepRunner) -> Dict[str, List[float]]:
     operand pays the most, so the branch-only vs branch+value gap is
     clearest there.
     """
-    issue_models = (2, 8)
     data: Dict[str, List[float]] = {}
     for kind in SPEC_VALUE_PREDICTORS:
         data[kind] = [
-            runner.mean_ipc(MachineConfig(
+            _ipc(runner, results, MachineConfig(
                 discipline=Discipline.DYNAMIC,
                 issue_model=model,
                 memory="C",
@@ -205,9 +223,9 @@ def value_speculation_data(runner: SweepRunner) -> Dict[str, List[float]]:
                 window_blocks=256,
                 value_predictor=kind,
             ))
-            for model in issue_models
+            for model in SPEC_ISSUE_MODELS
         ]
-    data["_issue_models"] = list(issue_models)
+    data["_issue_models"] = list(SPEC_ISSUE_MODELS)
     return data
 
 

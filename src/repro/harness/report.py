@@ -11,17 +11,30 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..machine.config import (
+    BranchMode,
+    Discipline,
+    ISSUE_MODELS,
+    MEMORY_CONFIGS,
+    MachineConfig,
+)
+from .backend import SerialBackend
+from .cache import result_key
+from .errors import PointFailure
 from .figures import (
+    Results,
     figure2_data,
     figure3_data,
     figure4_data,
     figure5_data,
     figure6_data,
+    point_results,
     static_ratio_data,
     value_speculation_data,
 )
 from .plot import ascii_chart
 from .runner import SweepRunner
+from .sweep import grid_tasks, run_sweep
 
 
 def _md_table(columns: Sequence[str], rows: Dict[str, List[float]]) -> str:
@@ -36,31 +49,37 @@ def _md_table(columns: Sequence[str], rows: Dict[str, List[float]]) -> str:
     return "\n".join(lines)
 
 
-def report_data(runner: SweepRunner) -> Dict[str, Any]:
-    """Everything the report prints and its claims read: the only part
-    of the report that touches the runner (so runs missing simulations)."""
+def report_data(runner: SweepRunner, results: Results) -> Dict[str, Any]:
+    """Everything the report prints and its claims read: the ``report``
+    grid's ``results`` (result key -> result) and, for Figure 2, §3.1
+    and the schedule analysis, the runner's prepared workloads."""
     return {
         "ratios": static_ratio_data(runner),
         "fig2": figure2_data(runner),
-        "fig3": figure3_data(runner),
-        "fig4": figure4_data(runner),
-        "fig5": figure5_data(runner),
-        "fig6": figure6_data(runner),
-        "spec": value_speculation_data(runner),
-        "spec_accuracy": _speculation_accuracy_line(runner),
-        "sched": schedule_gap_data(runner),
+        "fig3": figure3_data(runner, results),
+        "fig4": figure4_data(runner, results),
+        "fig5": figure5_data(runner, results),
+        "fig6": figure6_data(runner, results),
+        "spec": value_speculation_data(runner, results),
+        "spec_accuracy": _speculation_accuracy_line(runner, results),
+        "sched": schedule_gap_data(runner, results),
     }
 
 
 def generate_report(runner: Optional[SweepRunner] = None,
-                    ) -> Tuple[str, List[str]]:
-    """Build the full EXPERIMENTS.md body (runs any missing simulations).
+                    ) -> Tuple[str, List[str], List[PointFailure]]:
+    """Sweep the ``report`` grid, then build the EXPERIMENTS.md body.
 
-    Returns the text and one line per :data:`CLAIMS` row that does not
-    hold; every claim holds when the list is empty.
+    Returns the text, one line per :data:`CLAIMS` row that does not
+    hold, and the sweep's failed points; with a failed point there is
+    no text and no claim is judged.
     """
     runner = runner or SweepRunner()
-    data = report_data(runner)
+    tally = run_sweep(runner, SerialBackend(runner),
+                      grid_tasks("report", runner.benchmarks, runner.scale))
+    if tally.failures:
+        return "", [], tally.failures
+    data = report_data(runner, tally.results)
     sections: List[str] = []
     sections.append(
         "# EXPERIMENTS — paper vs. measured\n\n"
@@ -147,23 +166,20 @@ def generate_report(runner: Optional[SweepRunner] = None,
     ablations = _ablation_section()
     if ablations:
         sections.append(ablations)
-    return "\n".join(sections), failures
+    return "\n".join(sections), failures, []
 
 
-def _speculation_accuracy_line(runner: SweepRunner) -> str:
+def _speculation_accuracy_line(runner: SweepRunner, results: Results) -> str:
     """Aggregate branch/value accuracy at the widest spec-grid point."""
-    from ..machine.config import BranchMode, Discipline, MachineConfig
-
     branch = {"lookups": 0, "mispredicts": 0}
     value: Dict[str, List[int]] = {}
     for kind in ("last", "stride", "context"):
         totals = [0, 0]  # delivered, confirmed
-        for name in runner.benchmarks:
-            result = runner.run_point(name, MachineConfig(
-                discipline=Discipline.DYNAMIC, issue_model=8, memory="C",
-                branch_mode=BranchMode.ENLARGED, window_blocks=256,
-                value_predictor=kind,
-            ))
+        for result in point_results(runner, results, MachineConfig(
+            discipline=Discipline.DYNAMIC, issue_model=8, memory="C",
+            branch_mode=BranchMode.ENLARGED, window_blocks=256,
+            value_predictor=kind,
+        )):
             totals[0] += result.value_predictions
             totals[1] += result.value_confirmed
             if kind == "last":
@@ -217,17 +233,11 @@ def value_speculation_section(spec: Dict[str, List[float]],
     )
 
 
-def schedule_gap_data(runner: SweepRunner) -> List[Tuple[str, Any, float, float]]:
+def schedule_gap_data(runner: SweepRunner, results: Results,
+                      ) -> List[Tuple[str, Any, float, float]]:
     """Per benchmark of the list-vs-optimal study: the enlarged program's
     ``optsched.ProgramAnalysis`` at issue model 5 / memory A, and the IPC
     of its list and optimal sched-grid points."""
-    from ..machine.config import (
-        BranchMode,
-        Discipline,
-        ISSUE_MODELS,
-        MEMORY_CONFIGS,
-        MachineConfig,
-    )
     from ..optsched import analyze_program
 
     issue = ISSUE_MODELS[5]
@@ -240,10 +250,10 @@ def schedule_gap_data(runner: SweepRunner) -> List[Tuple[str, Any, float, float]
             discipline=Discipline.STATIC, issue_model=5, memory="A",
             branch_mode=BranchMode.ENLARGED,
         )
-        listed = runner.run_point(name, base)
-        optimal = runner.run_point(
-            name, dataclasses.replace(base, optimal_schedule=True)
-        )
+        listed = results[result_key(name, base, runner.scale)]
+        optimal = results[result_key(
+            name, dataclasses.replace(base, optimal_schedule=True),
+            runner.scale)]
         rows.append((name, analysis, listed.retired_per_cycle,
                      optimal.retired_per_cycle))
     return rows

@@ -142,50 +142,16 @@ class SweepRunner:
     def settle_result(self, result: SimResult) -> None:
         """Write one fresh result to the result cache.
 
-        Only the sweep loop's settle step and :meth:`run_point` call
-        this, so each fresh point reaches the cache once, in the parent
-        process.  A failed cache write counts as
-        ``sweep.cache.store_error`` and the result is kept.
+        Only the sweep loop's settle step calls this, so each fresh
+        point reaches the cache once, in the parent process.  A failed
+        cache write counts as ``sweep.cache.store_error`` and the result
+        is kept.
         """
         if self.cache is not None:
             try:
                 self.cache.put(result, self.scale)
             except Exception:  # noqa: BLE001 - a cache write must not
                 self.collector.count("sweep.cache.store_error")  # lose the result
-
-    def run_point(self, benchmark: str, config: MachineConfig) -> SimResult:
-        """One simulation, served from cache when available.
-
-        When the runner's collector is enabled, each point counts a
-        result-cache hit or miss, and a miss observes its wall time
-        split into workload preparation and simulation.
-
-        This is the fail-fast path: errors propagate.  For graceful
-        degradation (timeouts, retries, structured ``PointFailure``
-        records) run the point through
-        :func:`repro.harness.sweep.run_sweep`.
-        """
-        result = self.cache_lookup(benchmark, config)
-        if result is None:
-            result = self.simulate_point(benchmark, config)
-            self.settle_result(result)
-        return result
-
-    # ------------------------------------------------------------------
-    def mean_ipc(self, config: MachineConfig,
-                 benchmarks: Optional[Sequence[str]] = None) -> float:
-        """Geometric-mean retired-nodes-per-cycle across benchmarks."""
-        names = list(benchmarks) if benchmarks else self.benchmarks
-        values = [self.run_point(name, config).retired_per_cycle for name in names]
-        return geometric_mean(values, collector=self.collector,
-                              label=f"IPC at {config}")
-
-    def mean_redundancy(self, config: MachineConfig,
-                        benchmarks: Optional[Sequence[str]] = None) -> float:
-        """Arithmetic-mean redundancy across benchmarks."""
-        names = list(benchmarks) if benchmarks else self.benchmarks
-        values = [self.run_point(name, config).redundancy for name in names]
-        return sum(values) / len(values)
 
 
 #: Whether the zero-IPC stderr warning has fired since the last

@@ -1,7 +1,8 @@
 """The sweep loop: probe, dispatch, drain and settle a list of grid points.
 
-Every caller that runs grid points -- ``repro-sim sweep``, the chaos
-drill and the service's job scheduler -- drives :func:`run_sweep`.  Per point, in task order:
+Every caller that runs points -- ``repro-sim sweep``, ``report`` and
+``run``, the chaos drill and the service's job scheduler -- drives
+:func:`run_sweep`.  Per point, in task order:
 
 1. a failure carried from an earlier run settles the point without
    re-attempting it;
@@ -22,7 +23,7 @@ cached or fresh, and every failure, fresh or carried.  The tally is the
 run's record; callers read it after the loop (the validation oracle
 runs over ``tally.results``, exit codes read ``tally.failures``).  What
 differs between callers -- checkpoint marks, progress lines, job
-bookkeeping -- lives in the ``on_outcome`` callback;
+bookkeeping -- lives in the optional ``on_outcome`` callback;
 :func:`run_checkpointed` adds the checkpoint marks and the shutdown that
 ``repro-sim sweep`` and the chaos drill share.
 """
@@ -89,14 +90,14 @@ class SweepTally:
 
 def run_sweep(runner: SweepRunner, backend: ExecutionBackend,
               tasks: Iterable[PointTask],
-              on_outcome: Callable[[PointOutcome, SweepTally], None],
+              on_outcome: Optional[Callable[[PointOutcome, SweepTally], None]] = None,
               limit: Optional[int] = None,
               carried: Optional[Mapping[str, PointFailure]] = None,
               stop: Optional[Callable[[], bool]] = None) -> SweepTally:
     """Run ``tasks`` through ``backend``; see the module docstring.
 
-    ``on_outcome`` sees every outcome the loop settles, after the tally
-    has recorded it.
+    ``on_outcome``, when given, sees every outcome the loop settles,
+    after the tally has recorded it.
     """
     tally = SweepTally()
 
@@ -108,7 +109,8 @@ def run_sweep(runner: SweepRunner, backend: ExecutionBackend,
             if outcome.source == "fresh":
                 runner.settle_result(outcome.result)
             tally.results.setdefault(outcome.task.key, outcome.result)
-        on_outcome(outcome, tally)
+        if on_outcome is not None:
+            on_outcome(outcome, tally)
 
     for task in tasks:
         if stop is not None and stop():

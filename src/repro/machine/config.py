@@ -132,6 +132,14 @@ PAPER_MEMORIES = ("A", "B", "C", "D", "E", "F", "G")
 #: with decreasing locality, then 2-cycle, then 3-cycle).
 FIGURE4_MEMORY_ORDER = ("A", "E", "D", "B", "G", "F", "C")
 
+#: Figure 5's fourteen (issue model, memory) pairs slicing diagonally
+#: through the 8x7 matrix, arranged so that the paper's '5B' -> '5D' dip
+#: is visible (constant 2-cycle memory followed by a small cache).
+FIGURE5_COMPOSITES: Tuple[Tuple[int, str], ...] = (
+    (1, "A"), (2, "A"), (3, "A"), (3, "E"), (4, "E"), (4, "B"), (5, "B"),
+    (5, "D"), (6, "D"), (6, "G"), (7, "G"), (7, "F"), (8, "F"), (8, "C"),
+)
+
 #: Dynamic window sizes studied (in active basic blocks).
 WINDOW_SIZES = (1, 4, 256)
 
@@ -323,8 +331,8 @@ WORKLOAD_LADDER = None
 Axes = Tuple[Tuple[str, Optional[Tuple[Any, ...]]], ...]
 
 #: The configuration grids: each an ordered list of axis products.
-#: Every grid verb, the service's job specs and the fault-injection
-#: drill read their grid names and points from this one table.
+#: Every grid verb, the report, the service's job specs and the
+#: fault-injection drill read their points from this one table.
 GRIDS: Dict[str, Tuple[Axes, ...]] = {
     # The paper's 560 points per program.
     "full": (
@@ -370,6 +378,29 @@ GRIDS: Dict[str, Tuple[Axes, ...]] = {
          ("memory", SCHED_MEMORIES),
          ("optimal_schedule", (False, True))),
     ),
+    # The 159 points EXPERIMENTS.md reads: Figures 3 and 6, Figure 4,
+    # Figure 5's composites (one product per pair), value speculation
+    # and the list-vs-optimal pair; a shared point is yielded once.
+    "report": (
+        (("line", scheduling_disciplines()),
+         ("issue_model", PAPER_ISSUE_MODELS),
+         ("memory", ("A",))),
+        (("line", scheduling_disciplines()),
+         ("issue_model", (8,)),
+         ("memory", FIGURE4_MEMORY_ORDER)),
+        *((("line", ((Discipline.DYNAMIC, 4, BranchMode.ENLARGED),)),
+           ("issue_model", (issue_model,)),
+           ("memory", (memory,)))
+          for issue_model, memory in FIGURE5_COMPOSITES),
+        (("line", ((Discipline.DYNAMIC, 256, BranchMode.ENLARGED),)),
+         ("issue_model", SPEC_ISSUE_MODELS),
+         ("memory", ("C",)),
+         ("value_predictor", SPEC_VALUE_PREDICTORS)),
+        (("line", ((Discipline.STATIC, 1, BranchMode.ENLARGED),)),
+         ("issue_model", (5,)),
+         ("memory", ("A",)),
+         ("optimal_schedule", (False, True))),
+    ),
 }
 
 
@@ -386,12 +417,14 @@ def _cache_ladder(benchmark: Optional[str]) -> Tuple[str, ...]:
 
 def grid_configs(grid: str,
                  benchmark: Optional[str] = None) -> Iterator[MachineConfig]:
-    """The configurations of one :data:`GRIDS` grid, in table order.
+    """The configurations of one :data:`GRIDS` grid, in table order,
+    each once (where it is first seen).
 
     ``benchmark`` only matters to grids with a workload-chosen memory
     ladder (``cache``); the other grids yield the same points for every
     workload.
     """
+    seen = set()
     for axes in GRIDS[grid]:
         names = [name for name, _ in axes]
         values = [_cache_ladder(benchmark) if axis is WORKLOAD_LADDER
@@ -399,8 +432,11 @@ def grid_configs(grid: str,
         for combo in itertools.product(*values):
             fields = dict(zip(names, combo))
             discipline, window, mode = fields.pop("line")
-            yield MachineConfig(discipline=discipline, window_blocks=window,
-                                branch_mode=mode, **fields)
+            config = MachineConfig(discipline=discipline, window_blocks=window,
+                                   branch_mode=mode, **fields)
+            if config not in seen:
+                seen.add(config)
+                yield config
 
 
 #: The per-grid spellings, each :func:`grid_configs` bound to one grid

@@ -125,7 +125,8 @@ class _Handler(BaseHTTPRequestHandler):
 
         A negative, non-numeric or over-limit length is refused before
         any read.  The body then stays unread, so the connection cannot
-        carry another request and closes after the 400.
+        carry another request and closes after the 400, as after a body
+        that ends before its length (never read as the empty spec).
         """
         header = self.headers.get("Content-Length") or "0"
         try:
@@ -138,6 +139,10 @@ class _Handler(BaseHTTPRequestHandler):
                 raise SpecError(f"bad Content-Length: {header!r}")
             raise SpecError(f"request body over {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
+        if len(raw) < length:
+            self.close_connection = True
+            raise SpecError(f"request body ended after {len(raw)} of"
+                            f" {length} bytes")
         if not raw:
             return {}
         try:

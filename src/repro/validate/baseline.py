@@ -126,22 +126,19 @@ def _drift_finding(result: SimResult, metric: str, measured: float,
     )
 
 
-def check_baseline(results: Iterable[SimResult], scale: int, path: str,
-                   tolerances: Optional[Dict[str, float]] = None,
-                   ) -> List[ValidationFinding]:
+def check_baseline(results: Iterable[SimResult], scale: int,
+                   path: str) -> List[ValidationFinding]:
     """Compare a grid's results against a recorded golden baseline.
 
     Error findings gate: a missing or unreadable baseline, a
     ``CACHE_VERSION`` or scale mismatch (stale baseline -- re-record),
-    and any per-metric drift beyond tolerance.  Coverage asymmetries are
+    and any per-metric drift beyond its :data:`DEFAULT_TOLERANCES`
+    tolerance.  Coverage asymmetries are
     warnings: points missing from the baseline (new grid cells) and
     baseline entries the current run did not cover (partial grids).
     """
     from ..harness.cache import CACHE_VERSION
 
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
     results = list(results)
     findings: List[ValidationFinding] = []
 
@@ -204,7 +201,7 @@ def check_baseline(results: Iterable[SimResult], scale: int, path: str,
             ))
             continue
         measured = _point_metrics(result)
-        for metric, tolerance in sorted(tols.items()):
+        for metric, tolerance in sorted(DEFAULT_TOLERANCES.items()):
             if metric not in recorded:
                 continue
             drift = abs(measured[metric] - recorded[metric])

@@ -79,7 +79,6 @@ class ValidationReport:
 def run_oracle(results: Iterable[SimResult],
                rel_tol: Optional[float] = None,
                baseline_path: Optional[str] = None,
-               tolerances: Optional[Dict[str, float]] = None,
                scale: int = 1) -> ValidationReport:
     """Run every applicable validation layer over one result set.
 
@@ -90,9 +89,7 @@ def run_oracle(results: Iterable[SimResult],
     findings = check_results(results)
     findings.extend(check_dominance(results, rel_tol=tol))
     if baseline_path is not None:
-        findings.extend(check_baseline(
-            results, scale, baseline_path, tolerances=tolerances,
-        ))
+        findings.extend(check_baseline(results, scale, baseline_path))
     return ValidationReport(
         findings=sort_findings(findings),
         checked_results=len(results),

@@ -28,7 +28,8 @@ class TestDump:
 
 
 class TestRun:
-    def test_run_point(self, capsys, grep_prepared, tmp_path, monkeypatch):
+    def test_run_one_point(self, capsys, grep_prepared, tmp_path,
+                           monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         code = main([
             "run", "--benchmark", "grep", "--discipline", "dynamic",
@@ -81,6 +82,37 @@ class TestTrace:
         assert "ts" in record and "name" in record
 
 
+class TestFailedPoints:
+    """A point that fails stops ``report`` and ``run`` with exit 3 and
+    its failure record on stderr, not a traceback."""
+
+    @pytest.fixture
+    def hanging(self, tmp_path, monkeypatch, grep_prepared):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_BENCH_WORKLOADS", "grep")
+        monkeypatch.setenv("REPRO_MAX_CYCLES", "100")
+
+    def test_report_exits_3_and_leaves_its_output(self, hanging, tmp_path,
+                                                   capsys):
+        output = tmp_path / "EXPERIMENTS.md"
+        output.write_bytes(b"an earlier report\n")
+        assert main(["report", "-o", str(output)]) == 3
+        err = capsys.readouterr().err
+        assert "report: point failed: grep " in err
+        assert ": hang after 1 attempt(s)" in err
+        assert "Traceback" not in err
+        assert output.read_bytes() == b"an earlier report\n"
+
+    def test_run_exits_3(self, hanging, capsys):
+        code = main(["run", "--benchmark", "grep", "--branch", "enlarged"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert ("run: point failed: grep dyn4/enlarged/4M+12A/A: hang"
+                in captured.err)
+        assert "Traceback" not in captured.err
+        assert "retired nodes" not in captured.out
+
+
 class TestSweepTelemetry:
     def test_metrics_out_written_even_at_limit(self, capsys, tmp_path,
                                                monkeypatch, grep_prepared):
@@ -120,10 +152,6 @@ class TestArgumentErrors:
     def test_unknown_benchmark(self):
         with pytest.raises(SystemExit):
             main(["run", "--benchmark", "nope"])
-
-    def test_unknown_figure(self):
-        with pytest.raises(SystemExit):
-            main(["figure", "7"])
 
     def test_missing_command(self):
         with pytest.raises(SystemExit):

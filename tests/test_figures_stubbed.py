@@ -1,8 +1,8 @@
-"""Figure aggregation logic, exercised against a stubbed runner.
+"""Figure aggregation logic, exercised against stubbed results.
 
-These verify the figure-data plumbing (which configs are requested, how
+These verify the figure-data plumbing (which configs are read, how
 results aggregate) without running any timing simulations: the stub
-returns synthetic results whose IPC encodes the configuration.
+results are synthetic, with an IPC that encodes the configuration.
 """
 
 import os
@@ -12,59 +12,84 @@ from typing import Any, Dict, List, Tuple
 import pytest
 
 from repro.harness import figures
+from repro.harness.cache import result_key
 from repro.harness.figures import (
-    FIGURE5_COMPOSITES,
     figure3_data,
     figure4_data,
     figure5_data,
     figure6_data,
 )
-from repro.machine.config import BranchMode, Discipline, MachineConfig
+from repro.machine.config import (
+    BranchMode,
+    Discipline,
+    FIGURE5_COMPOSITES,
+    MachineConfig,
+    grid_configs,
+)
 from repro.stats.results import SimResult
+from repro.telemetry import NULL_COLLECTOR
+
+
+def stub_result(benchmark: str, config: MachineConfig) -> SimResult:
+    # Encode config identity in the numbers for verification.
+    ipc_scale = config.issue_model * 100 + ord(config.memory)
+    return SimResult(
+        benchmark=benchmark,
+        config=config,
+        cycles=1000,
+        retired_nodes=ipc_scale * 10,
+        discarded_nodes=config.window_blocks,
+        dynamic_blocks=10,
+        work_nodes=ipc_scale * 10,
+    )
 
 
 class StubRunner:
-    """Mimics SweepRunner.mean_ipc / mean_redundancy / run_point."""
+    """What the report reads of a runner: its benchmarks, scale and
+    collector, and a result cache holding a stub result for every
+    point, so the report's sweep settles each point from it."""
 
     def __init__(self, benchmarks=("alpha", "beta")):
         self.benchmarks = list(benchmarks)
+        self.scale = 1
+        self.collector = NULL_COLLECTOR
+
+    def cache_lookup(self, benchmark, config, key=None):
+        return stub_result(benchmark, config)
+
+
+class StubResults(dict):
+    """Stub results of the ``report`` grid, keyed like a sweep tally's,
+    recording each (benchmark, config) read."""
+
+    def __init__(self, runner: StubRunner):
+        super().__init__(
+            (result_key(name, config, runner.scale), stub_result(name, config))
+            for name in runner.benchmarks
+            for config in grid_configs("report"))
         self.requested = []
 
-    def _result(self, benchmark: str, config: MachineConfig) -> SimResult:
-        # Encode config identity in the numbers for verification.
-        ipc_scale = config.issue_model * 100 + ord(config.memory)
-        return SimResult(
-            benchmark=benchmark,
-            config=config,
-            cycles=1000,
-            retired_nodes=ipc_scale * 10,
-            discarded_nodes=config.window_blocks,
-            dynamic_blocks=10,
-            work_nodes=ipc_scale * 10,
-        )
+    def __getitem__(self, key):
+        result = super().__getitem__(key)
+        self.requested.append((result.benchmark, result.config))
+        return result
 
-    def run_point(self, benchmark, config):
-        self.requested.append((benchmark, config))
-        return self._result(benchmark, config)
 
-    def mean_ipc(self, config, benchmarks=None):
-        return self._result("x", config).retired_per_cycle
-
-    def mean_redundancy(self, config, benchmarks=None):
-        result = self._result("x", config)
-        return result.redundancy
+def stub_data(figure, runner=None):
+    runner = runner or StubRunner()
+    return figure(runner, StubResults(runner))
 
 
 class TestFigure3Plumbing:
     def test_ten_lines_eight_points(self):
-        data = figure3_data(StubRunner())
+        data = stub_data(figure3_data)
         lines = [k for k in data if not k.startswith("_")]
         assert len(lines) == 10
         for label in lines:
             assert len(data[label]) == 8
 
     def test_memory_is_A(self):
-        data = figure3_data(StubRunner())
+        data = stub_data(figure3_data)
         # IPC encodes memory letter: all points must use memory A.
         for label in data:
             if label.startswith("_"):
@@ -76,7 +101,7 @@ class TestFigure3Plumbing:
 
 class TestFigure4Plumbing:
     def test_memory_order_respected(self):
-        data = figure4_data(StubRunner())
+        data = stub_data(figure4_data)
         assert data["_memories"] == list(figures.FIGURE4_MEMORY_ORDER)
         series = data["static/single"]
         for memory, value in zip(data["_memories"], series):
@@ -87,7 +112,7 @@ class TestFigure4Plumbing:
 class TestFigure5Plumbing:
     def test_one_series_per_benchmark(self):
         runner = StubRunner(benchmarks=("sort", "grep", "diff"))
-        data = figure5_data(runner)
+        data = stub_data(figure5_data, runner)
         assert set(k for k in data if not k.startswith("_")) == {
             "sort", "grep", "diff"
         }
@@ -95,8 +120,10 @@ class TestFigure5Plumbing:
 
     def test_uses_dyn4_enlarged(self):
         runner = StubRunner(benchmarks=("sort",))
-        figure5_data(runner)
-        for _, config in runner.requested:
+        results = StubResults(runner)
+        figure5_data(runner, results)
+        assert len(results.requested) == len(FIGURE5_COMPOSITES)
+        for _, config in results.requested:
             assert config.discipline is Discipline.DYNAMIC
             assert config.window_blocks == 4
             assert config.branch_mode is BranchMode.ENLARGED
@@ -104,7 +131,7 @@ class TestFigure5Plumbing:
 
 class TestFigure6Plumbing:
     def test_redundancy_series(self):
-        data = figure6_data(StubRunner())
+        data = stub_data(figure6_data)
         lines = [k for k in data if not k.startswith("_")]
         assert len(lines) == 10
         # Window size encoded in discarded_nodes: bigger window -> more.
@@ -135,12 +162,13 @@ class TestReportGeneration:
         )
         monkeypatch.setattr(
             report_mod, "schedule_gap_data",
-            lambda r: [("sort", SimpleNamespace(
+            lambda r, results: [("sort", SimpleNamespace(
                 blocks=(), closed_blocks=0, list_words=10, optimal_words=8,
                 lower_bound_words=8, gap_percent=20.0, loops=[],
             ), 1.0, 1.2)],
         )
-        text, _ = report_mod.generate_report(runner)
+        text, _, points_failed = report_mod.generate_report(runner)
+        assert points_failed == []
         assert "# EXPERIMENTS" in text
         assert "Figure 2" in text
         assert "Figure 3" in text
@@ -149,6 +177,31 @@ class TestReportGeneration:
         assert "Figure 6" in text
         assert "2.75" in text  # mean static ratio
         assert "dyn256/enlarged" in text
+
+    def test_report_data_reads_exactly_the_report_grid(self, monkeypatch):
+        """Every timing number the report prints comes from the
+        ``report`` grid's results, and it needs every one of them."""
+        import repro.optsched
+        from repro.harness import report as report_mod
+
+        runner = StubRunner(benchmarks=("sort", "grep"))
+        runner.workload = lambda name: SimpleNamespace(enlarged=None)
+        monkeypatch.setattr(report_mod, "figure2_data", lambda r: {})
+        monkeypatch.setattr(report_mod, "static_ratio_data", lambda r: {})
+        monkeypatch.setattr(repro.optsched, "analyze_program",
+                            lambda *args: None)
+        results = StubResults(runner)
+        report_mod.report_data(runner, results)
+        read = {result_key(name, config, runner.scale)
+                for name, config in results.requested}
+        assert read == set(results)
+        assert len(read) == 2 * 159
+
+        for key in list(results):
+            missing = StubResults(runner)
+            del missing[key]
+            with pytest.raises(KeyError):
+                report_mod.report_data(runner, missing)
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +314,11 @@ class TestClaims:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         data = committed_report_data()
-        monkeypatch.setattr(report_mod, "report_data", lambda runner: data)
+        # The report's sweep has no points, and its data is the
+        # committed report's.
+        monkeypatch.setattr(report_mod, "grid_tasks", lambda *args: [])
+        monkeypatch.setattr(report_mod, "report_data",
+                            lambda runner, results: data)
         output = tmp_path / "EXPERIMENTS.md"
         assert main(["report", "-o", str(output)]) == 0
         assert "## Verdicts" in output.read_text(encoding="utf-8")

@@ -5,16 +5,22 @@ import math
 
 import pytest
 
+from repro.harness.backend import PointTask, SerialBackend
 from repro.harness.cache import CACHE_VERSION, ResultCache, result_key
 from repro.harness.figures import (
     FIGURE2_BUCKETS,
-    FIGURE5_COMPOSITES,
     _bucketize,
     discipline_lines,
     render_series_table,
 )
 from repro.harness.runner import SweepRunner, geometric_mean
-from repro.machine.config import BranchMode, Discipline, MachineConfig
+from repro.harness.sweep import run_sweep
+from repro.machine.config import (
+    BranchMode,
+    Discipline,
+    FIGURE5_COMPOSITES,
+    MachineConfig,
+)
 from repro.stats.results import SimResult
 
 
@@ -301,18 +307,28 @@ class TestFigureHelpers:
         assert "9.9" not in table
 
 
+def sweep_one(runner, benchmark, config):
+    """One point through the sweep loop; its result."""
+    task = PointTask(benchmark, config,
+                     result_key(benchmark, config, runner.scale))
+    tally = run_sweep(runner, SerialBackend(runner), [task])
+    assert tally.failures == []
+    return tally.results[task.key]
+
+
 class TestSweepRunnerCaching:
-    def test_run_point_uses_cache(self, tmp_path, monkeypatch, grep_prepared):
+    def test_swept_point_uses_cache(self, tmp_path, monkeypatch,
+                                    grep_prepared):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         runner = SweepRunner(benchmarks=["grep"])
         config = make_config(issue_model=2)
-        first = runner.run_point("grep", config)
+        first = sweep_one(runner, "grep", config)
         calls = []
         monkeypatch.setattr(
             "repro.harness.runner.simulate",
             lambda *a, **k: calls.append(1),
         )
-        second = runner.run_point("grep", config)
+        second = sweep_one(runner, "grep", config)
         assert calls == []  # served from the on-disk cache
         assert second.cycles == first.cycles
 
@@ -329,16 +345,16 @@ class TestSweepRunnerCaching:
 
         assert default_benchmarks() == ["sort", "grep"]
 
-    def test_run_point_records_telemetry(self, tmp_path, monkeypatch,
-                                         grep_prepared):
+    def test_swept_point_records_telemetry(self, tmp_path, monkeypatch,
+                                           grep_prepared):
         from repro.telemetry import MetricsCollector
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         collector = MetricsCollector()
         runner = SweepRunner(benchmarks=["grep"], collector=collector)
         config = make_config(issue_model=3)
-        runner.run_point("grep", config)  # simulated
-        runner.run_point("grep", config)  # served from the on-disk cache
+        sweep_one(runner, "grep", config)  # simulated
+        sweep_one(runner, "grep", config)  # served from the on-disk cache
         assert collector.counters["sweep.cache.miss"] == 1
         assert collector.counters["sweep.cache.hit"] == 1
         assert len(collector.histograms["sweep.point.wall_s"]) == 1

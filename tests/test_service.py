@@ -929,6 +929,50 @@ class TestHTTPAPI:
         assert client.jobs() == []
         assert scheduler.stats["jobs.accepted"] == 0
 
+    @staticmethod
+    def post_headers_only(address, headers):
+        """Send ``POST /jobs`` headers, shut the write side, and return
+        everything the daemon answers before it closes."""
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=5.0) as conn:
+            conn.sendall((f"POST /jobs HTTP/1.1\r\nHost: {address.netloc}"
+                          f"\r\n{headers}\r\n").encode())
+            conn.shutdown(socket.SHUT_WR)
+            response = b""
+            while True:  # until the daemon closes the connection
+                chunk = conn.recv(4096)
+                if not chunk:
+                    return response
+                response += chunk
+
+    @pytest.mark.parametrize("expect", ["", "Expect: 100-continue\r\n"])
+    def test_body_that_never_arrives_is_400_and_accepts_nothing(
+            self, http_service, expect):
+        scheduler, client = http_service
+        response = self.post_headers_only(
+            urlparse(client.base_url),
+            f"Content-Length: 40\r\n{expect}")
+        if expect:
+            assert response.startswith(b"HTTP/1.1 100 "), response
+            response = response.split(b"\r\n\r\n", 1)[1]
+        assert response.startswith(b"HTTP/1.1 400 "), response
+        assert b"ended after 0 of 40 bytes" in response
+        assert response.count(b"HTTP/1.1 ") == 1, response
+        assert client.jobs() == []
+        assert scheduler.stats["jobs.accepted"] == 0
+
+    def test_post_without_content_length_is_the_empty_spec(
+            self, http_service):
+        from repro.workloads import WORKLOADS
+
+        scheduler, client = http_service
+        response = self.post_headers_only(urlparse(client.base_url), "")
+        assert response.startswith(b"HTTP/1.1 202 "), response
+        [job] = scheduler.jobs()
+        # Every workload's smoke grid, as ``GridSpec.from_dict({})``.
+        assert job["points"]["total"] == 40 * len(WORKLOADS)
+        assert wait_job(scheduler, job["job_id"])["state"] == "done"
+
     def test_queue_full_surfaces_as_typed_rejection(self, http_service):
         scheduler, client = http_service
         scheduler.max_queued_jobs = 0
