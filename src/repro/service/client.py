@@ -1,7 +1,10 @@
-"""HTTP client for the simulation service (stdlib ``http.client`` only).
+"""HTTP client for the simulation service (stdlib sockets only).
 
 Used by the ``repro-sim submit`` CLI verb, the chaos drill, perfbench's
 warm loop and the test suite, each over one kept-alive connection.
+The client frames HTTP/1.1 itself: each request leaves in one write,
+and each response is a status line, headers and a ``Content-Length``
+body, read from one buffered reader.
 Every transport or protocol problem surfaces as a typed exception so
 callers can map outcomes to exit codes:
 
@@ -10,13 +13,15 @@ callers can map outcomes to exit codes:
 * :class:`JobNotFound` -- 404 for an unknown job id;
 * :class:`JobFailed` -- a waited-on job reached a terminal state other
   than ``done``;
-* :class:`ServiceError` -- anything else (connection refused, bad
-  response, HTTP 500s).
+* :class:`ServiceError` -- anything else (connection refused, a reset,
+  a read timeout, a truncated or malformed response, HTTP 500s).
 
 Retry policy (``retries > 0``): transient failures -- retryable
 admission rejections (``queue-full``, ``stopped``, ``journal-error``),
-5xx responses and connection-level errors -- are retried with capped
-exponential backoff plus seeded jitter.  The daemon's ``Retry-After``
+5xx responses and connection-level errors (a refused connection, a
+reset, a read timeout, a response cut short) -- are retried with
+capped exponential backoff plus seeded jitter.  A malformed status or
+header line is not retried.  The daemon's ``Retry-After``
 hint, surfaced as ``retry_after_s`` on the exception, overrides the
 exponential base when present.  ``rng`` and ``sleep`` are injectable so
 tests control both the jitter and the clock.
@@ -24,11 +29,12 @@ tests control both the jitter and the clock.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
+import re
+import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..chaos.inject import recovered as chaos_recovered
@@ -86,17 +92,80 @@ def _retryable(message: str) -> ServiceError:
     return error
 
 
-def _parse_retry_after(headers: Any) -> Optional[float]:
+def _parse_retry_after(headers: Dict[str, str]) -> Optional[float]:
     """The Retry-After header as seconds, when present and numeric."""
-    if headers is None:
-        return None
-    raw = headers.get("Retry-After")
+    raw = headers.get("retry-after")
     if raw is None:
         return None
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         return None
+
+
+def _json_object(raw: bytes) -> Optional[Dict[str, Any]]:
+    """``raw`` decoded as a JSON object; None for anything else."""
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+#: What ``http.client`` refuses in a request target: a control
+#: character, a space or DEL (``InvalidURL``), or a character past
+#: ASCII (it cannot encode the request line).
+_BAD_TARGET = re.compile(r"[^\x21-\x7e]")
+
+
+def _read_line(reader: BinaryIO, where: str) -> bytes:
+    """One line of a response head, its line end included."""
+    line = reader.readline(http_api.MAX_LINE + 1)
+    if line.endswith(b"\n"):
+        return line
+    if len(line) > http_api.MAX_LINE:
+        raise ServiceError(f"a response line from {where} is over"
+                           f" {http_api.MAX_LINE} bytes")
+    raise _retryable(f"connection to {where} closed mid-response")
+
+
+def _read_response(reader: BinaryIO, where: str
+                   ) -> Tuple[int, str, Dict[str, str], bytes]:
+    """One response from ``reader``: status, reason, headers (names in
+    lower case, the first of each kept) and its ``Content-Length`` body.
+
+    A response cut short raises a retryable :class:`ServiceError`, a
+    malformed one a non-retryable one.
+    """
+    line = _read_line(reader, where)
+    version, _, rest = line.rstrip(b"\r\n").partition(b" ")
+    code, _, reason = rest.partition(b" ")
+    if not (version.startswith(b"HTTP/") and len(code) == 3
+            and code.isdigit()):
+        raise ServiceError(f"malformed status line from {where}: {line!r}")
+    headers: Dict[str, str] = {}
+    for _ in range(http_api.MAX_HEADERS):
+        line = _read_line(reader, where)
+        if line in (b"\r\n", b"\n"):
+            break
+        name, colon, value = line.partition(b":")
+        if not (colon and name and name == name.strip()):
+            raise ServiceError(f"malformed header line from {where}:"
+                               f" {line!r}")
+        headers.setdefault(name.decode("iso-8859-1").lower(),
+                           value.strip().decode("iso-8859-1"))
+    else:
+        raise ServiceError(f"more than {http_api.MAX_HEADERS} response head"
+                           f" lines from {where}")
+    length = headers.get("content-length", "")
+    if not (length.isascii() and length.isdigit()):
+        raise ServiceError(f"response from {where} without a valid"
+                           f" Content-Length: {length!r}")
+    body = reader.read(int(length))
+    if len(body) < int(length):
+        raise _retryable(f"response from {where} ended after {len(body)}"
+                         f" of {length} body bytes")
+    return int(code), reason.decode("iso-8859-1"), headers, body
 
 
 class ServiceClient:
@@ -126,13 +195,18 @@ class ServiceClient:
         self._sleep = sleep
         url = urlsplit(self.base_url)
         self._prefix = url.path
-        self._conn = http.client.HTTPConnection(url.netloc,
-                                                timeout=timeout_s)
+        self._address = (url.hostname, url.port or 80)
+        self._host = url.netloc
+        self._sock: Optional[socket.socket] = None
+        self._reader: Any = None  # the socket's buffered reader
         self._last_used = 0.0
 
     def close(self) -> None:
         """Close the kept-alive connection."""
-        self._conn.close()
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -180,9 +254,8 @@ class ServiceClient:
                       body: Optional[Dict[str, Any]] = None,
                       timeout_s: Optional[float] = None) -> Dict[str, Any]:
         data = json.dumps(body).encode("utf-8") if body is not None else None
-        raw = self._exchange(method, path, data, timeout_s)
-        payload = json.loads(raw.decode("utf-8"))
-        if not isinstance(payload, dict):
+        payload = _json_object(self._exchange(method, path, data, timeout_s))
+        if payload is None:
             raise ServiceError(f"malformed response from {method} {path}")
         return payload
 
@@ -191,61 +264,81 @@ class ServiceClient:
                   timeout_s: Optional[float] = None) -> bytes:
         """One request over the kept-alive connection; the 2xx body.
 
-        An error status raises its typed exception.  Any failure closes
-        the connection, so the next request starts on a fresh one.
+        The request (head and body) leaves in one write.  An error status
+        raises its typed exception.  Any failure closes the connection,
+        so the next request starts on a fresh one, as does a response
+        that says ``Connection: close``.
         """
-        conn = self._conn
-        if (conn.sock is not None and time.monotonic() - self._last_used
+        target = self._prefix + path
+        if _BAD_TARGET.search(target):
+            raise ServiceError(f"cannot send request path {target!r}:"
+                               " control or non-ASCII character")
+        if (self._sock is not None and time.monotonic() - self._last_used
                 > http_api.IDLE_TIMEOUT_S / 2):
-            conn.close()  # the daemon may be about to drop it
-        conn.timeout = timeout_s or self.timeout_s
-        if conn.sock is not None:
-            conn.sock.settimeout(conn.timeout)
-        headers = {"Content-Type": "application/json"} if data else {}
+            self.close()  # the daemon may be about to drop it
+        timeout = timeout_s or self.timeout_s
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self._host}\r\n"
+        if data is not None:
+            head += ("Content-Type: application/json\r\n"
+                     f"Content-Length: {len(data)}\r\n")
+        elif method == "POST":
+            head += "Content-Length: 0\r\n"
+        request = (head + "\r\n").encode("ascii") + (data or b"")
         try:
-            conn.request(method, self._prefix + path, body=data,
-                         headers=headers)
+            if self._sock is None:
+                sock = socket.create_connection(self._address, timeout)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._sock, self._reader = sock, sock.makefile("rb")
+            else:
+                self._sock.settimeout(timeout)
+            self._sock.sendall(request)
         except OSError as exc:
             # Connection refused / reset while sending: the daemon may
             # be restarting; retry-enabled callers re-attempt.
-            conn.close()
+            self.close()
             raise _retryable(
                 f"cannot reach service at {self.base_url}: {exc}"
             ) from None
+        except BaseException:
+            self.close()  # a request half sent spoils the connection
+            raise
         try:
-            response = conn.getresponse()
-            raw = response.read()
-        except ConnectionError as exc:
+            status, reason, headers, raw = _read_response(self._reader,
+                                                          self.base_url)
+        except socket.timeout:  # TimeoutError from Python 3.10 on
+            self.close()
+            raise _retryable(f"no response from {self.base_url} within"
+                             f" {timeout:g} s") from None
+        except OSError as exc:
             # A reset while *reading* the response: same remedy.
-            conn.close()
+            self.close()
             raise _retryable(
                 f"connection to {self.base_url} dropped mid-request: {exc}"
             ) from None
         except BaseException:
-            conn.close()
+            self.close()
             raise
         self._last_used = time.monotonic()
-        if 200 <= response.status < 300:
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        if 200 <= status < 300:
             return raw
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except ValueError:
-            payload = {}
-        if response.status == 404:
+        payload = _json_object(raw) or {}
+        if status == 404:
             raise JobNotFound(payload.get("error", f"not found: {path}"))
         if payload.get("error") == "admission":
             raise AdmissionRejected(
                 payload.get("reason", "unknown"),
-                payload.get("message", f"rejected ({response.status})"),
+                payload.get("message", f"rejected ({status})"),
                 payload.get("retry_after_s"),
             )
         error = ServiceError(
-            f"HTTP {response.status} on {method} {path}:"
-            f" {payload.get('error', response.reason)}"
+            f"HTTP {status} on {method} {path}:"
+            f" {payload.get('error', reason)}"
         )
-        if response.status >= 500:
+        if status >= 500:
             error.retryable = True
-            error.retry_after_s = _parse_retry_after(response.headers)
+            error.retry_after_s = _parse_retry_after(headers)
         raise error
 
     # ------------------------------------------------------------------

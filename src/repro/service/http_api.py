@@ -29,17 +29,21 @@ responses include ``Retry-After``).
 Connections are HTTP/1.1 and kept alive.  Every response after which
 the daemon closes the connection carries ``Connection: close``, and a
 connection that sends no request for :data:`IDLE_TIMEOUT_S` is closed,
-so an abandoned client does not hold a handler thread.
+so an abandoned client does not hold a handler thread.  A request body
+is framed by ``Content-Length`` only: a request that carries
+``Transfer-Encoding`` gets a 411 and the connection closes.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import socket
 import sys
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..chaos.inject import fire as chaos_fire
@@ -66,6 +70,63 @@ MAX_BODY_BYTES = 64 * 1024
 #: of this.
 IDLE_TIMEOUT_S = 5.0
 
+#: The standard library's bounds on a header block (``http.client``'s
+#: ``_MAXLINE`` and ``_MAXHEADERS``): the daemon answers a longer line,
+#: or more lines counting the blank one that ends the block, with a
+#: 431, and the client refuses such a response.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+#: A line the ``email`` parser keeps in a header block: a field name
+#: (printable ASCII but the colon) with its colon, a folded
+#: continuation, or a mailbox ``From `` line.  The first other line
+#: ends the block.
+_HEADER_LINE = re.compile(r"From |[\041-\071\073-\176]*:|[\t ]")
+
+
+def read_headers(rfile: BinaryIO) -> http.client.HTTPMessage:
+    """The header block ``http.client.parse_headers`` reads from
+    ``rfile``, filled line by line instead of through the ``email``
+    parser.
+
+    It consumes the same lines under the same limits, raising the same
+    ``LineTooLong`` and ``HTTPException``, and keeps the same fields in
+    the same order: a bare CR ends a line too, a line that is not part
+    of a header ends the block, a folded line joins its field, and a
+    ``From `` line or a line that opens with a colon names no field.
+    """
+    lines: List[bytes] = []
+    while True:
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        lines.append(line)
+        if len(lines) > MAX_HEADERS:
+            raise http.client.HTTPException(
+                f"got more than {MAX_HEADERS} headers")
+        if line in (b"\r\n", b"\n", b""):
+            break
+    headers = http.client.HTTPMessage()
+    name: Optional[str] = None
+    value: List[str] = []
+    for raw in b"".join(lines).splitlines(True):
+        line = raw.decode("iso-8859-1")
+        if not _HEADER_LINE.match(line):
+            break
+        if line[0] in " \t":
+            if name is not None:  # a fold before any field is dropped
+                value.append(line)
+            continue
+        if name is not None:
+            headers.set_raw(name, "".join(value).rstrip("\r\n"))
+            name = None
+        colon = line.find(":")
+        if not line.startswith("From ") and colon > 0:
+            name, value = line[:colon], [line[colon + 1:].lstrip(" \t")]
+    if name is not None:
+        headers.set_raw(name, "".join(value).rstrip("\r\n"))
+    return headers
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
@@ -86,6 +147,88 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def scheduler(self) -> JobScheduler:
         return self.server.scheduler  # type: ignore[attr-defined]
+
+    def parse_request(self) -> bool:
+        """``BaseHTTPRequestHandler.parse_request`` with the headers read
+        by :func:`read_headers`, so ``self.headers`` is the same
+        ``HTTPMessage`` without a pass through the ``email`` parser.
+
+        The request-line checks and the ``Connection`` and ``Expect``
+        handling are the standard library's; its checks of the
+        handler's own ``protocol_version`` always hold here.  One
+        addition: a request that carries ``Transfer-Encoding`` gets a
+        411 and the connection closes, before any body is read, since
+        the body is framed by ``Content-Length`` alone.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                major, minor = version[5:].split(".")
+                if not (major.isdigit() and minor.isdigit()
+                        and len(major) <= 10 and len(minor) <= 10):
+                    raise ValueError
+                number = int(major), int(minor)
+            except ValueError:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "Bad request version (%r)" % version)
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                "Invalid HTTP version (%s)" % version[5:])
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            "Bad request syntax (%r)" % requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "Bad HTTP/0.9 request type (%r)" % command)
+                return False
+        self.command = command
+        # As the standard library does against open redirects.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_headers(self.rfile)
+        except http.client.LineTooLong as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Line too long", str(err))
+            return False
+        except http.client.HTTPException as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Too many headers", str(err))
+            return False
+        if self.headers.get("Transfer-Encoding") is not None:
+            # Unread, a chunked body would be parsed as the next request.
+            self.close_connection = True
+            self._error(HTTPStatus.LENGTH_REQUIRED,
+                        "Transfer-Encoding is not supported;"
+                        " send Content-Length")
+            return False
+        conntype = self.headers.get("Connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive":
+            self.close_connection = False
+        if (self.headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
 
     def handle_expect_100(self) -> bool:
         """The interim ``100 Continue`` leaves at once, unbuffered."""

@@ -19,7 +19,11 @@ The contracts under test (see DESIGN.md "Service layer"):
 * connections are kept alive: a client uses one, responses on it do
   not stall, every response after which the daemon closes it says so,
   and an idle one is closed, with the client reconnecting before it
-  sends.
+  sends;
+* HTTP framing: the daemon reads a request head as the standard
+  library does, and refuses a body framed by ``Transfer-Encoding``;
+  the client sends each request in one write and surfaces every
+  transport failure as a typed, correctly retryable error.
 
 Most tests stub the simulation (same pattern as
 test_parallel_backend.py) so a 3-point job resolves in milliseconds;
@@ -27,15 +31,21 @@ the serial-equivalence acceptance test runs the real pipeline on a
 small grep slice.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import http.client
+import io
 import json
 import os
+import random
+import re
 import socket
 import struct
 import threading
 import time
+import types
+from http.server import BaseHTTPRequestHandler
 from urllib.parse import urlparse
 
 import pytest
@@ -828,6 +838,24 @@ class CountingServer(ServiceServer):
         return f"http://{host}:{port}"
 
 
+def exchange_until_close(address, request):
+    """Send raw ``request`` bytes and return everything the daemon
+    answers before it closes the connection."""
+    response = b""
+    with socket.create_connection((address.hostname, address.port),
+                                  timeout=5.0) as conn:
+        conn.sendall(request)
+        try:
+            while True:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                response += chunk
+        except ConnectionResetError:
+            pass  # closed with an unread body still queued
+    return response
+
+
 @pytest.fixture
 def http_server(tmp_path, monkeypatch, stub_sim):
     """A scheduler + counting HTTP server over a tmp cache dir."""
@@ -973,6 +1001,25 @@ class TestHTTPAPI:
         assert job["points"]["total"] == 40 * len(WORKLOADS)
         assert wait_job(scheduler, job["job_id"])["state"] == "done"
 
+    def test_chunked_post_is_411_and_accepts_nothing(self, http_service):
+        scheduler, client = http_service
+        address = urlparse(client.base_url)
+        # Unread, the chunks were parsed as a second request, and the
+        # missing Content-Length made the first the empty spec.
+        body = json.dumps({"grid": "smoke", "benchmarks": ["grep"],
+                           "limit": 1})
+        request = ("POST /jobs HTTP/1.1\r\n"
+                   f"Host: {address.netloc}\r\n"
+                   "Transfer-Encoding: chunked\r\n\r\n"
+                   f"{len(body):x}\r\n{body}\r\n0\r\n\r\n").encode()
+        response = exchange_until_close(address, request)
+        assert response.startswith(b"HTTP/1.1 411 "), response
+        assert response.count(b"HTTP/1.1 ") == 1, response
+        headers = response.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert b"Connection: close" in headers, response
+        assert client.jobs() == []
+        assert scheduler.stats["jobs.accepted"] == 0
+
     def test_queue_full_surfaces_as_typed_rejection(self, http_service):
         scheduler, client = http_service
         scheduler.max_queued_jobs = 0
@@ -1092,6 +1139,46 @@ class TestKeepAlive:
         finally:
             conn.close()
 
+    def test_a_request_leaves_in_one_write(self, http_server, monkeypatch):
+        _, server = http_server
+        port = server.server_address[1]
+        writes = []
+        for name in ("send", "sendall"):
+            real = getattr(socket.socket, name)
+
+            def counting(sock, data, *args, _real=real):
+                if sock.getpeername()[1] == port:  # the client's side
+                    writes.append(bytes(data))
+                return _real(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, name, counting)
+        spec = {"benchmarks": ["grep"], "limit": 1}
+        with ServiceClient(server.url) as client:
+            for call, body in ((client.health, b""),
+                               (lambda: client.submit(spec),
+                                json.dumps(spec).encode()),
+                               (client.jobs, b"")):
+                writes.clear()
+                call()
+                assert len(writes) == 1, writes
+                assert writes[0].endswith(b"\r\n\r\n" + body), writes
+
+    def test_client_reconnects_after_connection_close(self, http_server):
+        _, server = http_server
+        activate(ChaosEngine(FaultPlan(seed=1, rules=(
+            FaultRule("http.request", "http-503", hits=(1,)),
+        ), name="503")))
+        try:
+            with ServiceClient(server.url, retries=0) as client:
+                with pytest.raises(AdmissionRejected):
+                    client.health()
+                # Answered on a new connection, not written into the
+                # one the daemon closed.
+                assert client.health()["ok"] is True
+        finally:
+            deactivate()
+        assert server.accepted == 2
+
     def test_interim_100_continue_leaves_at_once(self, http_server):
         scheduler, server = http_server
         host, port = server.server_address[:2]
@@ -1162,6 +1249,233 @@ class TestKeepAlive:
             time.sleep(0.01)
         err = capfd.readouterr().err
         assert "Traceback" in err and "health check broke" in err, err
+
+
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def one_shot_server(reply):
+    """A server that reads one request head, answers ``reply`` (raw
+    bytes; None never answers) and closes once the client has.  Yields
+    its URL and the list that receives the request head."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    heads = []
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10.0)
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += conn.recv(4096)
+            heads.append(head)
+            if reply is not None:
+                conn.sendall(reply)
+                conn.shutdown(socket.SHUT_WR)
+            with contextlib.suppress(OSError):
+                while conn.recv(4096):
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", heads
+    finally:
+        thread.join(10.0)
+        listener.close()
+    assert not thread.is_alive()
+
+
+class TestClientTransport:
+    @pytest.mark.parametrize("reply, retryable", [
+        # a body shorter than its Content-Length
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"ok\": true}",
+         True),
+        # a status line that is not HTTP
+        (b"HELLO WORLD\r\n\r\n", False),
+        # a header line without a colon
+        (b"HTTP/1.1 200 OK\r\nno colon\r\nContent-Length: 2\r\n\r\n{}",
+         False),
+        # no answer within the client's timeout
+        (None, True),
+        # a 2xx body that is not a JSON object
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc", False),
+        # a 5xx body that is JSON but not an object
+        (b"HTTP/1.1 500 Oops\r\nContent-Length: 3\r\n\r\n[1]", True),
+    ], ids=["truncated-body", "bad-status-line", "bad-header-line",
+            "read-timeout", "non-json-body", "5xx-json-list"])
+    def test_failures_are_typed(self, reply, retryable):
+        with one_shot_server(reply) as (url, _):
+            with ServiceClient(url, timeout_s=0.5) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.health()
+        assert type(excinfo.value) is ServiceError
+        assert excinfo.value.retryable is retryable
+
+    def test_base_url_path_prefix_routes(self):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n{\"ok\": true}"
+        with one_shot_server(reply) as (url, heads):
+            with ServiceClient(url + "/svc/") as client:
+                assert client.health() == {"ok": True}
+        request_line, host = heads[0].split(b"\r\n")[:2]
+        assert request_line == b"GET /svc/healthz HTTP/1.1"
+        assert host == b"Host: " + urlparse(url).netloc.encode()
+
+    @pytest.mark.parametrize("job_id", ["a b", "a\r\nX: y", "a\x7f",
+                                        "café"])
+    def test_path_with_control_characters_is_refused(self, job_id):
+        # Refused before connecting: nothing listens on port 1.
+        with ServiceClient("http://127.0.0.1:1", retries=3,
+                           sleep=pytest.fail) as client:
+            with pytest.raises(ServiceError, match="cannot send"):
+                client.job(job_id)
+
+
+# ----------------------------------------------------------------------
+def parse_head(parse, head):
+    """Run ``parse`` (a ``parse_request``) on a daemon handler reading
+    the raw request ``head``, and return what it decided."""
+    handler = http_api._Handler.__new__(http_api._Handler)
+    handler.rfile, handler.wfile = io.BytesIO(head), io.BytesIO()
+    handler.server = types.SimpleNamespace(quiet=True)
+    handler.client_address = ("127.0.0.1", 0)
+    handler.raw_requestline = handler.rfile.readline(65537)
+    ok = parse(handler)
+    headers = getattr(handler, "headers", None)
+    written = handler.wfile.getvalue()
+    return {
+        "ok": ok,
+        "sent": re.findall(rb"^HTTP/1\.1 (\d{3}) ", written, re.M),
+        # an error page; after a bad version it is all that is sent
+        "error": re.findall(rb"Error code: (\d{3})", written),
+        "close": handler.close_connection,
+        "command": handler.command,
+        "path": getattr(handler, "path", None),
+        "version": handler.request_version,
+        "consumed": handler.rfile.tell(),
+        "get": None if headers is None else [
+            headers.get(name) for name in
+            ("Content-Length", "Connection", "Expect")],
+        "fields": None if headers is None else headers.items(),
+    }
+
+
+def request_head(*lines, start="POST /jobs HTTP/1.1", end="\r\n"):
+    return (start + end + "".join(line + end for line in lines)
+            + end + "{}").encode("iso-8859-1")
+
+
+CLIENT = "Host: 127.0.0.1:8731"
+#: Raw request heads: what real clients send, and every edge of the
+#: request line and the header block the standard library decides.
+HEADS = {
+    "http.client": request_head(
+        CLIENT, "Accept-Encoding: identity", "Content-Length: 2",
+        "Content-Type: application/json"),
+    "urllib": request_head(
+        "Accept-Encoding: identity", "Content-Type: application/json",
+        "Content-Length: 2", CLIENT, "User-Agent: Python-urllib/3.11",
+        "Connection: close"),
+    "curl": request_head(
+        CLIENT, "User-Agent: curl/7.88.1", "Accept: */*",
+        "Content-Length: 2",
+        "Content-Type: application/x-www-form-urlencoded"),
+    "curl-get": request_head(CLIENT, "User-Agent: curl/7.88.1",
+                             "Accept: */*", start="GET /healthz HTTP/1.1"),
+    "service-client": request_head(CLIENT, "Content-Type: application/json",
+                                   "Content-Length: 2"),
+    "http/1.0": request_head(start="GET /healthz HTTP/1.0"),
+    "http/1.0-keep-alive": request_head("Connection: keep-alive",
+                                        start="GET /healthz HTTP/1.0"),
+    "close": request_head(CLIENT, "Connection: close"),
+    "close-upper": request_head(CLIENT, "connection: CLOSE"),
+    "keep-alive": request_head(CLIENT, "Connection: keep-alive"),
+    "expect": request_head(CLIENT, "Content-Length: 2",
+                           "Expect: 100-continue"),
+    "expect-http/1.0": request_head("Content-Length: 2",
+                                    "Expect: 100-Continue",
+                                    start="POST /jobs HTTP/1.0"),
+    "duplicate-length": request_head("Content-Length: 2",
+                                     "content-length: 7"),
+    "no-colon": request_head(CLIENT, "NoColonHere", "Content-Length: 2"),
+    "space-in-name": request_head("Content Length: 2", "Connection: close"),
+    "folded": request_head("X-Folded: one", " two", "\tthree",
+                           "Content-Length: 2"),
+    "folded-connection": request_head("Connection:", " close"),
+    "fold-first": request_head(" folded", "Content-Length: 2"),
+    "leading-colon": request_head(": no name", "Content-Length: 2"),
+    "from-line": request_head("From nobody", "Content-Length: 2"),
+    "from-line-inside": request_head(CLIENT, "From x: y", "Connection: close"),
+    "from-line-last": request_head("Content-Length: 2", "From the end"),
+    "bare-cr": request_head("X-A: one\rContent-Length: 2", CLIENT),
+    "lf-only": request_head(CLIENT, "Content-Length: 2", end="\n"),
+    "latin-1": request_head("X-Name: café", "Content-Length: 2"),
+    "99-headers": request_head(*[f"X-{n}: {n}" for n in range(99)]),
+    "100-headers": request_head(*[f"X-{n}: {n}" for n in range(100)]),
+    "101-headers": request_head(*[f"X-{n}: {n}" for n in range(101)]),
+    "65536-byte-line": request_head("X-Long: " + "a" * (65536 - 10)),
+    "65537-byte-line": request_head("X-Long: " + "a" * (65537 - 10)),
+    "no-blank-line": b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+    "no-line-end": b"GET /healthz HTTP/1.1\r\nContent-Length: 2",
+    "double-slash": request_head(CLIENT, start="GET //evil/path HTTP/1.1"),
+    "http/1.x": request_head(start="GET / HTTP/1.x"),
+    "http/2.0": request_head(start="GET / HTTP/2.0"),
+    "http/1.1.1": request_head(start="GET / HTTP/1.1.1"),
+    "foo/1.1": request_head(start="GET / FOO/1.1"),
+    "four-words": request_head(start="GET / x HTTP/1.1"),
+    "two-word-get": request_head(start="GET /healthz"),
+    "two-word-post": request_head(start="POST /jobs"),
+    "one-word": request_head(start="GET"),
+    "blank-line": b"\r\n",
+}
+
+
+class TestRequestParsing:
+    """The handler's ``parse_request`` decides every request head as
+    ``BaseHTTPRequestHandler.parse_request`` does: the status it sends
+    (or none), whether the connection closes, the request line, the
+    bytes it consumes and the header fields.  Two differences are
+    deliberate: a request that carries ``Transfer-Encoding`` gets a 411
+    and closes, and a version number with a part over ten digits gets
+    a 400 on every Python, as from Python 3.11's standard library (3.9
+    and 3.10 accept it)."""
+
+    @pytest.mark.parametrize("name", sorted(HEADS))
+    def test_same_outcome_as_the_standard_library(self, name):
+        head = HEADS[name]
+        assert (parse_head(http_api._Handler.parse_request, head)
+                == parse_head(BaseHTTPRequestHandler.parse_request, head))
+
+    @pytest.mark.parametrize("field", ["Transfer-Encoding: chunked",
+                                       "transfer-encoding: identity"])
+    def test_transfer_encoding_is_411(self, field):
+        head = request_head(CLIENT, field, "Expect: 100-continue")
+        ours = parse_head(http_api._Handler.parse_request, head)
+        stdlib = parse_head(BaseHTTPRequestHandler.parse_request, head)
+        # Refused before the 100 Continue, with nothing past the head read.
+        assert ours["sent"] == [b"411"] and stdlib["sent"] == [b"100"]
+        assert ours["ok"] is False and ours["close"] is True
+        assert ours["consumed"] == stdlib["consumed"] == len(head) - 2
+
+    def test_version_part_over_ten_digits_is_400(self):
+        outcome = parse_head(http_api._Handler.parse_request,
+                             request_head(start="GET / HTTP/1.00000000001"))
+        assert outcome["error"] == [b"400"] and outcome["close"] is True
+
+    def test_same_outcome_on_random_heads(self):
+        rng = random.Random(31)
+        starts = ["POST /jobs HTTP/1.1", "GET /healthz HTTP/1.0", "GET /"]
+        pieces = ["Content-Length: 2", "content-length:7", "Connection: close",
+                  "Connection: keep-alive", "Expect: 100-continue",
+                  "From x", "From: y", "NoColon", ": v", "Bad Name: v",
+                  " folded", "\tfolded", "X-A: 1", "X:", "", "\r", "\x85",
+                  "café: 1", "X-B: a\rb: c"]
+        for _ in range(500):
+            lines = [rng.choice(pieces) for _ in range(rng.randrange(6))]
+            head = request_head(*lines, start=rng.choice(starts),
+                                end=rng.choice(["\r\n", "\n"]))
+            assert (parse_head(http_api._Handler.parse_request, head)
+                    == parse_head(BaseHTTPRequestHandler.parse_request,
+                                  head)), head
 
 
 # ----------------------------------------------------------------------
